@@ -540,8 +540,8 @@ ResultCache::gc(std::uint64_t maxAgeSeconds, std::uint64_t maxBytes,
                        maxAgeSeconds) {
             // Strictly-older-than: an entry exactly at or newer than
             // the threshold is never deleted by the age rule. Entries
-            // with future mtimes (clock skew between shard hosts
-            // sharing one cache dir) have no age at all; the unsigned
+            // with future mtimes (clock skew between hosts sharing
+            // one cache dir) have no age at all; the unsigned
             // subtraction is guarded so a huge maxAgeSeconds cannot
             // wrap into a signed comparison that deletes everything.
             remove = true;

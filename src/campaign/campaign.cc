@@ -398,16 +398,6 @@ operator!=(const CampaignSpec &a, const CampaignSpec &b)
 }
 
 CampaignSpec
-subsetForScenarios(const CampaignSpec &spec,
-                   std::vector<std::string> names)
-{
-    CampaignSpec sub = spec;
-    sub.scenarios.names = std::move(names);
-    sub.scenarios.count = 0; // explicit list replaces any generate block
-    return sub;
-}
-
-CampaignSpec
 parseCampaignSpec(const std::string &text)
 {
     CampaignSpec spec = campaignSpecFromJson(parseJson(text));

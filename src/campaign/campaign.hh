@@ -25,9 +25,8 @@
  * text, markdown, CSV or JSON.
  *
  * Because a spec is a plain JSON document, campaigns can be checked
- * into a repo, diffed in review, emitted by `wavedyn_cli ... --dump-spec`
- * and — the ROADMAP's next scaling step — shipped to other processes
- * or hosts for sharded execution.
+ * into a repo, diffed in review and emitted by
+ * `wavedyn_cli ... --dump-spec`.
  */
 
 #ifndef WAVEDYN_CAMPAIGN_CAMPAIGN_HH
@@ -180,19 +179,6 @@ struct CampaignResult
     std::uint64_t cacheStores = 0;
     std::uint64_t cacheStoreFailures = 0; //!< stores that published nothing
 };
-
-/**
- * The same campaign restricted to an explicit scenario name list: the
- * copy keeps every knob of @p spec but replaces the selection with
- * @p names and drops any generate block (generated names like
- * "gen/<family>/s<seed>/<i>" are re-derivable anywhere, so listing
- * them explicitly denotes the identical scenarios). This is the shard
- * splitter's primitive: per-benchmark experiment planning draws from a
- * fresh Rng(seed), so a subset campaign simulates exactly the runs the
- * full campaign would for those scenarios.
- */
-CampaignSpec subsetForScenarios(const CampaignSpec &spec,
-                                std::vector<std::string> names);
 
 /**
  * Run any campaign: validate, materialise the scenario set (paper

@@ -6,7 +6,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/json_reader.hh"
 #include "util/stats.hh"
 #include "util/table.hh"
 
@@ -226,218 +225,6 @@ exploreToJson(const ExploreReport &report)
     }
     v.set("frontier", std::move(frontier));
     return v;
-}
-
-namespace
-{
-
-// ---------------------------------------------------------------------
-// fromJson inverses — the shard merger parses per-shard report
-// documents through these and re-renders them, so every field the
-// toJson side emits must be restored (or validated and recomputed).
-
-std::vector<double>
-doublesFromJson(const JsonValue &v, const std::string &path)
-{
-    if (!v.isArray())
-        throw std::invalid_argument(path + ": expected an array, got " +
-                                    v.typeName());
-    std::vector<double> out;
-    out.reserve(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        const JsonValue &x = v.at(i);
-        if (!x.isNumber())
-            throw std::invalid_argument(path + "[" + std::to_string(i) +
-                                        "]: expected a number, got " +
-                                        x.typeName());
-        out.push_back(x.asDouble());
-    }
-    return out;
-}
-
-BoxplotSummary
-boxplotFromJson(const JsonValue &doc, const std::string &path)
-{
-    BoxplotSummary s;
-    ObjectReader r(doc, path);
-    s.median = r.getDouble("median", s.median);
-    s.q1 = r.getDouble("q1", s.q1);
-    s.q3 = r.getDouble("q3", s.q3);
-    s.whiskerLow = r.getDouble("whisker_low", s.whiskerLow);
-    s.whiskerHigh = r.getDouble("whisker_high", s.whiskerHigh);
-    s.mean = r.getDouble("mean", s.mean);
-    s.min = r.getDouble("min", s.min);
-    s.max = r.getDouble("max", s.max);
-    s.count = r.getSize("count", s.count);
-    if (const JsonValue *o = r.get("outliers"))
-        s.outliers = doublesFromJson(*o, r.memberPath("outliers"));
-    r.finish();
-    return s;
-}
-
-Domain
-domainFromSpecName(const std::string &name, const std::string &path)
-{
-    Domain d;
-    if (!parseDomain(name, d))
-        throw std::invalid_argument(path + ": unknown domain '" + name +
-                                    "' (known: cpi, power, avf, iqavf)");
-    return d;
-}
-
-std::string
-reportKind(const JsonValue &doc, const std::string &what)
-{
-    if (!doc.isObject())
-        throw std::invalid_argument(what + ": expected an object, got " +
-                                    doc.typeName());
-    const JsonValue *kind = doc.find("kind");
-    if (!kind || !kind->isString())
-        throw std::invalid_argument(
-            what + ".kind: every report document names its kind");
-    return kind->asString();
-}
-
-void
-requireKind(const JsonValue &doc, const std::string &what,
-            const std::string &expected)
-{
-    std::string kind = reportKind(doc, what);
-    if (kind != expected)
-        throw std::invalid_argument(what + ".kind: expected '" +
-                                    expected + "', got '" + kind + "'");
-}
-
-} // anonymous namespace
-
-SuiteReport
-suiteReportFromJson(const JsonValue &doc)
-{
-    requireKind(doc, "suite report", "suite");
-    SuiteReport report;
-    ObjectReader r(doc, "suite report");
-    r.get("kind");
-    const JsonValue *cells = r.get("cells");
-    if (!cells || !cells->isArray())
-        throw std::invalid_argument(
-            r.memberPath("cells") + ": expected an array" +
-            (cells ? ", got " + cells->typeName() : " (absent)"));
-    for (std::size_t i = 0; i < cells->size(); ++i) {
-        std::string at =
-            r.memberPath("cells") + "[" + std::to_string(i) + "]";
-        ObjectReader c(cells->at(i), at);
-        SuiteCell cell;
-        cell.benchmark = c.requireString("benchmark");
-        cell.domain = domainFromSpecName(c.requireString("domain"),
-                                         c.memberPath("domain"));
-        const JsonValue *mse = c.get("mse_percent");
-        if (!mse)
-            throw std::invalid_argument(c.memberPath("mse_percent") +
-                                        ": required");
-        cell.mse = boxplotFromJson(*mse, c.memberPath("mse_percent"));
-        if (const JsonValue *per = c.get("mse_per_test"))
-            cell.msePerTest =
-                doublesFromJson(*per, c.memberPath("mse_per_test"));
-        if (const JsonValue *asym = c.get("asymmetry_q"))
-            cell.asymmetryQ =
-                doublesFromJson(*asym, c.memberPath("asymmetry_q"));
-        c.finish();
-        report.cells.push_back(std::move(cell));
-    }
-    // Derived from the cells — validated for shape, recomputed on
-    // re-render (byte-identical because the inputs are identical).
-    if (const JsonValue *overall = r.get("overall_median")) {
-        if (!overall->isObject())
-            throw std::invalid_argument(
-                r.memberPath("overall_median") +
-                ": expected an object, got " + overall->typeName());
-    }
-    r.finish();
-    return report;
-}
-
-ExploreReport
-exploreReportFromJson(const JsonValue &doc)
-{
-    requireKind(doc, "explore report", "explore");
-    ExploreReport report;
-    ObjectReader r(doc, "explore report");
-    r.get("kind");
-
-    for (const std::string &name : r.getStringArray("objectives")) {
-        Objective o;
-        if (!parseObjective(name, o))
-            throw std::invalid_argument(
-                r.memberPath("objectives") + ": unknown objective '" +
-                name + "'");
-        report.objectives.push_back(o);
-    }
-    report.paramNames = r.getStringArray("parameters");
-    report.spaceSize = r.getSize("space_size", 0);
-    report.sweepStride = r.getSize("sweep_stride", 1);
-    report.sweepPoints = r.getSize("sweep_points", 0);
-    report.scenarioCount = r.getSize("scenario_count", 0);
-    report.initialTrainPoints = r.getSize("initial_train_points", 0);
-    report.finalTrainPoints = r.getSize("final_train_points", 0);
-
-    if (const JsonValue *rounds = r.get("rounds")) {
-        if (!rounds->isArray())
-            throw std::invalid_argument(r.memberPath("rounds") +
-                                        ": expected an array, got " +
-                                        rounds->typeName());
-        for (std::size_t i = 0; i < rounds->size(); ++i) {
-            std::string at =
-                r.memberPath("rounds") + "[" + std::to_string(i) + "]";
-            ObjectReader rr(rounds->at(i), at);
-            ExploreRoundStats round;
-            round.round = rr.getSize("round", 0);
-            round.frontSize = rr.getSize("front_size", 0);
-            round.simulated = rr.getSize("simulated", 0);
-            if (const JsonValue *err = rr.get("mean_abs_err_pct")) {
-                ObjectReader er(*err, rr.memberPath("mean_abs_err_pct"));
-                for (Objective o : report.objectives)
-                    if (er.get(objectiveName(o)))
-                        round.meanAbsErrPct.push_back(er.getDouble(
-                            objectiveName(o), 0.0));
-                er.finish();
-            }
-            rr.finish();
-            report.rounds.push_back(std::move(round));
-        }
-    }
-
-    if (const JsonValue *frontier = r.get("frontier")) {
-        if (!frontier->isArray())
-            throw std::invalid_argument(r.memberPath("frontier") +
-                                        ": expected an array, got " +
-                                        frontier->typeName());
-        for (std::size_t i = 0; i < frontier->size(); ++i) {
-            std::string at =
-                r.memberPath("frontier") + "[" + std::to_string(i) + "]";
-            ObjectReader fr(frontier->at(i), at);
-            FrontPoint fp;
-            if (const JsonValue *values = fr.get("values")) {
-                ObjectReader vr(*values, fr.memberPath("values"));
-                for (Objective o : report.objectives)
-                    if (vr.get(objectiveName(o)))
-                        fp.values.push_back(
-                            vr.getDouble(objectiveName(o), 0.0));
-                vr.finish();
-            }
-            fp.uncertainty = fr.getDouble("uncertainty", 0.0);
-            if (const JsonValue *coords = fr.get("point")) {
-                ObjectReader pr(*coords, fr.memberPath("point"));
-                for (const std::string &p : report.paramNames)
-                    if (pr.get(p))
-                        fp.point.push_back(pr.getDouble(p, 0.0));
-                pr.finish();
-            }
-            fr.finish();
-            report.frontier.push_back(std::move(fp));
-        }
-    }
-    r.finish();
-    return report;
 }
 
 const std::vector<ReportFormat> &
@@ -708,59 +495,6 @@ campaignResultToJson(const CampaignResult &result)
       }
     }
     throw std::logic_error("unhandled campaign kind in report JSON");
-}
-
-CampaignResult
-campaignResultFromReportJson(const JsonValue &doc)
-{
-    std::string kind = reportKind(doc, "report");
-    CampaignResult result;
-    if (kind == "suite") {
-        result.kind = CampaignKind::Suite;
-        result.suite = suiteReportFromJson(doc);
-        return result;
-    }
-    if (kind == "explore") {
-        result.kind = CampaignKind::Explore;
-        result.explore = exploreReportFromJson(doc);
-        return result;
-    }
-    if (kind == "train") {
-        result.kind = CampaignKind::Train;
-        ObjectReader r(doc, "train report");
-        r.get("kind");
-        result.benchmark = r.requireString("benchmark");
-        result.domain = domainFromSpecName(r.requireString("domain"),
-                                           r.memberPath("domain"));
-        result.modelPath = r.requireString("model_path");
-        result.coefficientModels = r.getSize("coefficient_models", 0);
-        result.traceLength = r.getSize("trace_length", 0);
-        r.finish();
-        return result;
-    }
-    if (kind == "evaluate") {
-        result.kind = CampaignKind::Evaluate;
-        ObjectReader r(doc, "evaluate report");
-        r.get("kind");
-        result.benchmark = r.requireString("benchmark");
-        result.domain = domainFromSpecName(r.requireString("domain"),
-                                           r.memberPath("domain"));
-        result.modelPath = r.requireString("model_path");
-        const JsonValue *mse = r.get("mse_percent");
-        if (!mse)
-            throw std::invalid_argument(r.memberPath("mse_percent") +
-                                        ": required");
-        result.evaluation.summary =
-            boxplotFromJson(*mse, r.memberPath("mse_percent"));
-        if (const JsonValue *per = r.get("mse_per_test"))
-            result.evaluation.msePerTest =
-                doublesFromJson(*per, r.memberPath("mse_per_test"));
-        r.finish();
-        return result;
-    }
-    throw std::invalid_argument(
-        "report.kind: unknown report kind '" + kind +
-        "' (known: suite, explore, train, evaluate)");
 }
 
 std::unique_ptr<ReportSink>

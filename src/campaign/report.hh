@@ -9,9 +9,8 @@
  *  - the ReportSink abstraction: one polymorphic writer per output
  *    format (text, markdown, csv, json) that renders any
  *    CampaignResult, so every consumer — CLI subcommands, the `run`
- *    subcommand, CI diff steps, future cross-process shard collectors
- *    — speaks one interface. The JSON sink is the machine-readable
- *    format sharded sweeps will exchange.
+ *    subcommand, CI diff steps — speaks one interface. The JSON sink
+ *    is the machine-readable format `wavedyn_cli diff` compares.
  */
 
 #ifndef WAVEDYN_CAMPAIGN_REPORT_HH
@@ -50,35 +49,9 @@ JsonValue exploreToJson(const ExploreReport &report);
 /**
  * The JSON report document of any campaign result — exactly what the
  * JSON sink writes (minus the trailing newline and indentation, which
- * are the sink's). Shard merging round-trips reports through this:
- * parse with campaignResultFromReportJson, re-render, and the bytes
- * must match.
+ * are the sink's).
  */
 JsonValue campaignResultToJson(const CampaignResult &result);
-
-/**
- * Inverse of suiteToJson. Strict: unknown members, missing cells
- * fields or type mismatches throw std::invalid_argument with a field
- * path. The derived "overall_median" block is validated for presence
- * but recomputed from the cells on re-render.
- */
-SuiteReport suiteReportFromJson(const JsonValue &doc);
-
-/**
- * Inverse of exploreToJson. FrontPoint::scores is not part of the
- * document (scores are the minimised internal rank keys; the report
- * carries raw values), so parsed frontier points have empty scores —
- * harmless for rendering and re-serialisation.
- */
-ExploreReport exploreReportFromJson(const JsonValue &doc);
-
-/**
- * Parse any report document back into a CampaignResult, dispatching
- * on its "kind" member. Only report fields are restored — the cache
- * counters of the original run are not part of a report document.
- * @throws std::invalid_argument on structural defects.
- */
-CampaignResult campaignResultFromReportJson(const JsonValue &doc);
 
 /** Output formats a campaign result can be rendered in. */
 enum class ReportFormat

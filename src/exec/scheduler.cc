@@ -2,11 +2,14 @@
 
 #include <atomic>
 #include <cassert>
+#include <string>
 #include <utility>
 
 #include "cache/key.hh"
+#include "dvm/controller.hh"
 #include "sim/batch.hh"
 #include "telemetry/telemetry.hh"
+#include "util/json.hh"
 
 namespace
 {
@@ -148,16 +151,6 @@ RunScheduler::run(ThreadPool &pool)
     // byte-identical whether and however tasks were batched. A custom
     // task runner computes per task by contract, so it bypasses
     // grouping entirely.
-    auto sameShape = [](const RunTask &a, const RunTask &b) {
-        return a.benchmark == b.benchmark && a.samples == b.samples &&
-               a.intervalInstrs == b.intervalInstrs &&
-               a.dvm.enabled == b.dvm.enabled &&
-               a.dvm.threshold == b.dvm.threshold &&
-               a.dvm.sampleCycles == b.dvm.sampleCycles &&
-               a.dvm.initialWqRatio == b.dvm.initialWqRatio &&
-               a.dvm.minWqRatio == b.dvm.minWqRatio &&
-               a.dvm.maxWqRatio == b.dvm.maxWqRatio;
-    };
     const std::size_t width = runner ? 1 : globalBatchWidth();
     std::vector<std::vector<std::size_t>> chunks; // indices into pending
     if (width <= 1) {
@@ -165,14 +158,28 @@ RunScheduler::run(ThreadPool &pool)
         for (std::size_t k = 0; k < pending.size(); ++k)
             chunks.push_back({k});
     } else {
+        // DVM policies compare by their canonical JSON — the form the
+        // cache key hashes — so a new DvmConfig field separates shapes
+        // without a hand-kept field list here.
+        std::vector<std::string> dvmKeys;
+        dvmKeys.reserve(pending.size());
+        for (std::size_t i : pending)
+            dvmKeys.push_back(writeJson(toJson(tasks[i].dvm), 0));
+        auto sameShape = [&](std::size_t a, std::size_t b) {
+            const RunTask &ta = tasks[pending[a]];
+            const RunTask &tb = tasks[pending[b]];
+            return ta.benchmark == tb.benchmark &&
+                   ta.samples == tb.samples &&
+                   ta.intervalInstrs == tb.intervalInstrs &&
+                   dvmKeys[a] == dvmKeys[b];
+        };
         // One open (not yet full) chunk per distinct run shape;
         // chunks appear in first-task order and fill in task order.
         std::vector<std::size_t> open;
         for (std::size_t k = 0; k < pending.size(); ++k) {
-            const RunTask &t = tasks[pending[k]];
             std::size_t c = open.size();
             for (std::size_t o = 0; o < open.size(); ++o)
-                if (sameShape(tasks[pending[chunks[open[o]][0]]], t)) {
+                if (sameShape(chunks[open[o]][0], k)) {
                     c = o;
                     break;
                 }

@@ -51,6 +51,7 @@
 #include "cache/store.hh"
 #include "exec/thread_pool.hh"
 #include "sim/simulator.hh"
+#include "util/rng.hh"
 
 namespace wavedyn
 {
@@ -199,9 +200,9 @@ class RunScheduler
      * Replace the task computation (empty restores simulate()). This
      * is a deliberate fault-injection seam: simulate() is pure and
      * asserts on bad input rather than throwing, so the exception-
-     * safety contract of run() — the primitive shard retry sits on —
-     * is only testable with a runner that throws on demand. The
-     * runner is called from worker threads and must be thread-safe.
+     * safety contract of run() is only testable with a runner that
+     * throws on demand. The runner is called from worker threads and
+     * must be thread-safe.
      */
     void setTaskRunner(TaskRunner fn) { runner = std::move(fn); }
 

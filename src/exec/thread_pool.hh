@@ -11,9 +11,6 @@
  *  - parallelFor / parallelMap: blocking index-space helpers with
  *    deterministic, index-ordered results and deterministic exception
  *    propagation (the lowest-index exception is rethrown).
- *  - parallelForSeeded: the same, but each task receives its own child
- *    Rng derived via Rng::split(index), so any task-level randomness
- *    is a function of the task index, never of scheduling order.
  *
  * Determinism contract: running any helper on a pool of N workers
  * produces bit-identical results for every N, including the inline
@@ -35,8 +32,6 @@
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/rng.hh"
 
 namespace wavedyn
 {
@@ -150,22 +145,6 @@ parallelChunks(ThreadPool &pool, std::size_t n, std::size_t chunk,
         std::size_t begin = c * chunk;
         std::size_t end = begin + chunk < n ? begin + chunk : n;
         fn(c, begin, end);
-    });
-}
-
-/**
- * parallelFor where task i draws randomness from base.split(i). The
- * base generator is not advanced; scheduling order cannot influence
- * any task's stream.
- */
-template <typename Fn>
-void
-parallelForSeeded(ThreadPool &pool, std::size_t n, const Rng &base,
-                  Fn &&fn)
-{
-    detail::runIndexed(pool, n, [&](std::size_t i) {
-        Rng child = base.split(i);
-        fn(i, child);
     });
 }
 

@@ -271,9 +271,9 @@ checkCloexec(const SourceFile &f, std::vector<Violation> *out)
                     out->push_back(
                         {f.path, i + 1, kCrashCloexec,
                          std::string(fn) +
-                             "() without O_CLOEXEC: fleet workers "
-                             "fork+exec, and a leaked fd outlives the "
-                             "flock discipline"});
+                             "() without O_CLOEXEC: the fd leaks into "
+                             "every process the host program later "
+                             "spawns"});
                 pos = j;
             }
         }

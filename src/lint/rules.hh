@@ -12,8 +12,8 @@
  *                          stop being byte-identical across runs.
  *  determinism-clock       ban wall/monotonic clock reads outside the
  *                          allowlisted observation surfaces (telemetry,
- *                          cache GC, fleet orchestration, scheduler
- *                          ticker) — simulated results must never
+ *                          cache GC, scheduler ticker) — simulated
+ *                          results must never
  *                          depend on when they were computed.
  *  determinism-unordered   ban std::unordered_{map,set,multimap,
  *                          multiset} in byte-stable output code
@@ -31,8 +31,9 @@
  *                          be published with writeFileAtomic so readers
  *                          never observe a torn document.
  *  crash-safety-cloexec    open()/openat() calls passing O_* flags must
- *                          pass O_CLOEXEC — fleet workers fork+exec,
- *                          and leaked fds outlive flock discipline.
+ *                          pass O_CLOEXEC — a descriptor opened without
+ *                          it leaks into every process the host program
+ *                          later spawns.
  *  hygiene-header-guard    every header starts with an include guard
  *                          or #pragma once.
  *  hygiene-using-namespace `using namespace std` in a header poisons

@@ -76,8 +76,9 @@
  *    DVM controller is disabled: an enabled controller observes and
  *    mutates its window state every cycle, so no cycle is inert.
  *    High-CPI (memory-bound) configurations spend most cycles
- *    waiting on memory, which is where the batched kernel's ~3-5x
- *    comes from.
+ *    waiting on memory, which is where the skip pays most; together
+ *    with the shared decode the batched kernel measures ~2.0-2.4x
+ *    scalar throughput at widths 16-64 (BENCH_sim.json).
  *
  * Per-cycle machine state stays laid out per lane (an AoS of
  * pipelines): each lane's control flow diverges after the first

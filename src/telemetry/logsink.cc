@@ -50,38 +50,4 @@ SerializedLog::tickerFinal(const std::string &text)
     tickerOpen = false;
 }
 
-std::streambuf::int_type
-LineStampBuf::overflow(int_type ch)
-{
-    if (traits_type::eq_int_type(ch, traits_type::eof()))
-        return sync() == 0 ? traits_type::not_eof(ch)
-                           : traits_type::eof();
-    if (atLineStart_) {
-        atLineStart_ = false;
-        std::string stamp = "[" + isoTimestampNow() + " " + tag_ + "] ";
-        dst_->sputn(stamp.data(),
-                    static_cast<std::streamsize>(stamp.size()));
-    }
-    if (traits_type::to_char_type(ch) == '\n')
-        atLineStart_ = true;
-    return dst_->sputc(traits_type::to_char_type(ch));
-}
-
-int
-LineStampBuf::sync()
-{
-    return dst_->pubsync();
-}
-
-void
-stampStderrLines(const std::string &tag)
-{
-    static bool installed = false;
-    if (installed)
-        return;
-    installed = true;
-    // Leak by design: std::cerr may be used during static destruction.
-    std::cerr.rdbuf(new LineStampBuf(std::cerr.rdbuf(), tag));
-}
-
 } // namespace wavedyn

@@ -2,7 +2,7 @@
  * @file
  * Serialized stderr writing: one mutex-guarded writer shared by
  * orchestration-thread phase banners and worker-thread progress
- * tickers, plus a line-stamping streambuf for fleet shard logs.
+ * tickers.
  *
  * Two log producers used to write to std::cerr independently — the
  * phase banner from the orchestration thread and the `\r` run ticker
@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <mutex>
 #include <ostream>
-#include <streambuf>
 #include <string>
 
 namespace wavedyn
@@ -60,37 +59,6 @@ class SerializedLog
     std::uint64_t lastTickUs = 0;
     bool tickerOpen = false; //!< a '\r' line is on screen, no '\n' yet
 };
-
-/**
- * Streambuf decorator that prefixes every line with
- * "[<ISO-8601 UTC> <tag>] " — installed over std::cerr by shard
- * workers (--log-stamp) so each shard-NNN.log line can be ordered
- * against the fleet journal post-mortem. The '\r' ticker never
- * starts a new line, so repaints are not re-stamped.
- */
-class LineStampBuf : public std::streambuf
-{
-  public:
-    LineStampBuf(std::streambuf *dst, std::string tag)
-        : dst_(dst), tag_(std::move(tag))
-    {
-    }
-
-  protected:
-    int_type overflow(int_type ch) override;
-    int sync() override;
-
-  private:
-    std::streambuf *dst_;
-    std::string tag_;
-    bool atLineStart_ = true;
-};
-
-/**
- * Install a LineStampBuf over std::cerr (idempotent per process; the
- * buf intentionally lives until exit). Used by `--log-stamp <tag>`.
- */
-void stampStderrLines(const std::string &tag);
 
 } // namespace wavedyn
 

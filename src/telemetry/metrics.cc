@@ -296,62 +296,4 @@ metricsToJson(const MetricsSnapshot &snap)
     return doc;
 }
 
-namespace
-{
-
-const JsonValue &
-metricsSection(const JsonValue &doc, const std::string &key)
-{
-    const JsonValue *section = doc.find(key);
-    if (section == nullptr || !section->isObject())
-        throw std::runtime_error("metrics document missing object '" +
-                                 key + "'");
-    return *section;
-}
-
-} // namespace
-
-JsonValue
-mergeMetricsDocs(const std::vector<JsonValue> &docs)
-{
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, MetricsSnapshot::Histogram> histograms;
-
-    for (const JsonValue &doc : docs) {
-        const JsonValue *schema =
-            doc.isObject() ? doc.find("schema") : nullptr;
-        if (schema == nullptr || !schema->isString() ||
-            schema->asString() != "wavedyn-metrics-v1")
-            throw std::runtime_error(
-                "not a wavedyn-metrics-v1 document");
-        for (const auto &m : metricsSection(doc, "counters").members())
-            counters[m.first] += m.second.asUint64();
-        for (const auto &m : metricsSection(doc, "gauges").members())
-            gauges[m.first] = m.second.asDouble();
-        for (const auto &m :
-             metricsSection(doc, "histograms").members()) {
-            MetricsSnapshot::Histogram &h = histograms[m.first];
-            h.name = m.first;
-            h.count += m.second.at("count").asUint64();
-            h.sumUs += m.second.at("sum_us").asUint64();
-            const JsonValue &buckets = m.second.at("buckets");
-            if (buckets.size() != HistogramLayout::kBuckets)
-                throw std::runtime_error("histogram '" + m.first +
-                                         "' has wrong bucket count");
-            for (std::size_t b = 0; b < HistogramLayout::kBuckets; ++b)
-                h.buckets[b] += buckets.at(b).asUint64();
-        }
-    }
-
-    MetricsSnapshot snap;
-    for (const auto &c : counters)
-        snap.counters.emplace_back(c.first, c.second);
-    for (const auto &g : gauges)
-        snap.gauges.emplace_back(g.first, g.second);
-    for (auto &h : histograms)
-        snap.histograms.push_back(std::move(h.second));
-    return metricsToJson(snap);
-}
-
 } // namespace wavedyn

@@ -147,14 +147,6 @@ class MetricsRegistry
 /** Render a snapshot as the `wavedyn-metrics-v1` JSON document. */
 JsonValue metricsToJson(const MetricsSnapshot &snap);
 
-/**
- * Merge metrics documents (e.g. per-shard files) into one: counters
- * and histograms sum; gauges take the last document's value. Inputs
- * that are not valid `wavedyn-metrics-v1` docs throw
- * std::runtime_error.
- */
-JsonValue mergeMetricsDocs(const std::vector<JsonValue> &docs);
-
 } // namespace wavedyn
 
 #endif // WAVEDYN_TELEMETRY_METRICS_HH

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <stdexcept>
 #include <utility>
 #include <vector>
-
-#include <sys/time.h>
 
 #include "util/atomic_file.hh"
 #include "util/json.hh"
@@ -56,23 +53,6 @@ ScopedPhase::~ScopedPhase()
 {
     std::uint64_t end = telemetryNowUs();
     metricsRegistry().add(counter_, end > start_ ? end - start_ : 0);
-}
-
-std::string
-isoTimestampNow()
-{
-    struct timeval tv;
-    gettimeofday(&tv, nullptr);
-    struct tm utc;
-    time_t secs = tv.tv_sec;
-    gmtime_r(&secs, &utc);
-    char buf[64];
-    std::snprintf(buf, sizeof(buf),
-                  "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                  utc.tm_year + 1900, utc.tm_mon + 1, utc.tm_mday,
-                  utc.tm_hour, utc.tm_min, utc.tm_sec,
-                  static_cast<int>(tv.tv_usec / 1000));
-    return buf;
 }
 
 namespace

@@ -58,10 +58,6 @@ class ScopedPhase
     std::uint64_t start_;
 };
 
-/** Wall-clock ISO-8601 UTC timestamp with milliseconds
- *  ("2026-08-08T12:34:56.789Z") — for log stamping, never reports. */
-std::string isoTimestampNow();
-
 /** Write the global tracer's events as a Chrome trace document.
  *  Throws std::runtime_error when the file cannot be written. */
 void writeTraceFile(const std::string &path, std::uint64_t pid,

@@ -13,9 +13,8 @@ namespace wavedyn
 std::uint64_t
 telemetryNowUs()
 {
-    // steady_clock is CLOCK_MONOTONIC on Linux: one epoch (boot) for
-    // every process on the host, so per-shard trace files align into
-    // one fleet timeline without clock translation.
+    // steady_clock is CLOCK_MONOTONIC on Linux: immune to wall-clock
+    // steps, so span durations never go negative.
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now().time_since_epoch())

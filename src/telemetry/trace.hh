@@ -19,10 +19,7 @@
  * Timestamps and thread assignment of course are not, which is why
  * reports never include anything derived from a trace.
  *
- * Timestamps are steady-clock microseconds (CLOCK_MONOTONIC), which
- * on Linux shares its epoch (boot) across every process on the host —
- * per-shard trace files from one fleet job therefore align into a
- * single merged timeline without clock translation (see timeline.hh).
+ * Timestamps are steady-clock microseconds (CLOCK_MONOTONIC).
  */
 
 #ifndef WAVEDYN_TELEMETRY_TRACE_HH
@@ -106,8 +103,8 @@ class SpanTracer
 
     /**
      * Record a complete event with explicit timestamps — used where a
-     * span's start was captured before the outcome was known (shard
-     * lifecycle spans in the orchestrator).
+     * span is not a scope of the recording thread (the scheduler's
+     * per-run share of a batched chunk).
      */
     void complete(const std::string &name, const std::string &cat,
                   std::uint64_t ts, std::uint64_t dur,

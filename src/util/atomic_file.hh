@@ -3,10 +3,9 @@
  * Atomic publication of whole files: write to a unique temp name in
  * the destination directory, then rename() into place. POSIX makes
  * the rename atomic, so readers only ever observe either the old
- * complete file or the new complete file — never a torn write. This
- * is the discipline the result cache (cache/store.cc) established;
- * the fleet job queue and report merger reuse it for shard specs,
- * shard reports and the merged document.
+ * complete file or the new complete file — never a torn write. The
+ * result cache (cache/store.cc), CLI reports, predictor snapshots and
+ * telemetry side files all publish through it.
  */
 
 #ifndef WAVEDYN_UTIL_ATOMIC_FILE_HH

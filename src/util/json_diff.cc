@@ -170,16 +170,6 @@ jsonDiff(const JsonValue &a, const JsonValue &b,
     return std::move(d.out);
 }
 
-bool
-jsonEquals(const JsonValue &a, const JsonValue &b,
-           const JsonDiffOptions &opts)
-{
-    // A single difference decides it; cap the walk accordingly.
-    JsonDiffOptions firstOnly = opts;
-    firstOnly.maxDifferences = 1;
-    return jsonDiff(a, b, firstOnly).empty();
-}
-
 namespace
 {
 

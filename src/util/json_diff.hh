@@ -57,14 +57,6 @@ struct JsonDiffOptions
 std::vector<std::string> jsonDiff(const JsonValue &a, const JsonValue &b,
                                   const JsonDiffOptions &opts = {});
 
-/**
- * True when jsonDiff would report no differences. The shard merger's
- * verification primitive: a merged report must equal the document a
- * round-trip through the report codecs reconstructs.
- */
-bool jsonEquals(const JsonValue &a, const JsonValue &b,
-                const JsonDiffOptions &opts = {});
-
 /** Outcome of diffing two files (see diffJsonFiles). */
 struct JsonFileDiff
 {

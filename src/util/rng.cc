@@ -128,15 +128,6 @@ Rng::split(std::uint64_t index) const
     return Rng(hashCombine(state, index ^ 0xd2b74407b1ce6e93ull));
 }
 
-void
-Rng::jump(std::uint64_t steps)
-{
-    // next() advances the state by the fixed SplitMix64 gamma before
-    // mixing, so n draws advance it by exactly n * gamma.
-    state += 0x9e3779b97f4a7c15ull * steps;
-    hasSpare = false;
-}
-
 std::uint64_t
 CounterRng::at(std::uint64_t c) const
 {

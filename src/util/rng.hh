@@ -83,14 +83,6 @@ class Rng
      */
     Rng split(std::uint64_t index) const;
 
-    /**
-     * Advance the stream by @p steps draws in O(1).
-     *
-     * jump(n) leaves the generator in exactly the state produced by n
-     * calls to next() (the Box-Muller spare is discarded, as mixing
-     * jumped and cached-gaussian state would not be reproducible).
-     */
-    void jump(std::uint64_t steps);
 
   private:
     std::uint64_t state;

@@ -3,8 +3,7 @@
  * RunScheduler exception-safety tests: a batch where one task throws
  * commits every task that succeeded, propagates the failure, and a
  * later run() retries only the unresolved tasks — without re-firing
- * progress or cache events for work that already committed. This is
- * the contract the fleet orchestrator's shard retry sits on.
+ * progress or cache events for work that already committed.
  */
 
 #include <gtest/gtest.h>

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the parallel experiment engine's execution primitives:
- * ThreadPool, parallelFor / parallelMap / parallelForSeeded, and the
+ * ThreadPool, parallelFor / parallelMap, and the
  * RunScheduler batching layer.
  */
 
@@ -14,9 +14,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "cache/store.hh"
 #include "core/sampling.hh"
+#include "dvm/controller.hh"
 #include "exec/scheduler.hh"
 #include "exec/thread_pool.hh"
+#include "sim/batch.hh"
+#include "util/json.hh"
 #include "util/options.hh"
 #include "workload/profile.hh"
 
@@ -187,21 +191,6 @@ TEST(ParallelFor, NestedSectionsRunInlineWithoutDeadlock)
     EXPECT_FALSE(ThreadPool::onWorkerThread());
 }
 
-TEST(ParallelForSeeded, ChildStreamsMatchSplit)
-{
-    ThreadPool pool(4);
-    Rng base(1234);
-    std::vector<std::uint64_t> draws(32);
-    parallelForSeeded(pool, draws.size(), base,
-                      [&](std::size_t i, Rng &rng) {
-                          draws[i] = rng.next();
-                      });
-    for (std::size_t i = 0; i < draws.size(); ++i) {
-        Rng expect = base.split(i);
-        EXPECT_EQ(draws[i], expect.next()) << "task " << i;
-    }
-}
-
 TEST(GlobalPool, TracksJobsSetting)
 {
     setJobs(3);
@@ -272,6 +261,66 @@ TEST(RunScheduler, IncrementalEnqueueRunsOnlyNewTasks)
     // ...and the later batch filled in the rest.
     for (std::size_t i = 1; i < points.size(); ++i)
         EXPECT_FALSE(sched.result(i).intervals.empty());
+}
+
+TEST(RunScheduler, BatchesOnlyTasksWithTheSameDvmPolicy)
+{
+    // For every member of the canonical DvmConfig document, tasks that
+    // differ only in that member must each run under their own policy
+    // at batch width 16: folded into one chunk, the second would run
+    // under the first one's. The members come from toJson, so a new
+    // DvmConfig field is covered without editing this test. Two base
+    // policies (short and long adaptation windows) between them make
+    // every member's change visible in the simulated result.
+    const BenchmarkProfile &bench = benchmarkByName("bzip2");
+    const SimConfig cfg = SimConfig::baseline();
+    DvmConfig shortWindow;
+    shortWindow.enabled = true;
+    shortWindow.threshold = 0.05;
+    shortWindow.sampleCycles = 100;
+    DvmConfig longWindow = shortWindow;
+    longWindow.sampleCycles = 1000;
+    const DvmConfig bases[] = {shortWindow, longWindow};
+
+    const JsonValue doc = toJson(shortWindow);
+    setGlobalBatchWidth(16);
+    ThreadPool pool(2);
+    for (const auto &member : doc.members()) {
+        SCOPED_TRACE(member.first);
+        std::vector<DvmConfig> policies;
+        for (const DvmConfig &base : bases) {
+            JsonValue changed = toJson(base);
+            const JsonValue &v = changed.at(member.first);
+            if (v.isBool())
+                changed.set(member.first, !v.asBool());
+            else if (v.numberKind() == JsonValue::NumberKind::Double)
+                changed.set(member.first, v.asDouble() / 8.0);
+            else
+                changed.set(member.first, v.asUint64() / 2);
+            policies.push_back(base);
+            policies.push_back(dvmConfigFromJson(changed));
+        }
+
+        RunScheduler sched;
+        sched.setCache(nullptr);
+        for (const DvmConfig &dvm : policies) {
+            RunTask task;
+            task.benchmark = &bench;
+            task.config = cfg;
+            task.samples = 8;
+            task.intervalInstrs = 400;
+            task.dvm = dvm;
+            sched.enqueue(task);
+        }
+        sched.run(pool);
+        for (std::size_t i = 0; i < policies.size(); ++i)
+            EXPECT_EQ(encodeSimResult(sched.result(i), "x"),
+                      encodeSimResult(simulate(bench, cfg, 8, 400,
+                                               policies[i]),
+                                      "x"))
+                << "task " << i;
+    }
+    setGlobalBatchWidth(0);
 }
 
 TEST(RunScheduler, TaskRngIsStableAndPerTask)

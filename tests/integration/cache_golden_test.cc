@@ -4,9 +4,10 @@
  * the pinned suite and explore campaigns, run cold then warm through
  * runCampaign with an active cache, must render byte-for-byte
  * identical reports at jobs=1 and jobs=8, with the warm run served
- * entirely from disk (hit count == run count). A poisoned entry must
- * change nothing but the hit/miss split. This is the acceptance bar
- * of the cache PR: caching can never move a byte of any report.
+ * entirely from disk (hit count == run count). A poisoned entry, or
+ * entries missing because a run was killed before storing them, must
+ * change nothing but the hit/miss split: caching can never move a byte
+ * of any report, and rerunning against the cache is the crash-resume.
  */
 
 #include <gtest/gtest.h>
@@ -172,12 +173,16 @@ TEST_F(CacheGoldenTest, SuiteThenExploreShareTheCache)
 TEST_F(CacheGoldenTest, PoisonedEntryOnlyShiftsTheHitMissSplit)
 {
     CachedRun cold = runCached(kSuiteSpecJson, 1);
+    auto cacheEntries = [&] {
+        std::vector<std::string> entries;
+        for (auto &e : fs::recursive_directory_iterator(root))
+            if (e.is_regular_file())
+                entries.push_back(e.path().string());
+        return entries;
+    };
 
     // Corrupt one entry (truncate) and bit-flip another.
-    std::vector<std::string> entries;
-    for (auto &e : fs::recursive_directory_iterator(root))
-        if (e.is_regular_file())
-            entries.push_back(e.path().string());
+    std::vector<std::string> entries = cacheEntries();
     ASSERT_GE(entries.size(), 2u);
     fs::resize_file(entries[0], 10);
     {
@@ -198,6 +203,20 @@ TEST_F(CacheGoldenTest, PoisonedEntryOnlyShiftsTheHitMissSplit)
     CachedRun warm = runCached(kSuiteSpecJson, 1);
     EXPECT_EQ(warm.hits, cold.misses);
     EXPECT_EQ(warm.misses, 0u);
+
+    // A killed run leaves only the entries of the runs that finished;
+    // rerunning the same campaign against the cache is the resume. It
+    // recomputes exactly the missing runs and reports the same bytes.
+    entries = cacheEntries();
+    ASSERT_EQ(entries.size(), cold.misses);
+    const std::size_t deleted = entries.size() / 2;
+    for (std::size_t i = 0; i < deleted; ++i)
+        ASSERT_TRUE(fs::remove(entries[i]));
+    CachedRun resumed = runCached(kSuiteSpecJson, 8);
+    EXPECT_EQ(resumed.report, cold.report)
+        << "resuming from a partial cache changed the report";
+    EXPECT_EQ(resumed.misses, deleted);
+    EXPECT_EQ(resumed.hits, cold.misses - deleted);
 }
 
 } // anonymous namespace

@@ -17,7 +17,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -232,51 +231,6 @@ TEST_F(TelemetryGoldenTest, TraceSubcommandRejectsBrokenDocuments)
     }
     EXPECT_EQ(shell(cliPath() + " trace " + badMetrics + " >/dev/null"),
               1);
-}
-
-TEST_F(TelemetryGoldenTest, ShardedRunMergesFleetTelemetry)
-{
-    std::string job = dir + "/job";
-    std::string report = dir + "/fleet.txt";
-    ASSERT_EQ(shell(cliPath() + " shard " + spec + " --workers 2" +
-                    " --job-dir " + job + " --trace-out " + dir +
-                    "/fleet_t.json --metrics-out " + dir +
-                    "/fleet_m.json > " + report),
-              0);
-
-    // Merged report byte-identical to the single-process run.
-    std::string plain = dir + "/plain.txt";
-    ASSERT_EQ(shell(cliPath() + " run " + spec + " --jobs 1 --no-cache" +
-                    " > " + plain),
-              0);
-    EXPECT_EQ(slurp(report), slurp(plain));
-
-    // The merged timeline has the orchestrator + one process per
-    // shard, validates, and the merged metrics hold the invariant.
-    JsonValue timeline = parseJson(slurp(dir + "/fleet_t.json"));
-    std::vector<std::string> problems = validateTraceDoc(timeline);
-    EXPECT_TRUE(problems.empty())
-        << (problems.empty() ? "" : problems.front());
-    std::map<std::uint64_t, std::size_t> pids;
-    const JsonValue &events = timeline.at("traceEvents");
-    for (std::size_t i = 0; i < events.size(); ++i)
-        ++pids[events.at(i).at("pid").asUint64()];
-    EXPECT_EQ(pids.size(), 4u) << "orchestrator + 3 shard lanes";
-
-    JsonValue metrics = parseJson(slurp(dir + "/fleet_m.json"));
-    EXPECT_EQ(counterOf(metrics, "cache.hits") +
-                  counterOf(metrics, "cache.misses"),
-              counterOf(metrics, "scheduler.runs"));
-    EXPECT_EQ(counterOf(metrics, "fleet.spawns"), 3u);
-    EXPECT_EQ(counterOf(metrics, "fleet.publishes"), 3u);
-
-    // Per-shard side files landed in the job dir and shard logs are
-    // stamped with the shard id.
-    EXPECT_TRUE(fs::exists(job + "/shards/shard-000.trace.json"));
-    EXPECT_TRUE(fs::exists(job + "/shards/shard-000.metrics.json"));
-    std::string log = slurp(job + "/shards/shard-000.log");
-    EXPECT_NE(log.find("Z shard-000] "), std::string::npos)
-        << "shard log lines are not stamped: " << log.substr(0, 200);
 }
 
 } // namespace

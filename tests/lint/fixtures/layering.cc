@@ -1,6 +1,6 @@
-// Known-bad fixture: placed as a util/ file, the fleet include points
-// *up* the DAG and must trip layering.
-#include "fleet/orchestrator.hh"
+// Known-bad fixture: placed as a util/ file, the campaign include
+// points *up* the DAG and must trip layering.
+#include "campaign/campaign.hh"
 
 int
 upwardInclude()

@@ -35,7 +35,7 @@ fixtureConfig()
     LintConfig cfg;
     cfg.roots = {"src"};
     cfg.moduleRank = {{"util", 0}, {"telemetry", 1}, {"core", 6},
-                      {"fleet", 9}};
+                      {"campaign", 8}};
     cfg.telemetryMayInclude = {"util"};
     // All rules unscoped: they apply everywhere in the synthetic repo.
     return cfg;
@@ -96,7 +96,7 @@ const FixtureCase kCases[] = {
      "layering-telemetry", 1},
     {"crash-safety-write.cc", "src/core/bad_write.cc",
      "crash-safety-write", 2},
-    {"crash-safety-cloexec.cc", "src/fleet/bad_open.cc",
+    {"crash-safety-cloexec.cc", "src/core/bad_open.cc",
      "crash-safety-cloexec", 2},
     {"hygiene-header-guard.hh", "src/util/bad_guard.hh",
      "hygiene-header-guard", 1},

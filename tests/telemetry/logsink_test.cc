@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the serialized stderr writer: ticker rate limiting with a
- * guaranteed final repaint, banner lines never landing mid-ticker,
- * and the ISO-8601 line-stamping streambuf fleet shard logs use.
+ * guaranteed final repaint, and banner lines never landing mid-ticker.
  */
 
 #include <gtest/gtest.h>
@@ -56,41 +55,6 @@ TEST(SerializedLog, LineTerminatesOpenTicker)
     log.ticker("3/10");
     log.line("-- phase done");
     EXPECT_EQ(out.str(), "\r3/10\n-- phase done\n");
-}
-
-TEST(LineStampBuf, StampsEveryLineWithTag)
-{
-    std::ostringstream out;
-    LineStampBuf buf(out.rdbuf(), "shard-007");
-    std::ostream stamped(&buf);
-    stamped << "first line\nsecond line\n";
-    stamped.flush();
-
-    std::string text = out.str();
-    // Two stamped lines: "[<iso> shard-007] <text>".
-    std::size_t first = text.find(" shard-007] first line\n");
-    std::size_t second = text.find(" shard-007] second line\n");
-    ASSERT_NE(first, std::string::npos) << text;
-    ASSERT_NE(second, std::string::npos) << text;
-    EXPECT_EQ(text[0], '[');
-    // ISO-8601 UTC shape: [YYYY-MM-DDTHH:MM:SS.mmmZ tag]
-    EXPECT_EQ(text[5], '-');
-    EXPECT_EQ(text[11], 'T');
-    EXPECT_NE(text.find("Z shard-007]"), std::string::npos);
-}
-
-TEST(LineStampBuf, CarriageReturnDoesNotRestamp)
-{
-    // The '\r' ticker repaints one line; re-stamping each repaint
-    // would walk the prefix across the screen.
-    std::ostringstream out;
-    LineStampBuf buf(out.rdbuf(), "s");
-    std::ostream stamped(&buf);
-    stamped << "a\rb" << std::flush;
-    std::string text = out.str();
-    // One stamp at the start, none after the '\r'.
-    EXPECT_EQ(text.find("] a"), text.rfind("] "));
-    EXPECT_NE(text.find("\rb"), std::string::npos);
 }
 
 } // namespace

@@ -2,8 +2,7 @@
  * @file
  * Tests for the sharded metrics registry: exact sums under concurrent
  * writers, deterministic snapshots regardless of which thread did the
- * work, the fixed histogram bucket layout, JSON rendering, and the
- * cross-document merge the fleet orchestrator uses.
+ * work, the fixed histogram bucket layout, and JSON rendering.
  */
 
 #include <gtest/gtest.h>
@@ -177,44 +176,6 @@ TEST(Metrics, JsonRoundTripAndSchema)
     EXPECT_EQ(doc.at("histograms").at("dur").at("count").asUint64(), 1u);
     EXPECT_EQ(doc.at("bucket_bounds_us").size(),
               HistogramLayout::kBuckets - 1);
-}
-
-TEST(Metrics, MergeSumsCountersAndHistogramsGaugesLastWin)
-{
-    auto makeDoc = [](std::uint64_t runs, std::uint64_t obs,
-                      double rate) {
-        MetricsRegistry reg;
-        reg.add(reg.counter("runs"), runs);
-        reg.observe(reg.histogram("dur"), obs);
-        reg.setGauge(reg.gauge("rate"), rate);
-        return metricsToJson(reg.snapshot());
-    };
-
-    JsonValue merged =
-        mergeMetricsDocs({makeDoc(10, 5, 0.1), makeDoc(32, 5000, 0.9)});
-    EXPECT_EQ(merged.at("counters").at("runs").asUint64(), 42u);
-    EXPECT_DOUBLE_EQ(merged.at("gauges").at("rate").asDouble(), 0.9);
-    const JsonValue &h = merged.at("histograms").at("dur");
-    EXPECT_EQ(h.at("count").asUint64(), 2u);
-    EXPECT_EQ(h.at("sum_us").asUint64(), 5005u);
-    std::uint64_t bucketSum = 0;
-    for (std::size_t i = 0; i < h.at("buckets").size(); ++i)
-        bucketSum += h.at("buckets").at(i).asUint64();
-    EXPECT_EQ(bucketSum, 2u);
-
-    // Merging is associative-enough for the fleet: merging the merge
-    // with a third document equals merging all three at once.
-    JsonValue third = makeDoc(8, 1, 0.5);
-    EXPECT_EQ(mergeMetricsDocs({merged, third}),
-              mergeMetricsDocs(
-                  {makeDoc(10, 5, 0.1), makeDoc(32, 5000, 0.9), third}));
-}
-
-TEST(Metrics, MergeRejectsForeignDocuments)
-{
-    JsonValue bogus = JsonValue::object();
-    bogus.set("schema", "not-metrics");
-    EXPECT_THROW(mergeMetricsDocs({bogus}), std::runtime_error);
 }
 
 } // namespace

@@ -230,23 +230,6 @@ TEST(RngSplit, DependsOnParentState)
     EXPECT_NE(ca.next(), cb.next());
 }
 
-TEST(RngJump, MatchesRepeatedNext)
-{
-    Rng stepped(1234), jumped(1234);
-    for (int i = 0; i < 1000; ++i)
-        stepped.next();
-    jumped.jump(1000);
-    for (int i = 0; i < 20; ++i)
-        EXPECT_EQ(stepped.next(), jumped.next());
-}
-
-TEST(RngJump, ZeroIsIdentity)
-{
-    Rng a(7), b(7);
-    a.jump(0);
-    EXPECT_EQ(a.next(), b.next());
-}
-
 TEST(CounterRng, PureFunctionOfCounter)
 {
     CounterRng c(99);

@@ -54,16 +54,6 @@
  *       maintain a result-cache directory (cache/store.hh): usage
  *       totals, garbage collection by age/size, integrity check.
  *
- *   shard   <campaign.json> [--workers N] [--job-dir D] [--retries R]
- *           | --resume <jobdir> [--workers N] [--retries R]
- *       run a campaign sharded across worker processes sharing one
- *       result cache (fleet/orchestrator.hh). The job directory is
- *       durable: SIGKILL the orchestrator (or its workers) at any
- *       point and `shard --resume <jobdir>` completes the campaign,
- *       re-running at most the shards that were in flight. The merged
- *       report on stdout is byte-identical to the single-process
- *       `run` of the same spec.
- *
  *   trace   <file> [--summarize]
  *       inspect and validate a telemetry side file — either a Chrome
  *       trace-event document (--trace-out) or a wavedyn-metrics-v1
@@ -88,7 +78,10 @@
  * the WAVEDYN_CACHE_DIR environment variable; --no-cache overrides
  * both). With a cache directory set, previously simulated runs are
  * replayed byte-exactly from disk instead of recomputed — reports are
- * identical cold or warm; hit/miss counts go to stderr only.
+ * identical cold or warm; hit/miss counts go to stderr only. The cache
+ * is also the crash-resume record: every run is stored atomically as
+ * it finishes, so rerunning an interrupted command with the same
+ * --cache-dir recomputes only the runs that never landed.
  *
  * Telemetry: every campaign entry point takes --trace-out FILE (or the
  * WAVEDYN_TRACE environment variable) to write a Chrome trace-event
@@ -116,13 +109,10 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "cache/store.hh"
 #include "campaign/campaign.hh"
 #include "campaign/report.hh"
 #include "core/serialize.hh"
-#include "fleet/orchestrator.hh"
 #include "lint/driver.hh"
 #include "sim/batch.hh"
 #include "telemetry/logsink.hh"
@@ -167,11 +157,6 @@ usage()
         "  wavedyn_cli diff <a.json> <b.json> [--tol T]\n"
         "  wavedyn_cli cache stats|gc|verify [--cache-dir D]\n"
         "              [--max-age-days N] [--max-bytes N]\n"
-        "  wavedyn_cli shard <campaign.json> [--workers N] [--job-dir D]\n"
-        "              [--retries R] [--jobs N] [--format F] [--out P]\n"
-        "              [--cache-dir D] [--no-cache]\n"
-        "  wavedyn_cli shard --resume <jobdir> [--workers N] "
-        "[--retries R]\n"
         "  wavedyn_cli trace <file> [--summarize]\n"
         "  wavedyn_cli lint [paths...] [--root DIR]\n"
         "  wavedyn_cli info <model.txt>\n"
@@ -201,8 +186,6 @@ usage()
         "              (default: WAVEDYN_TRACE; Perfetto-loadable;\n"
         "              reports stay byte-identical with or without it)\n"
         "  --metrics-out F  write merged counters/histograms JSON to F\n"
-        "  --log-stamp TAG  prefix every stderr line with an ISO-8601\n"
-        "              timestamp and TAG (fleet workers use this)\n"
         "\n"
         "scenario generation (suite / explore / generate):\n"
         "  --generate N        run N generated scenarios instead of the\n"
@@ -319,15 +302,9 @@ struct Options
     std::uint64_t maxBytes = 0;    //!< cache gc: 0 = no size limit
     // diff options
     double tolerance = 0.0;
-    // shard options
-    std::size_t workers = 2;   //!< concurrent worker processes
-    std::size_t retries = 3;   //!< per-shard attempt budget
-    std::string jobDir;        //!< empty => <spec>.fleet
-    std::string resumeDir;     //!< non-empty => resume that job dir
     // telemetry options
     std::string traceOut;      //!< empty => WAVEDYN_TRACE / no trace
     std::string metricsOut;    //!< empty => no metrics file
-    std::string logStamp;      //!< non-empty => stamp stderr lines
     bool summarize = false;    //!< trace: print the duration summary
 };
 
@@ -357,12 +334,10 @@ constexpr FlagDef kFlagRegistry[] = {
     {"--budget", true},     {"--per-round", true},
     {"--sweep", true},      {"--tol", true},
     {"--cache-dir", true},  {"--max-age-days", true},
-    {"--max-bytes", true},  {"--workers", true},
-    {"--job-dir", true},    {"--resume", true},
-    {"--retries", true},    {"--dump-spec", false},
+    {"--max-bytes", true},  {"--dump-spec", false},
     {"--validate", false},  {"--no-cache", false},
     {"--trace-out", true},  {"--metrics-out", true},
-    {"--log-stamp", true},  {"--summarize", false},
+    {"--summarize", false},
 };
 
 const FlagDef *
@@ -386,8 +361,7 @@ campaignFlags(std::initializer_list<const char *> extras)
     std::vector<std::string> allowed = {"--jobs", "--batch-width",
                                         "--format", "--out",
                                         "--cache-dir", "--no-cache",
-                                        "--trace-out", "--metrics-out",
-                                        "--log-stamp"};
+                                        "--trace-out", "--metrics-out"};
     for (const char *e : extras)
         allowed.push_back(e);
     return allowed;
@@ -488,20 +462,10 @@ parseOptions(int argc, char **argv, int first,
             o.tolerance = parseDouble(val, key);
             if (o.tolerance < 0.0)
                 throw std::invalid_argument("--tol must be >= 0");
-        } else if (key == "--workers")
-            o.workers = parseSize(val, key);
-        else if (key == "--retries")
-            o.retries = parseSize(val, key);
-        else if (key == "--job-dir")
-            o.jobDir = val;
-        else if (key == "--resume")
-            o.resumeDir = val;
-        else if (key == "--trace-out")
+        } else if (key == "--trace-out")
             o.traceOut = val;
         else if (key == "--metrics-out")
             o.metricsOut = val;
-        else if (key == "--log-stamp")
-            o.logStamp = val;
         else if (key == "--generate")
             o.generate = parseCount(val, "--generate");
         else if (key == "--family") {
@@ -553,7 +517,7 @@ configureResultCache(const Options &o)
     }
     auto cache = std::make_shared<ResultCache>(dir);
     // Campaign commands re-probe keys within one process (explore
-    // rounds, shard merges): front the disk store with a small
+    // rounds): front the disk store with a small
     // in-memory LRU so those repeats skip file I/O and decode. ~256
     // quick-scale results is a few MB. Maintenance commands (cache
     // stats/gc/verify) build their own ResultCache and keep the
@@ -574,15 +538,12 @@ resolveTracePath(const Options &o)
 }
 
 /**
- * Per-command telemetry setup: install the stderr line stamp when
- * asked, and turn span recording on when any trace output is wanted.
- * Returns the resolved trace path.
+ * Per-command telemetry setup: turn span recording on when any trace
+ * output is wanted. Returns the resolved trace path.
  */
 std::string
 configureTelemetry(const Options &o)
 {
-    if (!o.logStamp.empty())
-        stampStderrLines(o.logStamp);
     std::string tracePath = resolveTracePath(o);
     if (!tracePath.empty())
         setTracingEnabled(true);
@@ -1184,141 +1145,6 @@ cmdCache(int argc, char **argv)
     return 0;
 }
 
-/**
- * Absolute path of this binary, for re-invoking it as a shard worker.
- * /proc/self/exe survives PATH games and relative argv[0]; when it is
- * unavailable (non-Linux), argv[0] is what exec gave us and execvp
- * resolves it the same way the parent was resolved.
- */
-std::string
-selfExePath(const char *argv0)
-{
-    char buf[4096];
-    ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-    if (n > 0) {
-        buf[n] = '\0';
-        return std::string(buf);
-    }
-    return std::string(argv0);
-}
-
-int
-cmdShard(int argc, char **argv)
-{
-    // `shard --resume <jobdir>` has no positional spec; `shard
-    // <spec.json>` requires one.
-    bool resuming =
-        argc >= 3 && std::strcmp(argv[2], "--resume") == 0;
-    int first = resuming ? 2 : 3;
-    if (!resuming &&
-        (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0))
-        return usage();
-    Options o = parseOptions(
-        argc, argv, first,
-        campaignFlags({"--workers", "--job-dir", "--retries",
-                       "--resume"}));
-    if (resuming && !o.jobDir.empty())
-        throw std::invalid_argument(
-            "--job-dir does not apply to --resume (the job dir is the "
-            "--resume argument)");
-    // Reject a bad --format before a fleet's worth of simulation; the
-    // format/kind pairing is re-checked after the run (resume does not
-    // know the campaign kind until the journal is opened).
-    ReportFormat format = reportFormatByName(o.format);
-
-    // Enable local span recording when a fleet timeline was asked for:
-    // the orchestrator's own shard-lifecycle spans anchor the merged
-    // trace, and the per-shard files re-home under it (timeline.hh).
-    std::string tracePath = configureTelemetry(o);
-    std::uint64_t wallStart = telemetryNowUs();
-
-    FleetOptions fleet;
-    fleet.traceOut = tracePath;
-    fleet.metricsOut = o.metricsOut;
-    fleet.workers = std::max<std::size_t>(1, o.workers);
-    // Split the thread budget across workers instead of letting every
-    // worker grab full hardware concurrency and oversubscribe the host
-    // workers^2-fold.
-    fleet.jobsPerWorker =
-        std::max<std::size_t>(1, currentJobs() / fleet.workers);
-    fleet.maxAttempts = std::max<std::size_t>(1, o.retries);
-    fleet.workerCommand = {selfExePath(argv[0])};
-    fleet.log = [](const std::string &msg) {
-        std::cerr << "-- [fleet] " << msg << "\n";
-    };
-
-    FleetOutcome outcome;
-    if (resuming) {
-        // Resume re-derives everything else (spec, cache dir, shard
-        // specs) from the job directory itself.
-        std::string jobDir = o.resumeDir;
-        fleet.cacheDir = resolveCacheDir(o);
-        if (fleet.cacheDir.empty() && !o.noCache)
-            fleet.cacheDir = jobDir + "/cache";
-        outcome = resumeShardedCampaign(jobDir, fleet);
-    } else {
-        std::string path = argv[2];
-        std::ifstream in(path, std::ios::binary);
-        if (!in.good())
-            throw std::runtime_error("cannot read campaign spec '" +
-                                     path + "'");
-        std::ostringstream text;
-        text << in.rdbuf();
-        CampaignSpec spec;
-        try {
-            spec = parseCampaignSpec(text.str());
-        } catch (const std::exception &e) {
-            throw std::invalid_argument(path + ": " + e.what());
-        }
-        if (!reportFormatSupports(format, spec.kind))
-            throw std::invalid_argument(
-                reportFormatName(format) + " output is not defined "
-                "for " + campaignKindName(spec.kind) +
-                " results (use text or json)");
-        std::string jobDir = o.jobDir.empty() ? path + ".fleet"
-                                              : o.jobDir;
-        // Default to a cache inside the job dir: explore plans need a
-        // shared cache for their warm shards to matter, and suite
-        // plans get crash/resume reuse for free. --no-cache opts out.
-        fleet.cacheDir = resolveCacheDir(o);
-        if (fleet.cacheDir.empty() && !o.noCache)
-            fleet.cacheDir = jobDir + "/cache";
-        outcome = runShardedCampaign(spec, jobDir, fleet);
-    }
-
-    std::cerr << "-- fleet: " << outcome.shards << " shards, "
-              << outcome.executed << " executed, " << outcome.resumed
-              << " resumed, " << outcome.retries << " retries\n";
-
-    // The orchestrator already wrote the merged timeline/metrics files
-    // (fleet/orchestrator.cc); here we only report and summarize. The
-    // summary covers the orchestrator process — per-worker detail lives
-    // in the merged metrics document.
-    if (!tracePath.empty())
-        std::cerr << "-- telemetry: wrote " << tracePath
-                  << " (merged fleet timeline)\n";
-    if (!o.metricsOut.empty())
-        std::cerr << "-- telemetry: wrote " << o.metricsOut << "\n";
-    std::cerr << renderTelemetrySummary(metricsRegistry().snapshot(),
-                                        telemetryNowUs() - wallStart,
-                                        currentJobs());
-
-    if (!reportFormatSupports(format, outcome.report.result.kind))
-        throw std::invalid_argument(
-            reportFormatName(format) + " output is not defined for " +
-            campaignKindName(outcome.report.result.kind) +
-            " results (use text or json; the job dir keeps the merged "
-            "JSON)");
-
-    // Render through the ordinary report sink: the merged result
-    // re-renders to exactly outcome.report.doc (merge verified the
-    // codec round trip), so stdout here is byte-identical to the
-    // single-process `run` output.
-    auto sink = makeReportSink(format);
-    emitReport(*sink, outcome.report.result, o.outPath);
-    return 0;
-}
-
 /** Read an entire file into a string, or throw. */
 std::string
 slurpFile(const std::string &path)
@@ -1616,8 +1442,6 @@ main(int argc, char **argv)
             return cmdDiff(argc, argv);
         if (cmd == "cache")
             return cmdCache(argc, argv);
-        if (cmd == "shard")
-            return cmdShard(argc, argv);
         if (cmd == "trace")
             return cmdTrace(argc, argv);
         if (cmd == "lint")
