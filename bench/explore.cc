@@ -7,8 +7,8 @@
  * orders of magnitude cheaper to make sweeping 10^5-10^6
  * configurations routine).
  *
- * Reports the batched hot path (predictTraces -> predictMany per
- * coefficient model), the scalar per-point path for comparison, and a
+ * Reports the batched hot path (predictTraces, the lattice RBF kernel
+ * on sweep points), the scalar per-point path for comparison, and a
  * small end-to-end adaptive exploration. `--json <path>` additionally
  * records the numbers machine-readably (core/report JSON conventions)
  * so BENCH_explore.json perf trajectories can accumulate.
@@ -64,8 +64,8 @@ main(int argc, char **argv)
                                                             spaceSize);
     const std::size_t chunk = 1024;
 
-    // Batched path: chunked streaming over the pool, one predictMany
-    // per coefficient model per chunk.
+    // Batched path: chunked streaming over the pool, one predictTraces
+    // per chunk.
     auto t0 = std::chrono::steady_clock::now();
     std::vector<double> chunkMeans((sweepPoints + chunk - 1) / chunk);
     parallelChunks(

@@ -3,11 +3,40 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 
+#include "telemetry/telemetry.hh"
 #include "wavelet/haar.hh"
 
 namespace wavedyn
 {
+
+namespace
+{
+
+/** predictTraces' counters, interned once. */
+struct SweepCounters
+{
+    MetricId rbfTerms;        //!< RBF unit terms computed
+    MetricId rbfTermsSkipped; //!< unit terms skipped as negligible
+    MetricId clamped;         //!< trace values clamped to the range
+
+    static const SweepCounters &
+    get()
+    {
+        static const SweepCounters c = [] {
+            MetricsRegistry &reg = metricsRegistry();
+            SweepCounters s;
+            s.rbfTerms = reg.counter("predict.rbf_terms");
+            s.rbfTermsSkipped = reg.counter("predict.rbf_terms_skipped");
+            s.clamped = reg.counter("predict.clamped_values");
+            return s;
+        }();
+        return c;
+    }
+};
+
+} // anonymous namespace
 
 WaveletNeuralPredictor::WaveletNeuralPredictor(PredictorOptions opts)
     : opts(opts)
@@ -170,14 +199,38 @@ WaveletNeuralPredictor::predictTraces(
     double lo = trainLo - margin;
     double hi = trainHi + margin;
 
-    // Process in blocks sized so the normalised inputs and the
-    // per-model prediction columns stay cache resident: one virtual
-    // predictMany per (model, block) amortises dispatch, and the
-    // assembly below reuses one coefficient buffer plus an
-    // allocation-free inverse transform — the per-point allocation
-    // churn of the scalar path (fresh coefficient vector + one
-    // temporary per dyadic level inside haarInverse) is what a sweep
-    // of 10^5-10^6 points cannot afford.
+    // The lattice kernel applies when every model is an RBF network
+    // and every dimension fits its level tables: sweep, train and test
+    // points all sit on training levels, so each unit's z^2 terms are
+    // looked up per (dimension, level) instead of recomputed per point.
+    const std::size_t dims = space.dimensions();
+    std::vector<const RbfNetwork *> nets;
+    bool lattice = dims > 0;
+    for (std::size_t d = 0; d < dims; ++d)
+        lattice = lattice &&
+                  space.param(d).levels() <= RbfLatticeTable::kMaxLevels;
+    for (const auto &m : models) {
+        nets.push_back(dynamic_cast<const RbfNetwork *>(m.get()));
+        lattice = lattice && nets.back() != nullptr;
+    }
+    std::vector<RbfLatticeTable> tables;
+    if (lattice) {
+        std::vector<std::vector<double>> levels(dims);
+        for (std::size_t d = 0; d < dims; ++d)
+            for (double v : space.param(d).trainLevels)
+                levels[d].push_back(space.param(d).normalize(v));
+        for (const RbfNetwork *net : nets)
+            tables.push_back(net->latticeTable(levels));
+    }
+
+    // Process in blocks sized so the inputs and the per-model
+    // prediction columns stay cache resident, and the assembly below
+    // reuses one coefficient buffer plus an allocation-free inverse
+    // transform — the per-point allocation churn of the scalar path
+    // (fresh coefficient vector + one temporary per dyadic level
+    // inside haarInverse) is what a sweep of 10^5-10^6 points cannot
+    // afford. A block with a point off the training levels takes one
+    // virtual predictMany per model on its normalised coordinates.
     constexpr std::size_t kBlock = 256;
     const bool fastHaar = opts.paperHaar;
     std::vector<std::vector<double>> out;
@@ -185,16 +238,42 @@ WaveletNeuralPredictor::predictTraces(
     std::vector<std::vector<double>> byModel(models.size());
     std::vector<double> coeffs(length, 0.0);
     std::vector<double> scratch(length);
+    std::vector<std::uint8_t> levelIdx;
+    RbfTermCounts terms;
+    std::uint64_t clamped = 0;
     for (std::size_t b0 = 0; b0 < points.size(); b0 += kBlock) {
         std::size_t n = std::min(kBlock, points.size() - b0);
-        Matrix x(n, space.dimensions());
-        for (std::size_t r = 0; r < n; ++r) {
+        bool onLattice = lattice;
+        levelIdx.resize(n * dims);
+        for (std::size_t r = 0; r < n && onLattice; ++r) {
             const DesignPoint &p = points[b0 + r];
-            for (std::size_t c = 0; c < space.dimensions(); ++c)
-                x.at(r, c) = space.param(c).normalize(p[c]);
+            for (std::size_t c = 0; c < dims && onLattice; ++c) {
+                const std::vector<double> &lv = space.param(c).trainLevels;
+                auto it = std::find(lv.begin(), lv.end(), p[c]);
+                onLattice = it != lv.end();
+                levelIdx[r * dims + c] =
+                    static_cast<std::uint8_t>(it - lv.begin());
+            }
         }
-        for (std::size_t s = 0; s < models.size(); ++s)
-            byModel[s] = models[s]->predictMany(x);
+        if (onLattice) {
+            for (std::size_t s = 0; s < models.size(); ++s) {
+                byModel[s].resize(n);
+                nets[s]->predictLattice(tables[s], levelIdx.data(), n,
+                                        byModel[s].data(), terms);
+            }
+        } else {
+            Matrix x(n, dims);
+            for (std::size_t r = 0; r < n; ++r) {
+                const DesignPoint &p = points[b0 + r];
+                for (std::size_t c = 0; c < dims; ++c)
+                    x.at(r, c) = space.param(c).normalize(p[c]);
+            }
+            for (std::size_t s = 0; s < models.size(); ++s) {
+                byModel[s] = models[s]->predictMany(x);
+                if (nets[s])
+                    terms.evaluated += n * nets[s]->units().size();
+            }
+        }
 
         for (std::size_t r = 0; r < n; ++r) {
             for (std::size_t s = 0; s < selected.size(); ++s)
@@ -212,11 +291,21 @@ WaveletNeuralPredictor::predictTraces(
             for (std::size_t s = 0; s < selected.size(); ++s)
                 coeffs[selected[s]] = 0.0;
             if (opts.clampToTrainingRange)
-                for (double &v : trace)
+                for (double &v : trace) {
+                    clamped += v < lo || v > hi;
                     v = std::min(std::max(v, lo), hi);
+                }
             out.push_back(std::move(trace));
         }
     }
+
+    // Observe-only: published once per call, so the kernel itself
+    // keeps plain local counts and no atomics.
+    const SweepCounters &ids = SweepCounters::get();
+    MetricsRegistry &reg = metricsRegistry();
+    reg.add(ids.rbfTerms, terms.evaluated);
+    reg.add(ids.rbfTermsSkipped, terms.skipped);
+    reg.add(ids.clamped, clamped);
     return out;
 }
 

@@ -102,10 +102,14 @@ class WaveletNeuralPredictor
 
     /**
      * predictTrace for a batch of points — the exploration hot path.
-     * Normalises all points into one matrix and calls each coefficient
-     * model's predictMany once, instead of p x k virtual dispatches
-     * with per-call row building. Bit-identical to calling
-     * predictTrace per point.
+     * Bit-identical to calling predictTrace per point. When every
+     * coefficient model is an RBF network and every dimension has at
+     * most RbfLatticeTable::kMaxLevels levels, blocks whose points all
+     * sit on training levels run RbfNetwork::predictLattice on per-call
+     * z^2 tables; any other block normalises its points into one
+     * matrix and calls each model's predictMany once. Publishes the
+     * predict.rbf_terms, predict.rbf_terms_skipped and
+     * predict.clamped_values counters once per call.
      */
     std::vector<std::vector<double>>
     predictTraces(const std::vector<DesignPoint> &points) const;

@@ -25,9 +25,9 @@ using PredictorBank = std::vector<std::map<Domain, WaveletNeuralPredictor>>;
 
 /**
  * Minimised objective scores of @p points under every scenario:
- * val[scenario][objective][point]. The batched predictor path scores a
- * whole chunk with one predictMany per coefficient model — the sweep
- * hot path.
+ * val[scenario][objective][point]. Each predictor scores the whole
+ * chunk with one predictTraces call (the lattice RBF kernel on sweep
+ * points) — the sweep hot path.
  */
 std::vector<std::vector<std::vector<double>>>
 scenarioObjectiveScores(const PredictorBank &bank,

@@ -64,13 +64,6 @@ class RegressionModel
         }
         return out;
     }
-
-    /** Convenience alias for predictMany (historical name). */
-    std::vector<double>
-    predictAll(const Matrix &x) const
-    {
-        return predictMany(x);
-    }
 };
 
 /**

@@ -29,6 +29,87 @@ RbfNetwork::responseAt(const RbfUnit &unit, const double *input)
     return std::exp(-acc);
 }
 
+RbfLatticeTable
+RbfNetwork::latticeTable(const std::vector<std::vector<double>> &levels) const
+{
+    constexpr std::size_t kLevels = RbfLatticeTable::kMaxLevels;
+    RbfLatticeTable t;
+    t.dims = levels.size();
+    t.units = net.size();
+    assert(t.dims >= 1);
+    assert(net.empty() || net.front().center.size() == t.dims);
+    t.z2.assign(t.dims * kLevels * t.units, 0.0);
+    for (std::size_t d = 0; d < t.dims; ++d) {
+        assert(levels[d].size() <= kLevels);
+        for (std::size_t i = 0; i < levels[d].size(); ++i) {
+            double *row = t.z2.data() + (d * kLevels + i) * t.units;
+            for (std::size_t u = 0; u < t.units; ++u) {
+                // responseAt's per-dimension term, verbatim.
+                double z = (levels[d][i] - net[u].center[d]) /
+                           net[u].radius[d];
+                row[u] = z * z;
+            }
+        }
+    }
+    for (const RbfUnit &u : net) {
+        t.weight.push_back(u.weight);
+        t.logAbsWeight.push_back(std::log(std::fabs(u.weight)));
+    }
+    return t;
+}
+
+void
+RbfNetwork::predictLattice(const RbfLatticeTable &t,
+                           const std::uint8_t *levelIdx, std::size_t n,
+                           double *out, RbfTermCounts &counts) const
+{
+    // Bit-identity with predictMany: responseAt sums the z^2 terms
+    // left to right from 0.0, so the running sums over dims 0..d kept
+    // below, plus dim D-1 last, are the same sequence of roundings,
+    // and each table entry is responseAt's own term. A skipped term is
+    // one rbfTermNegligible() proves acc absorbs.
+    constexpr std::size_t kLevels = RbfLatticeTable::kMaxLevels;
+    const std::size_t dims = t.dims;
+    const std::size_t units = t.units;
+    // partial[d][u]: unit u's sum over dims 0..d-1 (row 0 is 0.0). A
+    // row that shares its first k indices with the previous row keeps
+    // rows 0..k and recomputes only the rest; the sweep varies the last
+    // parameter fastest, so that is mostly the final row alone.
+    std::vector<double> partial(dims * units, 0.0);
+    const double *prefix = partial.data() + (dims - 1) * units;
+    std::uint64_t skipped = 0;
+    const std::uint8_t *prev = nullptr;
+    for (std::size_t r = 0; r < n; ++r) {
+        const std::uint8_t *idx = levelIdx + r * dims;
+        std::size_t k = 0;
+        if (prev)
+            while (k + 1 < dims && prev[k] == idx[k])
+                ++k;
+        for (std::size_t d = k; d + 1 < dims; ++d) {
+            const double *z2 = t.z2.data() + (d * kLevels + idx[d]) * units;
+            const double *sum = partial.data() + d * units;
+            double *next = partial.data() + (d + 1) * units;
+            for (std::size_t u = 0; u < units; ++u)
+                next[u] = sum[u] + z2[u];
+        }
+        prev = idx;
+        const double *z2last =
+            t.z2.data() + ((dims - 1) * kLevels + idx[dims - 1]) * units;
+        double acc = w0;
+        for (std::size_t u = 0; u < units; ++u) {
+            double z2 = prefix[u] + z2last[u];
+            if (rbfTermNegligible(acc, t.logAbsWeight[u], z2)) {
+                ++skipped;
+                continue;
+            }
+            acc += t.weight[u] * std::exp(-z2);
+        }
+        out[r] = acc;
+    }
+    counts.evaluated += n * units - skipped;
+    counts.skipped += skipped;
+}
+
 namespace
 {
 

@@ -18,6 +18,8 @@
 #define WAVEDYN_MLMODEL_RBF_NETWORK_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "mlmodel/model.hh"
@@ -32,6 +34,58 @@ struct RbfUnit
     std::vector<double> center; //!< mu
     std::vector<double> radius; //!< theta (per-dimension)
     double weight = 0.0;        //!< w
+};
+
+/**
+ * Exact skip rule of the lattice kernel: true only when adding the
+ * unit term w * exp(-z2) to @p acc cannot change @p acc under
+ * round-to-nearest, so leaving the term out is bit-identical.
+ *
+ * With e the biased exponent of acc (E = e - 1023, |acc| >= 2^E), the
+ * test z2 > ln|w| + (1079 - e) ln 2 bounds the exact term by
+ * 2^(E-56). Half an ulp of acc is at least 2^(E-54), even when acc
+ * sits on a power of two and the term points down a binade, so the
+ * two spare bits absorb the rounding of ln, exp and the multiply
+ * (an exp result in the subnormal range is off by less than 2x).
+ * A zero, subnormal, infinite or NaN acc never skips, nor does a NaN
+ * z2 or a NaN or infinite weight (ln|w| NaN or +inf).
+ *
+ * @param logAbsWeight std::log(std::fabs(w)).
+ */
+inline bool
+rbfTermNegligible(double acc, double logAbsWeight, double z2)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &acc, sizeof bits);
+    const int e = static_cast<int>((bits >> 52) & 0x7ff);
+    if (e == 0 || e == 0x7ff)
+        return false;
+    constexpr double kLn2 = 0.69314718055994530942;
+    return z2 > logAbsWeight + static_cast<double>(1079 - e) * kLn2;
+}
+
+/**
+ * A network's unit distances tabulated on a design lattice, for
+ * RbfNetwork::predictLattice. On a lattice every coordinate is one of
+ * at most kMaxLevels training levels per dimension, so each unit's
+ * per-dimension z^2 term is a table entry.
+ */
+struct RbfLatticeTable
+{
+    static constexpr std::size_t kMaxLevels = 8;
+
+    std::size_t dims = 0;
+    std::size_t units = 0;
+    std::vector<double> z2;           //!< [dim][level][unit]
+    std::vector<double> weight;       //!< w per unit
+    std::vector<double> logAbsWeight; //!< ln|w| per unit
+};
+
+/** Unit terms a lattice evaluation computed and skipped. */
+struct RbfTermCounts
+{
+    std::uint64_t evaluated = 0;
+    std::uint64_t skipped = 0;
 };
 
 /** Weight fitting strategies. */
@@ -89,6 +143,28 @@ class RbfNetwork : public RegressionModel
      * @pre input points at unit.center.size() doubles.
      */
     static double responseAt(const RbfUnit &unit, const double *input);
+
+    /**
+     * Tabulate every unit's z^2 term on a lattice: @p levels[d][i] is
+     * the normalised coordinate of level i of dimension d.
+     * @pre levels.size() == input dimensions >= 1, and at most
+     *      RbfLatticeTable::kMaxLevels levels per dimension.
+     */
+    RbfLatticeTable latticeTable(
+        const std::vector<std::vector<double>> &levels) const;
+
+    /**
+     * predictMany over @p n lattice rows given as level indices
+     * (n x dims, row-major): out[r] is bit-identical to predict() at
+     * row r's normalised coordinates. A row that shares its first k
+     * indices with the previous row reuses that row's per-unit sums
+     * over dims 0..k-1, and terms rbfTermNegligible() proves absorbed
+     * are skipped.
+     * Adds the terms computed and skipped to @p counts.
+     */
+    void predictLattice(const RbfLatticeTable &table,
+                        const std::uint8_t *levelIdx, std::size_t n,
+                        double *out, RbfTermCounts &counts) const;
 
   private:
     void fitRidgeAll(const Matrix &x, const std::vector<double> &y,

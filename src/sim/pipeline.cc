@@ -455,9 +455,11 @@ Pipeline::doIssue()
         if (wr == iqStart)
             iqStart = rd; // every visited entry issued: just advance
         else {
-            std::memmove(&iqSeqA[wr], &iqSeqA[rd],
+            // data() + rd, not &v[rd]: rd == len when nothing is
+            // left to move, and operator[] may not index there.
+            std::memmove(iqSeqA.data() + wr, iqSeqA.data() + rd,
                          (len - rd) * sizeof(iqSeqA[0]));
-            std::memmove(&iqNrbA[wr], &iqNrbA[rd],
+            std::memmove(iqNrbA.data() + wr, iqNrbA.data() + rd,
                          (len - rd) * sizeof(iqNrbA[0]));
             iqSeqA.resize(len - (rd - wr));
             iqNrbA.resize(len - (rd - wr));

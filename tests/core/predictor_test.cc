@@ -11,6 +11,7 @@
 
 #include "core/predictor.hh"
 #include "core/sampling.hh"
+#include "telemetry/telemetry.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
 
@@ -127,6 +128,179 @@ TEST(Predictor, BatchedPredictionBitIdenticalToScalar)
         EXPECT_EQ(batch[i], p.predictTrace(pts[i])) << "point " << i;
 
     EXPECT_TRUE(p.predictTraces({}).empty());
+}
+
+/** A smooth nonlinear trace family over any number of dimensions. */
+std::vector<double>
+latticeTrace(const std::vector<double> &norm, std::size_t n)
+{
+    double base = 1.0;
+    for (std::size_t k = 0; k < norm.size(); ++k)
+        base += 0.3 * static_cast<double>(k + 1) * norm[k] * norm[k];
+    double amp = 0.2 + 0.6 * norm[0];
+    std::vector<double> t(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        double phase = static_cast<double>(i) / static_cast<double>(n);
+        t[i] = base + amp * std::sin(2.0 * M_PI * 2.0 * phase) +
+               (phase > 0.5 ? 0.5 * norm.back() : 0.0);
+    }
+    return t;
+}
+
+/** Train on @p points of @p space with the latticeTrace family. */
+WaveletNeuralPredictor
+trainLattice(const DesignSpace &space, const std::vector<DesignPoint> &points,
+             PredictorOptions opts = {}, std::size_t len = 32)
+{
+    std::vector<std::vector<double>> traces;
+    for (const auto &p : points)
+        traces.push_back(latticeTrace(space.normalize(p), len));
+    WaveletNeuralPredictor pred(opts);
+    pred.train(space, points, traces);
+    return pred;
+}
+
+void
+expectBatchedMatchesScalar(const WaveletNeuralPredictor &p,
+                           const std::vector<DesignPoint> &pts)
+{
+    auto batch = p.predictTraces(pts);
+    ASSERT_EQ(batch.size(), pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i)
+        EXPECT_EQ(batch[i], p.predictTrace(pts[i])) << "point " << i;
+}
+
+/** Units across a predictor's RBF coefficient models. */
+std::size_t
+rbfUnits(const WaveletNeuralPredictor &p)
+{
+    std::size_t units = 0;
+    for (const auto &m : p.coefficientModels())
+        units += dynamic_cast<const RbfNetwork &>(*m).units().size();
+    return units;
+}
+
+std::uint64_t
+counter(const std::string &name)
+{
+    return metricsRegistry().snapshot().counterOr(name);
+}
+
+TEST(Predictor, LatticeFullCrossProductMatchesScalar)
+{
+    DesignSpace space;
+    space.addParameter({"a", {1, 2, 4}, {}});
+    space.addParameter({"b", {10, 20, 30, 40}, {}});
+    space.addParameter({"c", {0, 1}, {}});
+    space.addParameter({"d", {3, 5, 7, 9, 11}, {}});
+    Rng rng(11);
+    auto train = randomSample(space, 40, rng);
+    auto p = trainLattice(space, train);
+    ASSERT_GT(rbfUnits(p), 0u);
+
+    std::vector<DesignPoint> all;
+    for (std::size_t i = 0; i < space.trainSpaceSize(); ++i)
+        all.push_back(space.pointFromFlatTrainIndex(i));
+    expectBatchedMatchesScalar(p, all);
+}
+
+TEST(Predictor, LatticeSkipsNegligibleTermsBitIdentically)
+{
+    // Radii pinned at the floor: units are narrow next to the level
+    // spacing, so most unit terms vanish against the running sum.
+    // Ridge fitting keeps every tree node as a unit.
+    DesignSpace space = DesignSpace::paper();
+    PredictorOptions opts;
+    opts.rbf.radiusScale = 1e-3;
+    opts.rbf.fit = RbfFit::RidgeAll;
+    Rng rng(5);
+    auto p = trainLattice(space, bestLatinHypercube(space, 60, 4, rng),
+                          opts);
+    ASSERT_GT(rbfUnits(p), 0u);
+    for (const auto &m : p.coefficientModels())
+        for (const RbfUnit &u : dynamic_cast<const RbfNetwork &>(*m).units())
+            for (double r : u.radius)
+                ASSERT_EQ(r, opts.rbf.radiusFloor);
+
+    std::vector<DesignPoint> walk;
+    for (std::size_t i = 0; i < space.trainSpaceSize(); i += 97)
+        walk.push_back(space.pointFromFlatTrainIndex(i));
+    const std::uint64_t evaluated = counter("predict.rbf_terms");
+    const std::uint64_t skipped = counter("predict.rbf_terms_skipped");
+    expectBatchedMatchesScalar(p, walk);
+    EXPECT_GT(counter("predict.rbf_terms_skipped") - skipped,
+              counter("predict.rbf_terms") - evaluated);
+}
+
+TEST(Predictor, OffLatticeAndNonRbfBlocksFallBack)
+{
+    auto d = makeData(40, 8, 64);
+    // Fetch width 3 lies between the training levels 2 and 4: its
+    // block takes the normalised-coordinate path, the others do not.
+    std::vector<DesignPoint> pts;
+    for (int rep = 0; rep < 70; ++rep)
+        for (const auto &q : d.test)
+            pts.push_back(q);
+    DesignPoint off = d.test[0];
+    off[FetchWidth] = 3;
+    pts.insert(pts.begin() + 300, off);
+
+    for (CoefficientModel model :
+         {CoefficientModel::Rbf, CoefficientModel::Linear,
+          CoefficientModel::GlobalMean}) {
+        PredictorOptions opts;
+        opts.model = model;
+        WaveletNeuralPredictor p(opts);
+        p.train(d.space, d.train, d.trainTraces);
+        expectBatchedMatchesScalar(p, pts);
+    }
+}
+
+TEST(Predictor, LatticeOneDimensionalSpace)
+{
+    // One dimension: the prefix over dims 0..D-2 is empty.
+    DesignSpace space;
+    space.addParameter({"only", {1, 2, 3, 5, 8, 13}, {}});
+    std::vector<DesignPoint> all;
+    for (std::size_t i = 0; i < space.trainSpaceSize(); ++i)
+        all.push_back(space.pointFromFlatTrainIndex(i));
+    std::vector<DesignPoint> train = all;
+    train.insert(train.end(), all.begin(), all.end());
+    auto p = trainLattice(space, train);
+    ASSERT_GT(rbfUnits(p), 0u);
+    expectBatchedMatchesScalar(p, all);
+}
+
+TEST(Predictor, PredictTracesPublishesSweepCounters)
+{
+    auto d = makeData(40, 8, 64);
+    WaveletNeuralPredictor clamped;
+    clamped.train(d.space, d.train, d.trainTraces);
+    PredictorOptions raw;
+    raw.clampToTrainingRange = false;
+    WaveletNeuralPredictor unclamped(raw);
+    unclamped.train(d.space, d.train, d.trainTraces);
+
+    std::vector<DesignPoint> pts;
+    for (std::size_t i = 0; i < d.space.trainSpaceSize(); i += 131)
+        pts.push_back(d.space.pointFromFlatTrainIndex(i));
+    const std::size_t units = rbfUnits(clamped);
+    auto [lo, hi] = clamped.trainingRange();
+    double margin = 0.1 * (hi - lo);
+    std::uint64_t outside = 0;
+    for (const auto &t : unclamped.predictTraces(pts))
+        for (double v : t)
+            outside += v < lo - margin || v > hi + margin;
+
+    const std::uint64_t evaluated = counter("predict.rbf_terms");
+    const std::uint64_t skipped = counter("predict.rbf_terms_skipped");
+    const std::uint64_t clamps = counter("predict.clamped_values");
+    clamped.predictTraces(pts);
+    EXPECT_EQ(counter("predict.rbf_terms") - evaluated +
+                  counter("predict.rbf_terms_skipped") - skipped,
+              pts.size() * units);
+    EXPECT_EQ(counter("predict.clamped_values") - clamps, outside);
+    EXPECT_GT(outside, 0u);
 }
 
 TEST(Predictor, RetrainWarmKeepsSelectionFrozen)

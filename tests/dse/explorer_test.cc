@@ -14,9 +14,11 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/scenario.hh"
 #include "dse/explorer.hh"
+#include "telemetry/telemetry.hh"
 #include "util/options.hh"
 
 #ifndef WAVEDYN_TEST_DATA_DIR
@@ -182,6 +184,29 @@ TEST(Explorer, GoldenReportMatchesByteForByte)
 TEST(Explorer, EightJobsReportIdenticalToSerial)
 {
     EXPECT_EQ(serialRender(), renderPinnedCampaign(8));
+}
+
+TEST(Explorer, SweepCountersAreJobsInvariant)
+{
+    // predictTraces' observe-only counters depend on the chunking,
+    // never on which worker scored a chunk.
+    auto deltas = [](std::size_t jobs) {
+        const char *names[] = {"predict.rbf_terms",
+                               "predict.rbf_terms_skipped",
+                               "predict.clamped_values"};
+        std::vector<std::uint64_t> grown;
+        for (const char *n : names)
+            grown.push_back(metricsRegistry().snapshot().counterOr(n));
+        renderPinnedCampaign(jobs);
+        for (std::size_t i = 0; i < grown.size(); ++i)
+            grown[i] =
+                metricsRegistry().snapshot().counterOr(names[i]) - grown[i];
+        return grown;
+    };
+    std::vector<std::uint64_t> serial = deltas(1);
+    EXPECT_EQ(serial, deltas(8));
+    EXPECT_GT(serial[0], 0u);
+    EXPECT_GT(serial[1], 0u);
 }
 
 TEST(Explorer, ChunkSizeDoesNotChangeTheReport)

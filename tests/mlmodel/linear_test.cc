@@ -102,7 +102,7 @@ TEST(GlobalMeanModel, Name)
     EXPECT_EQ(m.name(), "global-mean");
 }
 
-TEST(ModelInterface, PredictAllMatchesPredict)
+TEST(ModelInterface, PredictManyMatchesPredict)
 {
     Rng rng(4);
     Matrix x(20, 2);
@@ -114,7 +114,7 @@ TEST(ModelInterface, PredictAllMatchesPredict)
     }
     LinearModel m;
     m.fit(x, y);
-    auto all = m.predictAll(x);
+    auto all = m.predictMany(x);
     ASSERT_EQ(all.size(), 20u);
     for (std::size_t i = 0; i < 20; ++i)
         EXPECT_DOUBLE_EQ(all[i], m.predict({x.at(i, 0), x.at(i, 1)}));

@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 
 #include "mlmodel/rbf_network.hh"
 #include "util/rng.hh"
@@ -262,6 +266,103 @@ TEST(RbfNetwork, InterpolatesBetweenLevels)
         EXPECT_GT(v, -1.5);
         EXPECT_LT(v, 1.5);
     }
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    return u;
+}
+
+TEST(RbfSkipRule, SkippedTermsNeverChangeTheSum)
+{
+    // Random (acc, w, z2) across every binade of acc, including
+    // subnormals, +-0, +-inf and NaN; every skip must leave acc's bits
+    // exactly as adding the term would. Half of the draws put z2 just
+    // past the skip threshold, where the bound is tightest.
+    Rng rng(2024);
+    std::size_t skips = 0, edgeSkips = 0;
+    for (int i = 0; i < 1000000; ++i) {
+        std::uint64_t exponent = rng.below(2048);
+        std::uint64_t mantissa =
+            rng.chance(0.05) ? 0 : rng.next() & ((1ull << 52) - 1);
+        std::uint64_t sign = rng.next() & (1ull << 63);
+        std::uint64_t accBits = sign | (exponent << 52) | mantissa;
+        double acc = 0.0;
+        std::memcpy(&acc, &accBits, sizeof acc);
+
+        double w = std::pow(10.0, rng.uniform(-300.0, 300.0));
+        if (rng.chance(0.5))
+            w = -w;
+        double logAbsW = std::log(std::fabs(w));
+
+        bool edge = rng.chance(0.5);
+        double z2 = rng.uniform(0.0, 800.0);
+        if (edge) {
+            double threshold =
+                logAbsW + static_cast<double>(1079 - static_cast<int>(
+                                                         exponent)) *
+                              std::log(2.0);
+            z2 = std::min(std::max(threshold + rng.uniform(0.0, 1e-3),
+                                   0.0),
+                          800.0);
+        }
+        if (!rbfTermNegligible(acc, logAbsW, z2))
+            continue;
+        ++skips;
+        edgeSkips += edge;
+        ASSERT_EQ(bitsOf(acc + w * std::exp(-z2)), bitsOf(acc))
+            << "acc=" << acc << " w=" << w << " z2=" << z2;
+    }
+    EXPECT_GT(skips, 300000u);
+    EXPECT_GT(edgeSkips, 100000u);
+}
+
+TEST(RbfSkipRule, NeverSkipsOnSpecialValues)
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double acc : {0.0, -0.0, 1e-310, -1e-310, inf, -inf, nan})
+        EXPECT_FALSE(rbfTermNegligible(acc, 0.0, 800.0)) << acc;
+    EXPECT_FALSE(rbfTermNegligible(1.0, 0.0, nan));
+    EXPECT_FALSE(rbfTermNegligible(1.0, nan, 800.0));
+    EXPECT_FALSE(rbfTermNegligible(1.0, inf, 800.0));
+    EXPECT_TRUE(rbfTermNegligible(1.0, 0.0, 800.0));
+}
+
+TEST(RbfNetwork, LatticeMatchesPredictMany)
+{
+    Matrix x;
+    std::vector<double> y;
+    makeData(60, 3, smoothFunc, 9, x, y);
+    RbfNetwork net;
+    net.fit(x, y);
+    ASSERT_FALSE(net.units().empty());
+
+    // Every row of a 4 x 3 x 5 lattice, last dimension fastest.
+    std::vector<std::vector<double>> levels = {
+        {0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0}, {0.0, 0.5, 1.0},
+        {0.0, 0.25, 0.5, 0.75, 1.0}};
+    std::vector<std::uint8_t> idx;
+    Matrix rows(60, 3);
+    std::size_t r = 0;
+    for (std::uint8_t a = 0; a < 4; ++a)
+        for (std::uint8_t b = 0; b < 3; ++b)
+            for (std::uint8_t c = 0; c < 5; ++c, ++r) {
+                idx.insert(idx.end(), {a, b, c});
+                rows.at(r, 0) = levels[0][a];
+                rows.at(r, 1) = levels[1][b];
+                rows.at(r, 2) = levels[2][c];
+            }
+    std::vector<double> got(rows.rows());
+    RbfTermCounts counts;
+    net.predictLattice(net.latticeTable(levels), idx.data(), rows.rows(),
+                       got.data(), counts);
+    EXPECT_EQ(got, net.predictMany(rows));
+    EXPECT_EQ(counts.evaluated + counts.skipped,
+              rows.rows() * net.units().size());
 }
 
 class RbfFitModes : public ::testing::TestWithParam<RbfFit>
