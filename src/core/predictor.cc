@@ -187,34 +187,41 @@ WaveletNeuralPredictor::predictTrace(const DesignPoint &point) const
     return trace;
 }
 
-std::vector<std::vector<double>>
-WaveletNeuralPredictor::predictTraces(
-    const std::vector<DesignPoint> &points) const
+/**
+ * One batched prediction call. The lattice kernel applies when every
+ * model is an RBF network and every dimension fits its level tables:
+ * sweep, train and test points all sit on training levels, so each
+ * unit's z^2 terms are looked up per (dimension, level) instead of
+ * recomputed per point. Points arrive in blocks sized so the inputs
+ * and the per-model prediction columns stay cache resident; each block
+ * is predicted model by model, then assemble() turns the columns into
+ * traces with one reused coefficient buffer and an allocation-free
+ * inverse transform — the per-point allocation churn of the scalar
+ * path (fresh coefficient vector + one temporary per dyadic level
+ * inside haarInverse) is what a sweep of 10^5-10^6 points cannot
+ * afford. The counters are kept locally and published once per call.
+ */
+class WaveletNeuralPredictor::Batch
 {
-    assert(trained());
-    if (points.empty())
-        return {};
+  public:
+    static constexpr std::size_t kBlock = 256;
 
-    double margin = 0.1 * (trainHi - trainLo);
-    double lo = trainLo - margin;
-    double hi = trainHi + margin;
-
-    // The lattice kernel applies when every model is an RBF network
-    // and every dimension fits its level tables: sweep, train and test
-    // points all sit on training levels, so each unit's z^2 terms are
-    // looked up per (dimension, level) instead of recomputed per point.
-    const std::size_t dims = space.dimensions();
-    std::vector<const RbfNetwork *> nets;
-    bool lattice = dims > 0;
-    for (std::size_t d = 0; d < dims; ++d)
-        lattice = lattice &&
-                  space.param(d).levels() <= RbfLatticeTable::kMaxLevels;
-    for (const auto &m : models) {
-        nets.push_back(dynamic_cast<const RbfNetwork *>(m.get()));
-        lattice = lattice && nets.back() != nullptr;
-    }
-    std::vector<RbfLatticeTable> tables;
-    if (lattice) {
+    explicit Batch(const WaveletNeuralPredictor &pred)
+        : pred(pred), byModel(pred.models.size()),
+          coeffs(pred.length, 0.0), scratch(pred.length)
+    {
+        const DesignSpace &space = pred.space;
+        const std::size_t dims = space.dimensions();
+        lattice = dims > 0;
+        for (std::size_t d = 0; d < dims; ++d)
+            lattice = lattice && space.param(d).levels() <=
+                                     RbfLatticeTable::kMaxLevels;
+        for (const auto &m : pred.models) {
+            nets.push_back(dynamic_cast<const RbfNetwork *>(m.get()));
+            lattice = lattice && nets.back() != nullptr;
+        }
+        if (!lattice)
+            return;
         std::vector<std::vector<double>> levels(dims);
         for (std::size_t d = 0; d < dims; ++d)
             for (double v : space.param(d).trainLevels)
@@ -223,27 +230,115 @@ WaveletNeuralPredictor::predictTraces(
             tables.push_back(net->latticeTable(levels));
     }
 
-    // Process in blocks sized so the inputs and the per-model
-    // prediction columns stay cache resident, and the assembly below
-    // reuses one coefficient buffer plus an allocation-free inverse
-    // transform — the per-point allocation churn of the scalar path
-    // (fresh coefficient vector + one temporary per dyadic level
-    // inside haarInverse) is what a sweep of 10^5-10^6 points cannot
-    // afford. A block with a point off the training levels takes one
-    // virtual predictMany per model on its normalised coordinates.
-    constexpr std::size_t kBlock = 256;
-    const bool fastHaar = opts.paperHaar;
-    std::vector<std::vector<double>> out;
-    out.reserve(points.size());
-    std::vector<std::vector<double>> byModel(models.size());
-    std::vector<double> coeffs(length, 0.0);
-    std::vector<double> scratch(length);
-    std::vector<std::uint8_t> levelIdx;
+    /** True when on-level blocks may take predictLattice(). */
+    bool latticeKernel() const { return lattice; }
+
+    /**
+     * Predict @p n <= kBlock lattice rows (level indices, n x dims).
+     * @pre latticeKernel().
+     */
+    void
+    predictLattice(const std::uint8_t *levelIdx, std::size_t n)
+    {
+        for (std::size_t s = 0; s < nets.size(); ++s) {
+            byModel[s].resize(n);
+            nets[s]->predictLattice(tables[s], levelIdx, n,
+                                    byModel[s].data(), terms);
+        }
+    }
+
+    /** Predict the rows of @p x (normalised coordinates). */
+    void
+    predictNormalized(const Matrix &x)
+    {
+        for (std::size_t s = 0; s < pred.models.size(); ++s) {
+            byModel[s] = pred.models[s]->predictMany(x);
+            if (nets[s])
+                terms.evaluated += x.rows() * nets[s]->units().size();
+        }
+    }
+
+    /**
+     * The last block's @p n predictions as traces: scatter the
+     * coefficients, inverse-transform, clamp. Writes n x length
+     * doubles, row-major, to @p out.
+     */
+    void
+    assemble(std::size_t n, double *out)
+    {
+        const std::size_t length = pred.length;
+        const std::vector<std::size_t> &selected = pred.selected;
+        const double margin = 0.1 * (pred.trainHi - pred.trainLo);
+        const double lo = pred.trainLo - margin;
+        const double hi = pred.trainHi + margin;
+        for (std::size_t r = 0; r < n; ++r) {
+            double *trace = out + r * length;
+            for (std::size_t s = 0; s < selected.size(); ++s)
+                coeffs[selected[s]] = byModel[s][r];
+            if (pred.opts.paperHaar) {
+                haarInverseInto(coeffs.data(), length, trace,
+                                scratch.data());
+            } else {
+                std::vector<double> t = pred.fromCoefficients(coeffs);
+                std::copy(t.begin(), t.end(), trace);
+            }
+            // Only the selected slots were written; zero them back so
+            // the buffer is clean for the next point.
+            for (std::size_t s = 0; s < selected.size(); ++s)
+                coeffs[selected[s]] = 0.0;
+            if (pred.opts.clampToTrainingRange)
+                for (std::size_t i = 0; i < length; ++i) {
+                    double &v = trace[i];
+                    clamped += v < lo || v > hi;
+                    v = std::min(std::max(v, lo), hi);
+                }
+        }
+    }
+
+    /** Add the call's counts to the metrics registry. */
+    void
+    publish() const
+    {
+        // Observe-only: the kernel keeps plain local counts, no atomics.
+        const SweepCounters &ids = SweepCounters::get();
+        MetricsRegistry &reg = metricsRegistry();
+        reg.add(ids.rbfTerms, terms.evaluated);
+        reg.add(ids.rbfTermsSkipped, terms.skipped);
+        reg.add(ids.clamped, clamped);
+    }
+
+  private:
+    const WaveletNeuralPredictor &pred;
+    bool lattice = false;
+    std::vector<const RbfNetwork *> nets;
+    std::vector<RbfLatticeTable> tables;
+    std::vector<std::vector<double>> byModel; //!< [model][block row]
+    std::vector<double> coeffs;
+    std::vector<double> scratch;
     RbfTermCounts terms;
     std::uint64_t clamped = 0;
-    for (std::size_t b0 = 0; b0 < points.size(); b0 += kBlock) {
-        std::size_t n = std::min(kBlock, points.size() - b0);
-        bool onLattice = lattice;
+};
+
+std::vector<std::vector<double>>
+WaveletNeuralPredictor::predictTraces(
+    const std::vector<DesignPoint> &points) const
+{
+    assert(trained());
+    if (points.empty())
+        return {};
+
+    // A block with a point off the training levels takes one virtual
+    // predictMany per model on its normalised coordinates.
+    Batch batch(*this);
+    const std::size_t dims = space.dimensions();
+    std::vector<std::uint8_t> levelIdx;
+    std::vector<double> traces(
+        std::min(Batch::kBlock, points.size()) * length);
+    std::vector<std::vector<double>> out;
+    out.reserve(points.size());
+    for (std::size_t b0 = 0; b0 < points.size(); b0 += Batch::kBlock) {
+        std::size_t n = std::min(Batch::kBlock, points.size() - b0);
+        bool onLattice = batch.latticeKernel();
         levelIdx.resize(n * dims);
         for (std::size_t r = 0; r < n && onLattice; ++r) {
             const DesignPoint &p = points[b0 + r];
@@ -256,11 +351,7 @@ WaveletNeuralPredictor::predictTraces(
             }
         }
         if (onLattice) {
-            for (std::size_t s = 0; s < models.size(); ++s) {
-                byModel[s].resize(n);
-                nets[s]->predictLattice(tables[s], levelIdx.data(), n,
-                                        byModel[s].data(), terms);
-            }
+            batch.predictLattice(levelIdx.data(), n);
         } else {
             Matrix x(n, dims);
             for (std::size_t r = 0; r < n; ++r) {
@@ -268,45 +359,49 @@ WaveletNeuralPredictor::predictTraces(
                 for (std::size_t c = 0; c < dims; ++c)
                     x.at(r, c) = space.param(c).normalize(p[c]);
             }
-            for (std::size_t s = 0; s < models.size(); ++s) {
-                byModel[s] = models[s]->predictMany(x);
-                if (nets[s])
-                    terms.evaluated += n * nets[s]->units().size();
-            }
+            batch.predictNormalized(x);
         }
-
-        for (std::size_t r = 0; r < n; ++r) {
-            for (std::size_t s = 0; s < selected.size(); ++s)
-                coeffs[selected[s]] = byModel[s][r];
-            std::vector<double> trace;
-            if (fastHaar) {
-                trace.resize(length);
-                haarInverseInto(coeffs.data(), length, trace.data(),
-                                scratch.data());
-            } else {
-                trace = fromCoefficients(coeffs);
-            }
-            // Only the selected slots were written; zero them back so
-            // the buffer is clean for the next point.
-            for (std::size_t s = 0; s < selected.size(); ++s)
-                coeffs[selected[s]] = 0.0;
-            if (opts.clampToTrainingRange)
-                for (double &v : trace) {
-                    clamped += v < lo || v > hi;
-                    v = std::min(std::max(v, lo), hi);
-                }
-            out.push_back(std::move(trace));
-        }
+        batch.assemble(n, traces.data());
+        for (std::size_t r = 0; r < n; ++r)
+            out.emplace_back(traces.begin() + r * length,
+                             traces.begin() + (r + 1) * length);
     }
-
-    // Observe-only: published once per call, so the kernel itself
-    // keeps plain local counts and no atomics.
-    const SweepCounters &ids = SweepCounters::get();
-    MetricsRegistry &reg = metricsRegistry();
-    reg.add(ids.rbfTerms, terms.evaluated);
-    reg.add(ids.rbfTermsSkipped, terms.skipped);
-    reg.add(ids.clamped, clamped);
+    batch.publish();
     return out;
+}
+
+void
+WaveletNeuralPredictor::predictLatticeTraces(const std::size_t *levelIdx,
+                                             std::size_t n,
+                                             double *out) const
+{
+    assert(trained());
+    Batch batch(*this);
+    const std::size_t dims = space.dimensions();
+    std::vector<std::uint8_t> narrow;
+    for (std::size_t b0 = 0; b0 < n; b0 += Batch::kBlock) {
+        std::size_t m = std::min(Batch::kBlock, n - b0);
+        const std::size_t *rows = levelIdx + b0 * dims;
+        if (batch.latticeKernel()) {
+            // Every dimension has at most kMaxLevels levels here, so
+            // each index fits the kernel's byte rows.
+            narrow.resize(m * dims);
+            for (std::size_t i = 0; i < m * dims; ++i)
+                narrow[i] = static_cast<std::uint8_t>(rows[i]);
+            batch.predictLattice(narrow.data(), m);
+        } else {
+            Matrix x(m, dims);
+            for (std::size_t r = 0; r < m; ++r)
+                for (std::size_t c = 0; c < dims; ++c) {
+                    const Parameter &p = space.param(c);
+                    x.at(r, c) =
+                        p.normalize(p.trainLevels[rows[r * dims + c]]);
+                }
+            batch.predictNormalized(x);
+        }
+        batch.assemble(m, out + b0 * length);
+    }
+    batch.publish();
 }
 
 namespace

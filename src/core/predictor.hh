@@ -114,6 +114,20 @@ class WaveletNeuralPredictor
     std::vector<std::vector<double>>
     predictTraces(const std::vector<DesignPoint> &points) const;
 
+    /**
+     * predictTraces for @p n lattice points named by their training
+     * level indices — n x designSpace().dimensions(), row-major, as
+     * DesignSpace::trainIndicesFromFlat writes them — into @p out,
+     * n x traceLength() row-major. Row r is bit-identical to
+     * predictTrace(designSpace().pointFromTrainIndices(row r)). The
+     * sweep's entry point: one index decode serves every predictor
+     * and no memory is allocated per point. Falls back to predictMany
+     * exactly where predictTraces does and publishes the same
+     * counters.
+     */
+    void predictLatticeTraces(const std::size_t *levelIdx, std::size_t n,
+                              double *out) const;
+
     /** Predict the wavelet coefficient vector (selected slots only). */
     std::vector<double> predictCoefficients(
         const DesignPoint &point) const;
@@ -163,6 +177,8 @@ class WaveletNeuralPredictor
     friend WaveletNeuralPredictor loadPredictor(std::istream &);
 
   private:
+    class Batch;
+
     void trainImpl(const DesignSpace &space,
                    const std::vector<DesignPoint> &points,
                    const std::vector<std::vector<double>> &traces,

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -24,71 +25,112 @@ namespace
 using PredictorBank = std::vector<std::map<Domain, WaveletNeuralPredictor>>;
 
 /**
- * Minimised objective scores of @p points under every scenario:
- * val[scenario][objective][point]. Each predictor scores the whole
- * chunk with one predictTraces call (the lattice RBF kernel on sweep
- * points) — the sweep hot path.
+ * Minimised objective scores of one chunk of design points: score(s,
+ * k, i) under scenario s, and mean(i, k), the cross-scenario mean
+ * every aggregate (front filter, FrontPoint.scores) is built from.
  */
-std::vector<std::vector<std::vector<double>>>
-scenarioObjectiveScores(const PredictorBank &bank,
-                        const std::vector<Domain> &domains,
-                        const std::vector<Objective> &objectives,
-                        const std::vector<DesignPoint> &points)
+struct ChunkScores
 {
-    std::vector<std::vector<std::vector<double>>> val(bank.size());
-    for (std::size_t s = 0; s < bank.size(); ++s) {
-        std::map<Domain, std::vector<std::vector<double>>> traces;
-        for (Domain d : domains)
-            traces[d] = bank[s].at(d).predictTraces(points);
-        val[s].assign(objectives.size(),
-                      std::vector<double>(points.size(), 0.0));
-        // One map node per domain for the whole loop; per point only
-        // the trace vectors move in — no map churn on the hot path.
-        std::map<Domain, std::vector<double>> one;
-        for (Domain d : domains)
-            one[d];
-        for (std::size_t i = 0; i < points.size(); ++i) {
-            for (Domain d : domains)
-                one.at(d) = std::move(traces[d][i]);
-            for (std::size_t k = 0; k < objectives.size(); ++k)
-                val[s][k][i] = objectiveScore(objectives[k], one);
+    std::size_t scenarios = 0;
+    std::size_t objectives = 0;
+    std::size_t points = 0;
+    std::vector<double> val;   //!< [scenario][objective][point]
+    std::vector<double> means; //!< [point][objective]
+
+    double
+    score(std::size_t s, std::size_t k, std::size_t i) const
+    {
+        return val[(s * objectives + k) * points + i];
+    }
+
+    double
+    mean(std::size_t i, std::size_t k) const
+    {
+        return means[i * objectives + k];
+    }
+};
+
+/**
+ * Score @p n design points under every scenario — the one scoring path
+ * of the sweep and the held-out baseline. predict(predictor, out)
+ * writes the points' traces, n x traceLength() row-major, to out; each
+ * domain has one trace buffer, reused across scenarios, and every
+ * objective reads its traces straight out of those buffers.
+ */
+template <typename Predict>
+ChunkScores
+scoreChunk(const PredictorBank &bank, const std::vector<Domain> &domains,
+           const std::vector<Objective> &objectives, std::size_t n,
+           Predict &&predict)
+{
+    const std::size_t scen = bank.size();
+    const std::size_t nobj = objectives.size();
+    ChunkScores out;
+    out.scenarios = scen;
+    out.objectives = nobj;
+    out.points = n;
+    out.val.resize(scen * nobj * n);
+    std::vector<std::vector<double>> traces(domains.size());
+    for (std::size_t s = 0; s < scen; ++s) {
+        TraceView view;
+        for (std::size_t j = 0; j < domains.size(); ++j) {
+            const WaveletNeuralPredictor &pred = bank[s].at(domains[j]);
+            assert(j == 0 || pred.traceLength() == view.length);
+            view.length = pred.traceLength();
+            traces[j].resize(n * view.length);
+            predict(pred, traces[j].data());
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < domains.size(); ++j)
+                view.set(domains[j], traces[j].data() + i * view.length);
+            for (std::size_t k = 0; k < nobj; ++k)
+                out.val[(s * nobj + k) * n + i] =
+                    objectiveScore(objectives[k], view);
         }
     }
-    return val;
+    out.means.resize(n * nobj);
+    for (std::size_t i = 0; i < n; ++i)
+        for (std::size_t k = 0; k < nobj; ++k) {
+            double sum = 0.0;
+            for (std::size_t s = 0; s < scen; ++s)
+                sum += out.score(s, k, i);
+            out.means[i * nobj + k] = sum / static_cast<double>(scen);
+        }
+    return out;
 }
 
 /**
- * Collapse per-scenario scores into per-point FrontPoints: score =
- * scenario mean, value = the raw (un-negated) figure, uncertainty =
- * cross-scenario disagreement (relative spread averaged over
- * objectives). Fixed iteration order keeps every number independent
- * of worker count.
+ * FrontPoints of the chunk points @p which (points[j] is which[j]'s
+ * design point): score = scenario mean, value = the raw (un-negated)
+ * figure, uncertainty = cross-scenario disagreement (relative spread
+ * averaged over objectives). Fixed iteration order keeps every number
+ * independent of worker count.
  */
 std::vector<FrontPoint>
 aggregatePoints(const std::vector<Objective> &objectives,
-                std::vector<DesignPoint> points,
-                const std::vector<std::vector<std::vector<double>>> &val)
+                const ChunkScores &scores,
+                const std::vector<std::size_t> &which,
+                std::vector<DesignPoint> points)
 {
-    std::size_t scen = val.size();
+    assert(which.size() == points.size());
     std::vector<FrontPoint> out;
-    out.reserve(points.size());
-    for (std::size_t i = 0; i < points.size(); ++i) {
+    out.reserve(which.size());
+    for (std::size_t j = 0; j < which.size(); ++j) {
+        const std::size_t i = which[j];
         FrontPoint fp;
-        fp.point = std::move(points[i]);
+        fp.point = std::move(points[j]);
         fp.scores.reserve(objectives.size());
         fp.values.reserve(objectives.size());
         double disagree = 0.0;
         for (std::size_t k = 0; k < objectives.size(); ++k) {
-            double sum = 0.0;
-            double lo = val[0][k][i];
+            double lo = scores.score(0, k, i);
             double hi = lo;
-            for (std::size_t s = 0; s < scen; ++s) {
-                double v = val[s][k][i];
-                sum += v;
+            for (std::size_t s = 0; s < scores.scenarios; ++s) {
+                double v = scores.score(s, k, i);
                 lo = std::min(lo, v);
                 hi = std::max(hi, v);
             }
-            double mean = sum / static_cast<double>(scen);
+            double mean = scores.mean(i, k);
             fp.scores.push_back(mean);
             fp.values.push_back(maximised(objectives[k]) ? -mean : mean);
             disagree += (hi - lo) / (std::fabs(mean) + 1e-12);
@@ -104,6 +146,8 @@ aggregatePoints(const std::vector<Objective> &objectives,
  * One full sweep: stream sweepPoints strided configurations through
  * the bank in chunks, reduce each chunk to its local front on the
  * worker, merge the shards. O(space) work, O(front + chunk) memory.
+ * A chunk decodes its level indices once for every predictor, and
+ * only the survivors of its non-dominated filter become FrontPoints.
  */
 std::vector<FrontPoint>
 sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
@@ -114,20 +158,31 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
     std::size_t chunk = spec.chunk ? spec.chunk : 1024;
     std::size_t shardCount = (sweepPoints + chunk - 1) / chunk;
     std::vector<std::vector<FrontPoint>> shards(shardCount);
+    const std::size_t dims = space.dimensions();
     {
         ScopedPhase phase("sweep");
         parallelChunks(
             ThreadPool::global(), sweepPoints, chunk,
             [&](std::size_t c, std::size_t begin, std::size_t end) {
+                const std::size_t n = end - begin;
+                std::vector<std::size_t> levelIdx(n * dims);
+                for (std::size_t i = 0; i < n; ++i)
+                    space.trainIndicesFromFlat((begin + i) * stride,
+                                               levelIdx.data() + i * dims);
+                ChunkScores scores = scoreChunk(
+                    bank, domains, spec.objectives, n,
+                    [&](const WaveletNeuralPredictor &pred, double *out) {
+                        pred.predictLatticeTraces(levelIdx.data(), n, out);
+                    });
+                std::vector<std::size_t> survivors = nonDominated(
+                    scores.means.data(), n, spec.objectives.size());
                 std::vector<DesignPoint> pts;
-                pts.reserve(end - begin);
-                for (std::size_t i = begin; i < end; ++i)
+                pts.reserve(survivors.size());
+                for (std::size_t i : survivors)
                     pts.push_back(
-                        space.pointFromFlatTrainIndex(i * stride));
-                auto val = scenarioObjectiveScores(bank, domains,
-                                                   spec.objectives, pts);
+                        space.pointFromFlatTrainIndex((begin + i) * stride));
                 shards[c] = paretoFront(aggregatePoints(
-                    spec.objectives, std::move(pts), val));
+                    spec.objectives, scores, survivors, std::move(pts)));
             });
     }
     ScopedPhase phase("pareto");
@@ -384,12 +439,34 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
     // initial campaign already simulated — the pre-refinement yard
     // stick the later rounds are compared against.
     {
-        auto val = scenarioObjectiveScores(bank, domains,
-                                           spec.objectives, testPoints);
-        // Aggregate exactly as the sweep does (one rule for the whole
-        // error table): FrontPoint.scores is the cross-scenario mean.
+        // Score and aggregate exactly as the sweep does (one rule for
+        // the whole error table): FrontPoint.scores is the
+        // cross-scenario mean. Test points sit on training levels; a
+        // set that does not takes predictTraces' fallback instead.
+        const std::size_t n = testPoints.size();
+        const std::size_t dims = space.dimensions();
+        bool onLevels = true;
+        for (const auto &p : testPoints)
+            onLevels = onLevels && space.valid(p);
+        std::vector<std::size_t> levelIdx;
+        if (onLevels)
+            for (const auto &p : testPoints)
+                for (std::size_t c = 0; c < dims; ++c)
+                    levelIdx.push_back(space.param(c).levelIndex(p[c]));
+        ChunkScores scores = scoreChunk(
+            bank, domains, spec.objectives, n,
+            [&](const WaveletNeuralPredictor &pred, double *out) {
+                if (onLevels) {
+                    pred.predictLatticeTraces(levelIdx.data(), n, out);
+                    return;
+                }
+                for (const auto &t : pred.predictTraces(testPoints))
+                    out = std::copy(t.begin(), t.end(), out);
+            });
+        std::vector<std::size_t> all(n);
+        std::iota(all.begin(), all.end(), std::size_t{0});
         std::vector<FrontPoint> scored =
-            aggregatePoints(spec.objectives, testPoints, val);
+            aggregatePoints(spec.objectives, scores, all, testPoints);
         std::vector<std::vector<double>> predicted;
         predicted.reserve(scored.size());
         for (const auto &fp : scored)

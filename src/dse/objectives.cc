@@ -121,62 +121,86 @@ domainsFor(const std::vector<Objective> &objectives)
 namespace
 {
 
-const std::vector<double> &
-traceOf(Domain d, const std::map<Domain, std::vector<double>> &traces)
+const double *
+traceOf(Domain d, const TraceView &traces)
 {
-    auto it = traces.find(d);
-    assert(it != traces.end() && !it->second.empty());
-    return it->second;
+    const double *t = traces.of(d);
+    assert(t != nullptr && traces.length > 0);
+    return t;
 }
 
 double
-meanTrace(const std::vector<double> &t)
+meanTrace(const double *t, std::size_t n)
 {
     double acc = 0.0;
-    for (double v : t)
-        acc += v;
-    return acc / static_cast<double>(t.size());
+    for (std::size_t i = 0; i < n; ++i)
+        acc += t[i];
+    return acc / static_cast<double>(n);
+}
+
+TraceView
+viewOf(const std::map<Domain, std::vector<double>> &traces)
+{
+    TraceView view;
+    for (const auto &[d, trace] : traces) {
+        assert(view.length == 0 || view.length == trace.size());
+        view.length = trace.size();
+        view.set(d, trace.data());
+    }
+    return view;
 }
 
 } // anonymous namespace
 
 double
-objectiveValue(Objective o,
-               const std::map<Domain, std::vector<double>> &traces)
+objectiveValue(Objective o, const TraceView &traces)
 {
+    const std::size_t n = traces.length;
     switch (o) {
       case Objective::Cpi:
-        return meanTrace(traceOf(Domain::Cpi, traces));
+        return meanTrace(traceOf(Domain::Cpi, traces), n);
       case Objective::Bips: {
-        double cpi = meanTrace(traceOf(Domain::Cpi, traces));
+        double cpi = meanTrace(traceOf(Domain::Cpi, traces), n);
         return cpi > 0.0 ? 1.0 / cpi : 0.0;
       }
       case Objective::Power:
-        return meanTrace(traceOf(Domain::Power, traces));
+        return meanTrace(traceOf(Domain::Power, traces), n);
       case Objective::Energy: {
         // Intervals hold a fixed instruction count, so per-interval
         // energy is proportional to power_i * cpi_i; the mean of that
         // product is energy per instruction up to the clock period.
-        const auto &cpi = traceOf(Domain::Cpi, traces);
-        const auto &power = traceOf(Domain::Power, traces);
-        assert(cpi.size() == power.size());
+        const double *cpi = traceOf(Domain::Cpi, traces);
+        const double *power = traceOf(Domain::Power, traces);
         double acc = 0.0;
-        for (std::size_t i = 0; i < cpi.size(); ++i)
+        for (std::size_t i = 0; i < n; ++i)
             acc += power[i] * cpi[i];
-        return acc / static_cast<double>(cpi.size());
+        return acc / static_cast<double>(n);
       }
       case Objective::Avf:
-        return meanTrace(traceOf(Domain::Avf, traces));
+        return meanTrace(traceOf(Domain::Avf, traces), n);
     }
     return 0.0;
+}
+
+double
+objectiveScore(Objective o, const TraceView &traces)
+{
+    double v = objectiveValue(o, traces);
+    return maximised(o) ? -v : v;
+}
+
+double
+objectiveValue(Objective o,
+               const std::map<Domain, std::vector<double>> &traces)
+{
+    return objectiveValue(o, viewOf(traces));
 }
 
 double
 objectiveScore(Objective o,
                const std::map<Domain, std::vector<double>> &traces)
 {
-    double v = objectiveValue(o, traces);
-    return maximised(o) ? -v : v;
+    return objectiveScore(o, viewOf(traces));
 }
 
 } // namespace wavedyn

@@ -14,6 +14,8 @@
 #ifndef WAVEDYN_DSE_OBJECTIVES_HH
 #define WAVEDYN_DSE_OBJECTIVES_HH
 
+#include <array>
+#include <cstddef>
 #include <map>
 #include <string>
 #include <vector>
@@ -64,16 +66,51 @@ std::vector<Domain> domainsOf(Objective o);
 std::vector<Domain> domainsFor(const std::vector<Objective> &objectives);
 
 /**
- * Raw figure of merit from one run's traces (keyed by domain, equal
- * lengths). CPI/Power/AVF are trace means; Energy is the mean of the
- * interval-wise power*cpi product (per-instruction energy up to the
- * fixed clock factor); BIPS is the inverse mean CPI.
- * @pre every domain in domainsOf(o) is present and non-empty.
+ * One run's traces, borrowed: a pointer per metric domain (null when
+ * absent) into buffers of a common length. Lets a sweep score traces
+ * straight out of its flat prediction buffers.
+ */
+struct TraceView
+{
+    std::size_t length = 0;
+    std::array<const double *, static_cast<std::size_t>(Domain::IqAvf) + 1>
+        byDomain{};
+
+    const double *
+    of(Domain d) const
+    {
+        return byDomain[static_cast<std::size_t>(d)];
+    }
+
+    void
+    set(Domain d, const double *trace)
+    {
+        byDomain[static_cast<std::size_t>(d)] = trace;
+    }
+};
+
+/**
+ * Raw figure of merit from one run's traces. CPI/Power/AVF are trace
+ * means; Energy is the mean of the interval-wise power*cpi product
+ * (per-instruction energy up to the fixed clock factor); BIPS is the
+ * inverse mean CPI. Sums run i = 0..length-1 from 0.0.
+ * @pre every domain in domainsOf(o) is set and length > 0.
+ */
+double objectiveValue(Objective o, const TraceView &traces);
+
+/** objectiveValue folded into minimisation space (BIPS negated). */
+double objectiveScore(Objective o, const TraceView &traces);
+
+/**
+ * objectiveValue on traces keyed by domain: a view over the map, so
+ * predicted and simulated traces share one scoring routine.
+ * @pre every domain in domainsOf(o) is present and non-empty, and
+ *      every trace in the map has the same length.
  */
 double objectiveValue(Objective o,
                       const std::map<Domain, std::vector<double>> &traces);
 
-/** objectiveValue folded into minimisation space (BIPS negated). */
+/** objectiveScore on traces keyed by domain (see objectiveValue). */
 double objectiveScore(Objective o,
                       const std::map<Domain, std::vector<double>> &traces);
 

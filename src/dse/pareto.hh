@@ -45,6 +45,18 @@ struct FrontPoint
 bool dominates(const std::vector<double> &a, const std::vector<double> &b);
 
 /**
+ * Indices (ascending) of the non-dominated rows of a flat score array:
+ * row i is scores[i*k .. i*k+k), all minimised. The same subset
+ * paretoFront keeps, so paretoFront over the survivors' FrontPoints
+ * equals paretoFront over all of them — a sweep filters on plain
+ * doubles and builds FrontPoints only for the survivors. Equal rows
+ * dominate neither direction, so exact ties survive together.
+ * @pre k >= 1.
+ */
+std::vector<std::size_t> nonDominated(const double *scores, std::size_t n,
+                                      std::size_t k);
+
+/**
  * Canonical ordering of front points: lexicographic by score vector,
  * ties broken by the design point. Strict weak ordering over the
  * points a sweep produces (distinct design points).

@@ -130,17 +130,23 @@ DesignSpace::pointFromTestIndices(
     return p;
 }
 
-DesignPoint
-DesignSpace::pointFromFlatTrainIndex(std::size_t flat) const
+void
+DesignSpace::trainIndicesFromFlat(std::size_t flat, std::size_t *idx) const
 {
-    DesignPoint p(params.size());
     for (std::size_t i = params.size(); i-- > 0;) {
         std::size_t levels = params[i].levels();
-        p[i] = params[i].trainLevels[flat % levels];
+        idx[i] = flat % levels;
         flat /= levels;
     }
     assert(flat == 0 && "flat index out of range");
-    return p;
+}
+
+DesignPoint
+DesignSpace::pointFromFlatTrainIndex(std::size_t flat) const
+{
+    std::vector<std::size_t> idx(params.size());
+    trainIndicesFromFlat(flat, idx.data());
+    return pointFromTrainIndices(idx);
 }
 
 std::vector<std::string>

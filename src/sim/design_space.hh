@@ -92,11 +92,18 @@ class DesignSpace
         const std::vector<std::size_t> &idx) const;
 
     /**
-     * Decode a flat enumeration index into the corresponding training
-     * configuration (mixed-radix, last dimension fastest). Lets a
-     * sweep stream the full cross-product — trainSpaceSize() is
-     * 10^5-10^6 for realistic spaces — in chunks without ever
-     * materialising the point list.
+     * Decode a flat enumeration index into per-dimension training
+     * level indices (mixed-radix, last dimension fastest), writing
+     * dimensions() entries to @p idx. Lets a sweep stream the full
+     * cross-product — trainSpaceSize() is 10^5-10^6 for realistic
+     * spaces — in chunks without ever materialising the point list.
+     * @pre flat < trainSpaceSize().
+     */
+    void trainIndicesFromFlat(std::size_t flat, std::size_t *idx) const;
+
+    /**
+     * The training configuration at a flat enumeration index:
+     * pointFromTrainIndices of trainIndicesFromFlat.
      * @pre flat < trainSpaceSize().
      */
     DesignPoint pointFromFlatTrainIndex(std::size_t flat) const;

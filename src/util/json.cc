@@ -1,6 +1,7 @@
 #include "util/json.hh"
 
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -652,8 +653,17 @@ formatDouble(double v)
     if (!std::isfinite(v))
         throw std::invalid_argument(
             "json: cannot write a non-finite number");
+    // to_chars' shortest round-trip spelling fixes the fewest
+    // significant digits any spelling can round-trip with, so %g below
+    // that precision cannot round-trip: start the search there instead
+    // of at 1. The %g spelling (and so the output) is unchanged.
     char buf[40];
-    for (int prec = 1; prec <= 17; ++prec) {
+    auto sci = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::scientific);
+    int digits = 0;
+    for (const char *c = buf; c != sci.ptr && *c != 'e'; ++c)
+        digits += *c >= '0' && *c <= '9';
+    for (int prec = digits; prec <= 17; ++prec) {
         std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
         if (std::strtod(buf, nullptr) == v)
             break;

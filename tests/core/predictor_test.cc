@@ -303,6 +303,126 @@ TEST(Predictor, PredictTracesPublishesSweepCounters)
     EXPECT_GT(outside, 0u);
 }
 
+/**
+ * predictLatticeTraces at the flat indices @p flat of the predictor's
+ * space, row by row against predictTrace at the same points.
+ */
+void
+expectLatticeTracesMatchScalar(const WaveletNeuralPredictor &p,
+                               const std::vector<std::size_t> &flat)
+{
+    const DesignSpace &space = p.designSpace();
+    const std::size_t dims = space.dimensions();
+    const std::size_t len = p.traceLength();
+    std::vector<std::size_t> idx(flat.size() * dims);
+    for (std::size_t i = 0; i < flat.size(); ++i)
+        space.trainIndicesFromFlat(flat[i], idx.data() + i * dims);
+    std::vector<double> out(flat.size() * len);
+    p.predictLatticeTraces(idx.data(), flat.size(), out.data());
+    for (std::size_t i = 0; i < flat.size(); ++i) {
+        std::vector<double> row(out.begin() + i * len,
+                                out.begin() + (i + 1) * len);
+        EXPECT_EQ(row, p.predictTrace(space.pointFromFlatTrainIndex(flat[i])))
+            << "flat index " << flat[i];
+    }
+}
+
+std::vector<std::size_t>
+flatWalk(const DesignSpace &space, std::size_t step)
+{
+    std::vector<std::size_t> flat;
+    for (std::size_t i = 0; i < space.trainSpaceSize(); i += step)
+        flat.push_back(i);
+    return flat;
+}
+
+TEST(Predictor, LatticeTracesMatchScalarOnFullCrossProduct)
+{
+    DesignSpace space;
+    space.addParameter({"a", {1, 2, 4}, {}});
+    space.addParameter({"b", {10, 20, 30, 40}, {}});
+    space.addParameter({"c", {0, 1}, {}});
+    space.addParameter({"d", {3, 5, 7, 9, 11}, {}});
+    Rng rng(11);
+    auto p = trainLattice(space, randomSample(space, 40, rng));
+    ASSERT_GT(rbfUnits(p), 0u);
+    expectLatticeTracesMatchScalar(p, flatWalk(space, 1));
+}
+
+TEST(Predictor, LatticeTracesMatchScalarOnPaperSpaceWalk)
+{
+    // A strided walk spans several internal blocks; the non-RBF models
+    // and the orthonormal transform take the predictMany fallback and
+    // the generic inverse.
+    auto d = makeData(40, 8, 64);
+    std::vector<std::size_t> walk = flatWalk(d.space, 89);
+    ASSERT_GT(walk.size(), 256u);
+    for (CoefficientModel model :
+         {CoefficientModel::Rbf, CoefficientModel::Linear,
+          CoefficientModel::GlobalMean}) {
+        PredictorOptions opts;
+        opts.model = model;
+        WaveletNeuralPredictor p(opts);
+        p.train(d.space, d.train, d.trainTraces);
+        expectLatticeTracesMatchScalar(p, walk);
+    }
+    PredictorOptions ortho;
+    ortho.paperHaar = false;
+    ortho.mother = MotherWavelet::Daubechies4;
+    WaveletNeuralPredictor p(ortho);
+    p.train(d.space, d.train, d.trainTraces);
+    expectLatticeTracesMatchScalar(p, walk);
+}
+
+TEST(Predictor, LatticeTracesFallBackBeyondTableLevels)
+{
+    // A dimension with more levels than the lattice tables hold sends
+    // every block of an all-RBF predictor down the predictMany path.
+    DesignSpace space;
+    std::vector<double> many;
+    for (std::size_t i = 0; i <= RbfLatticeTable::kMaxLevels; ++i)
+        many.push_back(static_cast<double>(i));
+    space.addParameter({"wide", many, {}});
+    space.addParameter({"b", {1, 2, 3}, {}});
+    Rng rng(3);
+    auto p = trainLattice(space, randomSample(space, 30, rng));
+    ASSERT_GT(rbfUnits(p), 0u);
+    expectLatticeTracesMatchScalar(p, flatWalk(space, 1));
+}
+
+TEST(Predictor, LatticeTracesPublishTheSameCounters)
+{
+    auto d = makeData(40, 8, 64);
+    WaveletNeuralPredictor p;
+    p.train(d.space, d.train, d.trainTraces);
+    std::vector<std::size_t> walk = flatWalk(d.space, 131);
+    std::vector<DesignPoint> pts;
+    std::vector<std::size_t> idx(walk.size() * d.space.dimensions());
+    for (std::size_t i = 0; i < walk.size(); ++i) {
+        pts.push_back(d.space.pointFromFlatTrainIndex(walk[i]));
+        d.space.trainIndicesFromFlat(
+            walk[i], idx.data() + i * d.space.dimensions());
+    }
+    const char *const names[] = {"predict.rbf_terms",
+                                 "predict.rbf_terms_skipped",
+                                 "predict.clamped_values"};
+    auto deltas = [&](auto run) {
+        std::vector<std::uint64_t> d;
+        for (const char *name : names)
+            d.push_back(counter(name));
+        run();
+        for (std::size_t i = 0; i < d.size(); ++i)
+            d[i] = counter(names[i]) - d[i];
+        return d;
+    };
+    std::vector<double> out(walk.size() * p.traceLength());
+    EXPECT_EQ(deltas([&] { p.predictTraces(pts); }),
+              deltas([&] {
+                  p.predictLatticeTraces(idx.data(), walk.size(),
+                                         out.data());
+              }));
+}
+
 TEST(Predictor, RetrainWarmKeepsSelectionFrozen)
 {
     auto d = makeData(30, 8, 64);

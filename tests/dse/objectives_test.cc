@@ -2,7 +2,8 @@
  * @file
  * Objective definition tests: name round-trips, list parsing errors,
  * domain requirements, and the trace-to-scalar evaluations (including
- * the minimisation fold for maximised objectives).
+ * the minimisation fold for maximised objectives) on both the map and
+ * the borrowed-buffer form.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 
 #include "dse/objectives.hh"
+#include "util/rng.hh"
 
 namespace wavedyn
 {
@@ -92,6 +94,67 @@ TEST(Objectives, ScoreFoldsMaximisedObjectives)
     EXPECT_TRUE(maximised(Objective::Bips));
     EXPECT_DOUBLE_EQ(objectiveScore(Objective::Bips, traces), -0.5);
     EXPECT_FALSE(maximised(Objective::Energy));
+}
+
+/** Mean of t[0..n) summed i = 0..n-1 from 0.0 — the pinned order. */
+double
+orderedMean(const std::vector<double> &t)
+{
+    double acc = 0.0;
+    for (double v : t)
+        acc += v;
+    return acc / static_cast<double>(t.size());
+}
+
+TEST(Objectives, ViewAndMapScoreBitForBit)
+{
+    // The sweep scores predicted traces through the view, simulated
+    // runs go through the map: both must give the exact same double,
+    // summed in the documented order.
+    Rng rng(42);
+    for (int trial = 0; trial < 50; ++trial) {
+        const std::size_t n = 1 + rng.below(200);
+        std::map<Domain, std::vector<double>> traces;
+        for (Domain d : {Domain::Cpi, Domain::Power, Domain::Avf}) {
+            auto &t = traces[d];
+            for (std::size_t i = 0; i < n; ++i)
+                t.push_back(rng.uniform(0.01, 40.0));
+        }
+        // A flat buffer holding the same traces back to back.
+        std::vector<double> flat;
+        TraceView view;
+        view.length = n;
+        for (const auto &entry : traces)
+            flat.insert(flat.end(), entry.second.begin(),
+                        entry.second.end());
+        std::size_t offset = 0;
+        for (const auto &entry : traces) {
+            view.set(entry.first, flat.data() + offset);
+            offset += n;
+        }
+        EXPECT_EQ(view.of(Domain::IqAvf), nullptr);
+
+        const auto &cpi = traces.at(Domain::Cpi);
+        const auto &power = traces.at(Domain::Power);
+        double energy = 0.0;
+        for (std::size_t i = 0; i < n; ++i)
+            energy += power[i] * cpi[i];
+        const std::map<Objective, double> expected = {
+            {Objective::Cpi, orderedMean(cpi)},
+            {Objective::Bips, 1.0 / orderedMean(cpi)},
+            {Objective::Power, orderedMean(power)},
+            {Objective::Energy, energy / static_cast<double>(n)},
+            {Objective::Avf, orderedMean(traces.at(Domain::Avf))},
+        };
+        for (Objective o : allObjectives()) {
+            EXPECT_EQ(objectiveValue(o, view), expected.at(o))
+                << objectiveName(o);
+            EXPECT_EQ(objectiveValue(o, traces), expected.at(o))
+                << objectiveName(o);
+            EXPECT_EQ(objectiveScore(o, view), objectiveScore(o, traces))
+                << objectiveName(o);
+        }
+    }
 }
 
 } // anonymous namespace

@@ -2,9 +2,10 @@
  * @file
  * Pareto frontier extraction tests: hand-built fronts with duplicates,
  * one-objective ties, single-point and all-dominated sets; a
- * brute-force cross-check on random point clouds; and the shard-merge
+ * brute-force cross-check on random point clouds; the shard-merge
  * identity (front of per-shard fronts == front of everything) the
- * explorer's chunked sweep relies on.
+ * explorer's chunked sweep relies on; and the flat-array prefilter the
+ * sweep runs before it builds any FrontPoint.
  */
 
 #include <gtest/gtest.h>
@@ -206,6 +207,57 @@ TEST(ParetoFront, CanonicalOrderIsSorted)
     auto front = paretoFront(pts);
     EXPECT_TRUE(std::is_sorted(front.begin(), front.end(),
                                canonicalLess));
+}
+
+TEST(NonDominated, PrefilterKeepsTheFront)
+{
+    // Small integer scores force ties on single objectives, and copied
+    // rows make exact duplicates; both must survive exactly as
+    // paretoFront keeps them.
+    Rng rng(0x5eed);
+    for (std::size_t k = 1; k <= 4; ++k) {
+        for (int round = 0; round < 40; ++round) {
+            const std::size_t n = 1 + rng.below(90);
+            std::vector<double> flat;
+            for (std::size_t i = 0; i < n; ++i) {
+                std::size_t src = i > 0 && rng.chance(0.25) ? rng.below(i)
+                                                             : i;
+                for (std::size_t d = 0; d < k; ++d)
+                    flat.push_back(src == i
+                                       ? static_cast<double>(rng.below(5))
+                                       : flat[src * k + d]);
+            }
+            std::vector<FrontPoint> all;
+            for (std::size_t i = 0; i < n; ++i)
+                all.push_back(fp({flat.begin() + i * k,
+                                  flat.begin() + (i + 1) * k},
+                                 static_cast<double>(i)));
+
+            std::vector<std::size_t> brute;
+            for (std::size_t i = 0; i < n; ++i) {
+                bool dominated = false;
+                for (std::size_t j = 0; j < n; ++j)
+                    dominated = dominated ||
+                                dominates(all[j].scores, all[i].scores);
+                if (!dominated)
+                    brute.push_back(i);
+            }
+            std::vector<std::size_t> kept = nonDominated(flat.data(), n, k);
+            ASSERT_EQ(kept, brute) << "k=" << k << " round=" << round;
+
+            std::vector<FrontPoint> survivors;
+            for (std::size_t i : kept)
+                survivors.push_back(all[i]);
+            auto filtered = paretoFront(survivors);
+            auto full = paretoFront(all);
+            ASSERT_EQ(filtered.size(), full.size());
+            for (std::size_t i = 0; i < full.size(); ++i) {
+                EXPECT_EQ(filtered[i].scores, full[i].scores);
+                EXPECT_EQ(filtered[i].point, full[i].point);
+            }
+        }
+    }
+    EXPECT_TRUE(nonDominated(nullptr, 0, 3).empty());
 }
 
 } // anonymous namespace

@@ -132,6 +132,28 @@ TEST(DesignSpace, PointFromTrainIndices)
     EXPECT_DOUBLE_EQ(p[RobSize], 96.0);
 }
 
+TEST(DesignSpace, FlatTrainIndexDecodesEveryConfiguration)
+{
+    // Every flat index decodes to in-range level indices that
+    // re-encode to it (last dimension fastest), and the point built
+    // from those indices is pointFromFlatTrainIndex's.
+    auto space = DesignSpace::paper();
+    ASSERT_EQ(space.trainSpaceSize(), 245760u);
+    std::vector<std::size_t> idx(space.dimensions());
+    for (std::size_t flat = 0; flat < space.trainSpaceSize(); ++flat) {
+        space.trainIndicesFromFlat(flat, idx.data());
+        std::size_t back = 0;
+        for (std::size_t d = 0; d < space.dimensions(); ++d) {
+            ASSERT_LT(idx[d], space.param(d).levels());
+            back = back * space.param(d).levels() + idx[d];
+        }
+        ASSERT_EQ(back, flat);
+        ASSERT_EQ(space.pointFromTrainIndices(idx),
+                  space.pointFromFlatTrainIndex(flat))
+            << "flat index " << flat;
+    }
+}
+
 TEST(DesignSpace, PointFromTestIndices)
 {
     auto space = DesignSpace::paper();

@@ -8,12 +8,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/json.hh"
+#include "util/rng.hh"
 
 namespace wavedyn
 {
@@ -135,6 +142,96 @@ TEST(Json, DoublesUseShortestRoundTrippingForm)
         JsonValue back = parseJson(writeJson(JsonValue(d)));
         EXPECT_EQ(back.asDouble(), d);
     }
+}
+
+/**
+ * The writer's original double spelling: try every %g precision from
+ * 1 up and keep the first that strtod reads back to the same bits.
+ * Kept here as the oracle the writer's shortcut must match.
+ */
+std::string
+searchedSpelling(double v)
+{
+    char buf[40];
+    for (int prec = 1; prec <= 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            break;
+    }
+    std::string out = buf;
+    if (out.find_first_of(".eE") == std::string::npos)
+        out += ".0";
+    return out;
+}
+
+double
+fromBits(std::uint64_t bits)
+{
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    return v;
+}
+
+TEST(Json, DoubleSpellingMatchesPrecisionSearch)
+{
+    // Cache keys and spec dumps hash these bytes, so the writer must
+    // spell every finite double exactly as the full search does.
+    std::vector<double> values = {
+        0.0,     std::numeric_limits<double>::denorm_min(),
+        DBL_MIN, DBL_MAX,
+        1e-5,    1e-4,
+        1e16,    1e17,
+        1e21,    1e22,
+        0.1,     1.0 / 3.0,
+        6.02214076e23,
+    };
+    // Every binade: its first value, its neighbours and a few interior
+    // mantissas.
+    for (int e = -1074; e <= 1023; ++e) {
+        double p = std::ldexp(1.0, e);
+        for (double m : {1.0, 1.1, 1.5, 1.9999999999999998})
+            values.push_back(p * m);
+        values.push_back(std::nextafter(p, 0.0));
+        values.push_back(std::nextafter(p, DBL_MAX));
+    }
+    // Integers, short decimals and small ratios: what specs hold.
+    for (int i = 0; i <= 200000; ++i)
+        values.push_back(static_cast<double>(i));
+    for (int i = 1; i <= 100000; ++i)
+        values.push_back(i / 1000.0);
+    for (int i = 1; i <= 200; ++i)
+        for (int j = 1; j <= 200; ++j)
+            values.push_back(static_cast<double>(i) / j);
+    for (std::size_t i = 0, n = values.size(); i < n; ++i)
+        values.push_back(-values[i]);
+    // Random bit patterns (either sign) stand for the full-precision
+    // doubles of generated profiles; non-finite ones are skipped.
+    Rng rng(2024);
+    while (values.size() < 1000000) {
+        double v = fromBits(rng.next());
+        if (std::isfinite(v))
+            values.push_back(v);
+    }
+
+    // The search costs up to 17 printf/strtod pairs per value: split
+    // the values over a few threads, report on the test thread.
+    constexpr std::size_t kThreads = 4;
+    std::vector<std::vector<std::string>> bad(kThreads);
+    std::vector<std::thread> workers;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+        workers.emplace_back([&, t] {
+            for (std::size_t i = t; i < values.size(); i += kThreads) {
+                std::string want = searchedSpelling(values[i]);
+                std::string got = writeJson(JsonValue(values[i]));
+                if (got != want)
+                    bad[t].push_back(want + " became " + got);
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    for (const auto &b : bad)
+        EXPECT_TRUE(b.empty()) << b.size() << " changed, first: " << b[0];
 }
 
 TEST(Json, WriterRejectsNonFiniteNumbers)
