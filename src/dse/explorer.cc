@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <map>
-#include <numeric>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -439,10 +438,10 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
     // initial campaign already simulated — the pre-refinement yard
     // stick the later rounds are compared against.
     {
-        // Score and aggregate exactly as the sweep does (one rule for
-        // the whole error table): FrontPoint.scores is the
-        // cross-scenario mean. Test points sit on training levels; a
-        // set that does not takes predictTraces' fallback instead.
+        // Score exactly as the sweep does (one rule for the whole error
+        // table): the predicted score is the cross-scenario mean. Test
+        // points sit on training levels; a set that does not takes
+        // predictTraces' fallback instead.
         const std::size_t n = testPoints.size();
         const std::size_t dims = space.dimensions();
         bool onLevels = true;
@@ -463,14 +462,12 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
                 for (const auto &t : pred.predictTraces(testPoints))
                     out = std::copy(t.begin(), t.end(), out);
             });
-        std::vector<std::size_t> all(n);
-        std::iota(all.begin(), all.end(), std::size_t{0});
-        std::vector<FrontPoint> scored =
-            aggregatePoints(spec.objectives, scores, all, testPoints);
+        const std::size_t nobj = spec.objectives.size();
         std::vector<std::vector<double>> predicted;
-        predicted.reserve(scored.size());
-        for (const auto &fp : scored)
-            predicted.push_back(fp.scores);
+        predicted.reserve(n);
+        for (std::size_t i = 0; i < n; ++i)
+            predicted.emplace_back(scores.means.begin() + i * nobj,
+                                   scores.means.begin() + (i + 1) * nobj);
         std::vector<std::vector<std::map<Domain, std::vector<double>>>>
             actual(testPoints.size());
         for (std::size_t i = 0; i < testPoints.size(); ++i) {

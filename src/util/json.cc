@@ -653,10 +653,9 @@ formatDouble(double v)
     if (!std::isfinite(v))
         throw std::invalid_argument(
             "json: cannot write a non-finite number");
-    // to_chars' shortest round-trip spelling fixes the fewest
-    // significant digits any spelling can round-trip with, so %g below
-    // that precision cannot round-trip: start the search there instead
-    // of at 1. The %g spelling (and so the output) is unchanged.
+    // to_chars' shortest round-trip spelling has the fewest significant
+    // digits any spelling can round-trip with, so no %g precision below
+    // that count can: the search starts there.
     char buf[40];
     auto sci = std::to_chars(buf, buf + sizeof(buf), v,
                              std::chars_format::scientific);
