@@ -146,7 +146,8 @@ aggregatePoints(const std::vector<Objective> &objectives,
  * the bank in chunks, reduce each chunk to its local front on the
  * worker, merge the shards. O(space) work, O(front + chunk) memory.
  * A chunk decodes its level indices once for every predictor, and
- * only the survivors of its non-dominated filter become FrontPoints.
+ * only the survivors of its non-dominated filter become FrontPoints;
+ * mergeFronts puts the union in canonical order.
  */
 std::vector<FrontPoint>
 sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
@@ -180,8 +181,8 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
                 for (std::size_t i : survivors)
                     pts.push_back(
                         space.pointFromFlatTrainIndex((begin + i) * stride));
-                shards[c] = paretoFront(aggregatePoints(
-                    spec.objectives, scores, survivors, std::move(pts)));
+                shards[c] = aggregatePoints(spec.objectives, scores,
+                                            survivors, std::move(pts));
             });
     }
     ScopedPhase phase("pareto");
@@ -439,26 +440,13 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
     // stick the later rounds are compared against.
     {
         // Score exactly as the sweep does (one rule for the whole error
-        // table): the predicted score is the cross-scenario mean. Test
-        // points sit on training levels; a set that does not takes
-        // predictTraces' fallback instead.
+        // table): the predicted score is the cross-scenario mean. The
+        // test points are a handful of design points, so predictTraces
+        // serves them directly.
         const std::size_t n = testPoints.size();
-        const std::size_t dims = space.dimensions();
-        bool onLevels = true;
-        for (const auto &p : testPoints)
-            onLevels = onLevels && space.valid(p);
-        std::vector<std::size_t> levelIdx;
-        if (onLevels)
-            for (const auto &p : testPoints)
-                for (std::size_t c = 0; c < dims; ++c)
-                    levelIdx.push_back(space.param(c).levelIndex(p[c]));
         ChunkScores scores = scoreChunk(
             bank, domains, spec.objectives, n,
             [&](const WaveletNeuralPredictor &pred, double *out) {
-                if (onLevels) {
-                    pred.predictLatticeTraces(levelIdx.data(), n, out);
-                    return;
-                }
                 for (const auto &t : pred.predictTraces(testPoints))
                     out = std::copy(t.begin(), t.end(), out);
             });

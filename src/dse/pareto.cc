@@ -70,102 +70,21 @@ canonicalLess(const FrontPoint &a, const FrontPoint &b)
     return a.point < b.point;
 }
 
-namespace
-{
-
-/**
- * Front of points[lo, hi) (canonically sorted) by Kung's divide and
- * conquer: the top half's front survives unconditionally (no
- * lexicographically-later point can dominate an earlier one), and the
- * bottom half's front is filtered against it.
- */
-std::vector<FrontPoint>
-kungFront(const std::vector<FrontPoint> &points, std::size_t lo,
-          std::size_t hi)
-{
-    if (hi - lo <= 1)
-        return {points.begin() + lo, points.begin() + hi};
-
-    std::size_t mid = lo + (hi - lo) / 2;
-    std::vector<FrontPoint> top = kungFront(points, lo, mid);
-    std::vector<FrontPoint> bottom = kungFront(points, mid, hi);
-
-    std::vector<FrontPoint> out = std::move(top);
-    std::size_t survivors = out.size();
-    for (auto &b : bottom) {
-        bool dominated = false;
-        for (std::size_t t = 0; t < survivors && !dominated; ++t)
-            dominated = dominates(out[t].scores, b.scores);
-        if (!dominated)
-            out.push_back(std::move(b));
-    }
-    return out;
-}
-
-/** Two-objective fast path: one linear scan over the sorted points. */
-std::vector<FrontPoint>
-front2d(std::vector<FrontPoint> points)
-{
-    // Sorted by (s0 asc, s1 asc, point). Within an equal-s0 group only
-    // the minimal-s1 points can survive (anything above the group
-    // minimum is dominated by it), and the group survives iff its
-    // minimum strictly beats the best s1 of every smaller-s0 group (an
-    // equal s1 at larger s0 is dominated by the earlier point).
-    std::vector<FrontPoint> out;
-    bool haveBest = false;
-    double bestS1 = 0.0;
-    std::size_t i = 0;
-    while (i < points.size()) {
-        double s0 = points[i].scores[0];
-        double groupMin = points[i].scores[1];
-        std::size_t tiesEnd = i;
-        while (tiesEnd < points.size() &&
-               points[tiesEnd].scores[0] == s0 &&
-               points[tiesEnd].scores[1] == groupMin)
-            ++tiesEnd;
-        if (!haveBest || groupMin < bestS1) {
-            for (std::size_t k = i; k < tiesEnd; ++k)
-                out.push_back(std::move(points[k]));
-            haveBest = true;
-            bestS1 = groupMin;
-        }
-        i = tiesEnd;
-        while (i < points.size() && points[i].scores[0] == s0)
-            ++i; // rest of the group is dominated by its minimum
-    }
-    return out;
-}
-
-} // anonymous namespace
-
 std::vector<FrontPoint>
 paretoFront(std::vector<FrontPoint> points)
 {
     if (points.empty())
         return points;
-#ifndef NDEBUG
-    for (const auto &p : points)
-        assert(p.scores.size() == points.front().scores.size() &&
-               !p.scores.empty());
-#endif
-    std::sort(points.begin(), points.end(), canonicalLess);
-
-    std::vector<FrontPoint> front;
-    if (points.front().scores.size() == 1) {
-        // Sorted ascending: the frontier is the leading run of minimal
-        // scores (exact ties all survive).
-        double best = points.front().scores[0];
-        for (auto &p : points) {
-            if (p.scores[0] > best)
-                break;
-            front.push_back(std::move(p));
-        }
-    } else if (points.front().scores.size() == 2) {
-        front = front2d(std::move(points));
-    } else {
-        front = kungFront(points, 0, points.size());
+    const std::size_t k = points.front().scores.size();
+    std::vector<double> flat;
+    flat.reserve(points.size() * k);
+    for (const auto &p : points) {
+        assert(p.scores.size() == k && k >= 1);
+        flat.insert(flat.end(), p.scores.begin(), p.scores.end());
     }
-
+    std::vector<FrontPoint> front;
+    for (std::size_t i : nonDominated(flat.data(), points.size(), k))
+        front.push_back(std::move(points[i]));
     std::sort(front.begin(), front.end(), canonicalLess);
     return front;
 }

@@ -5,11 +5,11 @@
  *
  * All objective scores are minimised (dse/objectives.hh folds
  * maximised figures by negation before they reach this layer). The
- * frontier of a point set is its non-dominated subset; extraction is
- * Kung's divide-and-conquer over a canonical lexicographic sort —
- * O(n log n) for the one/two-objective cases and
- * O(n log n + f_T * f_B) per merge level in general (f_* are
- * sub-front sizes, tiny against n for the spaces explored here).
+ * frontier of a point set is its non-dominated subset, found by one
+ * routine (nonDominated): a lexicographic sort, then one scan that
+ * tests each row against the survivors so far — O(n log n + n * f)
+ * for a front of f points, tiny against n for the spaces explored
+ * here.
  *
  * Determinism contract: the frontier is a pure function of the input
  * *set* — input order, sharding, and worker count cannot change it.
@@ -46,10 +46,9 @@ bool dominates(const std::vector<double> &a, const std::vector<double> &b);
 
 /**
  * Indices (ascending) of the non-dominated rows of a flat score array:
- * row i is scores[i*k .. i*k+k), all minimised. The same subset
- * paretoFront keeps, so paretoFront over the survivors' FrontPoints
- * equals paretoFront over all of them — a sweep filters on plain
- * doubles and builds FrontPoints only for the survivors. Equal rows
+ * row i is scores[i*k .. i*k+k), all minimised. paretoFront is this
+ * filter over its points' scores, so a sweep can filter on plain
+ * doubles and build FrontPoints only for the survivors. Equal rows
  * dominate neither direction, so exact ties survive together.
  * @pre k >= 1.
  */

@@ -245,10 +245,11 @@ TEST(NonDominated, PrefilterKeepsTheFront)
             std::vector<std::size_t> kept = nonDominated(flat.data(), n, k);
             ASSERT_EQ(kept, brute) << "k=" << k << " round=" << round;
 
-            std::vector<FrontPoint> survivors;
+            // The survivors in canonical order are the whole front.
+            std::vector<FrontPoint> filtered;
             for (std::size_t i : kept)
-                survivors.push_back(all[i]);
-            auto filtered = paretoFront(survivors);
+                filtered.push_back(all[i]);
+            std::sort(filtered.begin(), filtered.end(), canonicalLess);
             auto full = paretoFront(all);
             ASSERT_EQ(filtered.size(), full.size());
             for (std::size_t i = 0; i < full.size(); ++i) {
