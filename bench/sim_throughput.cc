@@ -103,10 +103,10 @@ simulateRow(const BenchmarkProfile &profile, const std::string &label,
 /**
  * Config-batched throughput of one profile at one batch width: the
  * aggregate simulated-instruction rate of a simulateBatch() call with
- * @p width baseline lanes. Against the scalar "simulate" row this is
- * the per-lane speedup of batching — every lane does exactly the
- * scalar row's work (bit-identical results, pinned by tests), so rate
- * ratios compare like for like.
+ * @p width baseline lanes. Against the one-lane "simulate" row this
+ * is the per-lane speedup of batching — every lane does exactly that
+ * row's work (bit-identical results, pinned by tests), so rate ratios
+ * compare like for like.
  */
 Row
 batchedRow(const BenchmarkProfile &profile, const std::string &label,
@@ -150,8 +150,8 @@ main(int argc, char **argv)
     rows.push_back(simulateRow(benchmarkByName("gcc"), "gcc", ctx));
 
     // ---- Config-batched kernel (sim/batch.hh) across batch widths:
-    // per-lane speedup over the scalar rows above, from shared decode,
-    // idle-cycle fast-forward, and cross-lane op-window reuse.
+    // per-lane speedup over the one-lane rows above, from shared
+    // decode and cross-lane op-window reuse.
     {
         const unsigned widths[] = {1, 4, 16, 64};
         for (WorkloadFamily f : allFamilies()) {
@@ -165,7 +165,7 @@ main(int argc, char **argv)
             rows.push_back(batchedRow(gcc, "gcc", w, ctx));
 
         // Per-workload speedup summary: batched aggregate rate over
-        // the scalar rate, at the widest batch.
+        // the one-lane rate, at the widest batch.
         for (const Row &s : rows) {
             if (s.kind != "simulate")
                 continue;

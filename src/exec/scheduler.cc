@@ -146,53 +146,45 @@ RunScheduler::run(ThreadPool &pool)
     // simulateBatch() call of at most globalBatchWidth() lanes —
     // decode once, simulate many. Chunks are formed in task order
     // from the task list and the width alone, never from --jobs, and
-    // simulateBatch() is bit-identical to per-task simulate()
-    // (sim/batch.hh), so results — and therefore reports — are
-    // byte-identical whether and however tasks were batched. A custom
-    // task runner computes per task by contract, so it bypasses
-    // grouping entirely.
+    // every simulateBatch() lane is bit-identical to the same run
+    // simulated alone (sim/batch.hh), so results — and therefore
+    // reports — are byte-identical however tasks were batched. A
+    // custom task runner computes per task by contract, so it gets
+    // one-task chunks.
     const std::size_t width = runner ? 1 : globalBatchWidth();
+    // DVM policies compare by their canonical JSON — the form the
+    // cache key hashes — so a new DvmConfig field separates shapes
+    // without a hand-kept field list here.
+    std::vector<std::string> dvmKeys;
+    dvmKeys.reserve(pending.size());
+    for (std::size_t i : pending)
+        dvmKeys.push_back(writeJson(toJson(tasks[i].dvm), 0));
+    auto sameShape = [&](std::size_t a, std::size_t b) {
+        const RunTask &ta = tasks[pending[a]];
+        const RunTask &tb = tasks[pending[b]];
+        return ta.benchmark == tb.benchmark && ta.samples == tb.samples &&
+               ta.intervalInstrs == tb.intervalInstrs &&
+               dvmKeys[a] == dvmKeys[b];
+    };
+    // One open (not yet full) chunk per distinct run shape; chunks
+    // appear in first-task order and fill in task order.
     std::vector<std::vector<std::size_t>> chunks; // indices into pending
-    if (width <= 1) {
-        chunks.reserve(pending.size());
-        for (std::size_t k = 0; k < pending.size(); ++k)
-            chunks.push_back({k});
-    } else {
-        // DVM policies compare by their canonical JSON — the form the
-        // cache key hashes — so a new DvmConfig field separates shapes
-        // without a hand-kept field list here.
-        std::vector<std::string> dvmKeys;
-        dvmKeys.reserve(pending.size());
-        for (std::size_t i : pending)
-            dvmKeys.push_back(writeJson(toJson(tasks[i].dvm), 0));
-        auto sameShape = [&](std::size_t a, std::size_t b) {
-            const RunTask &ta = tasks[pending[a]];
-            const RunTask &tb = tasks[pending[b]];
-            return ta.benchmark == tb.benchmark &&
-                   ta.samples == tb.samples &&
-                   ta.intervalInstrs == tb.intervalInstrs &&
-                   dvmKeys[a] == dvmKeys[b];
-        };
-        // One open (not yet full) chunk per distinct run shape;
-        // chunks appear in first-task order and fill in task order.
-        std::vector<std::size_t> open;
-        for (std::size_t k = 0; k < pending.size(); ++k) {
-            std::size_t c = open.size();
-            for (std::size_t o = 0; o < open.size(); ++o)
-                if (sameShape(chunks[open[o]][0], k)) {
-                    c = o;
-                    break;
-                }
-            if (c == open.size()) {
-                open.push_back(chunks.size());
-                chunks.push_back({});
+    std::vector<std::size_t> open;
+    for (std::size_t k = 0; k < pending.size(); ++k) {
+        std::size_t c = open.size();
+        for (std::size_t o = 0; o < open.size(); ++o)
+            if (sameShape(chunks[open[o]][0], k)) {
+                c = o;
+                break;
             }
-            std::vector<std::size_t> &chunk = chunks[open[c]];
-            chunk.push_back(k);
-            if (chunk.size() >= width)
-                open.erase(open.begin() +
-                           static_cast<std::ptrdiff_t>(c));
+        if (c == open.size()) {
+            open.push_back(chunks.size());
+            chunks.push_back({});
         }
+        std::vector<std::size_t> &chunk = chunks[open[c]];
+        chunk.push_back(k);
+        if (chunk.size() >= width)
+            open.erase(open.begin() + static_cast<std::ptrdiff_t>(c));
     }
 
     // Publish one computed task: store to cache, mark resolved, fire
@@ -243,14 +235,10 @@ RunScheduler::run(ThreadPool &pool)
     // re-runs exactly the tasks that never resolved.
     parallelFor(pool, chunks.size(), [&](std::size_t ci) {
         const std::vector<std::size_t> &chunk = chunks[ci];
-        if (chunk.size() == 1) {
+        if (runner) {
             std::size_t i = pending[chunk[0]];
-            const RunTask &t = tasks[i];
             std::uint64_t runStart = telemetryNowUs();
-            results[i] = runner ? runner(t)
-                                : simulate(*t.benchmark, t.config,
-                                           t.samples, t.intervalInstrs,
-                                           t.dvm);
+            results[i] = runner(tasks[i]);
             publish(chunk[0], runStart, telemetryNowUs() - runStart);
             return;
         }

@@ -25,15 +25,15 @@
  * byte-exact stored results, a campaign's output is identical whether
  * any given run was computed or replayed.
  *
- * Missing tasks that share a run shape — same benchmark, samples,
- * intervalInstrs, and DVM policy, differing only in machine config —
- * are additionally folded into config-batched simulateBatch() calls
- * of at most globalBatchWidth() lanes (sim/batch.hh): the decode is
- * paid once per chunk instead of once per run. Chunking is derived
- * from the task list and the width alone, and the batched kernel is
- * bit-identical to scalar simulate(), so every report stays
- * byte-identical for any --jobs and any --batch-width. Progress,
- * cache, and telemetry events still fire once per logical run.
+ * Missing tasks run through simulateBatch() (sim/batch.hh): tasks
+ * that share a run shape — same benchmark, samples, intervalInstrs,
+ * and DVM policy, differing only in machine config — fold into
+ * chunks of at most globalBatchWidth() lanes, so the decode is paid
+ * once per chunk instead of once per run. Chunking is derived from
+ * the task list and the width alone, and every lane is bit-identical
+ * to the same run simulated alone, so every report stays
+ * byte-identical for any --jobs and any width. Progress, cache, and
+ * telemetry events still fire once per logical run.
  */
 
 #ifndef WAVEDYN_EXEC_SCHEDULER_HH
@@ -192,17 +192,18 @@ class RunScheduler
     }
 
     /**
-     * How run() computes one task's result; defaults to simulate().
+     * How run() computes one task's result; by default tasks run in
+     * simulateBatch() chunks.
      */
     using TaskRunner = std::function<SimResult(const RunTask &)>;
 
     /**
-     * Replace the task computation (empty restores simulate()). This
-     * is a deliberate fault-injection seam: simulate() is pure and
-     * asserts on bad input rather than throwing, so the exception-
-     * safety contract of run() is only testable with a runner that
-     * throws on demand. The runner is called from worker threads and
-     * must be thread-safe.
+     * Replace the task computation, one call per task (empty
+     * restores batched simulation). This is a deliberate
+     * fault-injection seam: simulate() is pure and asserts on bad
+     * input rather than throwing, so the exception-safety contract of
+     * run() is only testable with a runner that throws on demand. The
+     * runner is called from worker threads and must be thread-safe.
      */
     void setTaskRunner(TaskRunner fn) { runner = std::move(fn); }
 
@@ -225,7 +226,7 @@ class RunScheduler
     RunProgress progress; //!< optional worker-side completion hook
     CacheRunEvents events;
     std::shared_ptr<ResultCache> cache; //!< nullptr = caching off
-    TaskRunner runner;        //!< empty = simulate()
+    TaskRunner runner;        //!< empty = simulateBatch() chunks
     std::size_t completed = 0; //!< tasks below this all resolved
     std::size_t released = 0; //!< results below this index were freed
 };

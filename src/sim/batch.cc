@@ -3,33 +3,38 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 
 #include "power/model.hh"
-#include "sim/batch_arena.hh"
 #include "sim/pipeline.hh"
+#include "telemetry/telemetry.hh"
 #include "workload/shared_decode.hh"
 #include "workload/stream.hh"
 
 namespace
 {
 
-/** 0 = unset: resolve from WAVEDYN_BATCH_WIDTH / the built-in
- *  default on first read (mirrors the jobs knob's env fallback). */
+/** 0 = unset: kDefaultBatchWidth. */
 std::atomic<unsigned> gBatchWidth{0};
 
-unsigned
-defaultBatchWidth()
+/** The driver's counters, interned once. */
+struct SimCounters
 {
-    if (const char *env = std::getenv("WAVEDYN_BATCH_WIDTH")) {
-        char *end = nullptr;
-        unsigned long v = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && v > 0 && v <= 4096)
-            return static_cast<unsigned>(v);
+    wavedyn::MetricId cycles;            //!< lane cycles, warmup included
+    wavedyn::MetricId idleSkippedCycles; //!< of which fast-forwarded
+
+    static const SimCounters &
+    get()
+    {
+        static const SimCounters c = [] {
+            wavedyn::MetricsRegistry &reg = wavedyn::metricsRegistry();
+            SimCounters s;
+            s.cycles = reg.counter("sim.cycles");
+            s.idleSkippedCycles = reg.counter("sim.idle_skipped_cycles");
+            return s;
+        }();
+        return c;
     }
-    return wavedyn::kDefaultBatchWidth;
-}
+};
 
 } // namespace
 
@@ -40,7 +45,7 @@ unsigned
 globalBatchWidth()
 {
     unsigned w = gBatchWidth.load(std::memory_order_relaxed);
-    return w != 0 ? w : defaultBatchWidth();
+    return w != 0 ? w : kDefaultBatchWidth;
 }
 
 void
@@ -55,26 +60,15 @@ simulateBatch(const BenchmarkProfile &bench,
               std::size_t numIntervals, std::size_t intervalInstrs,
               const DvmConfig &dvm)
 {
-    std::vector<BatchLane> lanes;
-    lanes.reserve(configs.size());
-    for (const SimConfig &cfg : configs)
-        lanes.push_back(BatchLane{cfg, dvm});
-    return simulateBatch(bench, lanes, numIntervals, intervalInstrs);
-}
-
-std::vector<SimResult>
-simulateBatch(const BenchmarkProfile &bench,
-              const std::vector<BatchLane> &lanes,
-              std::size_t numIntervals, std::size_t intervalInstrs)
-{
     assert(numIntervals > 0 && intervalInstrs > 0);
-    const std::size_t n = lanes.size();
+    const std::size_t n = configs.size();
     std::vector<SimResult> out(n);
     if (n == 0)
         return out;
 
-    // Identical run shape to scalar simulate(): an eighth of the body
-    // warms caches/TLBs/predictors before sampling begins.
+    // An eighth of the run warms caches, TLBs and predictor tables
+    // before sampling begins (the paper fast-forwards to a SimPoint,
+    // which arrives with warm state).
     std::uint64_t body =
         static_cast<std::uint64_t>(numIntervals) * intervalInstrs;
     std::uint64_t warmup = body / 8;
@@ -82,33 +76,24 @@ simulateBatch(const BenchmarkProfile &bench,
     InstructionStream stream(bench, warmup + body);
     SharedOpWindow ops(stream);
 
-    std::size_t slab = 0;
-    for (const BatchLane &lane : lanes)
-        slab += Pipeline::arenaBytes(lane.config);
-    BatchArena arena(slab);
-
     // Lane-major (SoA) driver state: pipelines, power models, and the
     // per-interval bookkeeping all sit in parallel arrays indexed by
-    // lane. Pipelines are neither copyable nor movable (they hold
-    // arena-carved storage), hence the unique_ptr indirection.
-    std::vector<std::unique_ptr<Pipeline>> pipes;
+    // lane.
+    std::vector<Pipeline> pipes;
     std::vector<PowerModel> powers;
     std::vector<std::uint64_t> startCycles(n, 0);
     pipes.reserve(n);
     powers.reserve(n);
-    for (const BatchLane &lane : lanes) {
-        pipes.push_back(std::make_unique<Pipeline>(stream, lane.config,
-                                                   lane.dvm, arena));
-        pipes.back()->attachSharedOps(&ops);
-        pipes.back()->setIdleSkip(true);
-        powers.emplace_back(lane.config);
-        out[pipes.size() - 1].intervals.reserve(numIntervals);
+    for (std::size_t l = 0; l < n; ++l) {
+        pipes.emplace_back(ops, configs[l], dvm);
+        powers.emplace_back(configs[l]);
+        out[l].intervals.reserve(numIntervals);
     }
 
-    // Interval-grained lockstep: every lane makes exactly the scalar
-    // sequence of runInstructions() calls, one step at a time across
-    // all lanes, so the shared window's live span stays bounded by
-    // one step plus the in-flight fetch skew. After each step the
+    // Interval-grained lockstep: every lane makes exactly the
+    // sequence of runInstructions() calls a lone run would make, one
+    // step at a time across all lanes, so the shared window's live
+    // span stays bounded by one step plus the in-flight fetch skew. After each step the
     // window drops everything below the slowest lane.
     //
     // The fine interleave is deliberate, and measurably better than
@@ -124,8 +109,8 @@ simulateBatch(const BenchmarkProfile &bench,
     auto step = [&](std::uint64_t count) {
         std::uint64_t minPos = ~0ull;
         for (std::size_t l = 0; l < n; ++l) {
-            pipes[l]->runInstructions(count);
-            std::uint64_t pos = pipes[l]->fetchPosition();
+            pipes[l].runInstructions(count);
+            std::uint64_t pos = pipes[l].fetchPosition();
             if (pos < minPos)
                 minPos = pos;
         }
@@ -135,28 +120,33 @@ simulateBatch(const BenchmarkProfile &bench,
     if (warmup > 0) {
         step(warmup);
         for (std::size_t l = 0; l < n; ++l)
-            pipes[l]->resetInterval();
+            pipes[l].resetInterval();
     }
 
     for (std::size_t i = 0; i < numIntervals; ++i) {
         for (std::size_t l = 0; l < n; ++l) {
-            pipes[l]->resetInterval();
-            startCycles[l] = pipes[l]->now();
+            pipes[l].resetInterval();
+            startCycles[l] = pipes[l].now();
         }
         step(intervalInstrs);
         for (std::size_t l = 0; l < n; ++l)
             out[l].intervals.push_back(
-                assembleIntervalSample(*pipes[l], powers[l],
-                                       lanes[l].config,
+                assembleIntervalSample(pipes[l], powers[l], configs[l],
                                        startCycles[l]));
     }
 
+    std::uint64_t cycles = 0, skipped = 0;
     for (std::size_t l = 0; l < n; ++l) {
-        out[l].totalCycles = pipes[l]->now();
-        out[l].totalInstructions = pipes[l]->committed() - warmup;
-        out[l].dvmStats = pipes[l]->dvm().stats();
-        out[l].dvmFinalWqRatio = pipes[l]->dvm().wqRatio();
+        cycles += pipes[l].now();
+        skipped += pipes[l].idleSkippedCycles();
+        out[l].totalCycles = pipes[l].now();
+        out[l].totalInstructions = pipes[l].committed() - warmup;
+        out[l].dvmStats = pipes[l].dvm().stats();
+        out[l].dvmFinalWqRatio = pipes[l].dvm().wqRatio();
     }
+    const SimCounters &sc = SimCounters::get();
+    metricsRegistry().add(sc.cycles, cycles);
+    metricsRegistry().add(sc.idleSkippedCycles, skipped);
     return out;
 }
 

@@ -1,30 +1,29 @@
 /**
  * @file
- * Config-batched simulation kernel: decode once, simulate many.
+ * The simulation driver: decode once, simulate many.
  *
  * A design-space sweep simulates the *same* (benchmark, samples,
  * intervalInstrs, dvm) run under many machine configurations.
  * simulateBatch() runs N such configurations as N pipeline lanes in
- * interval-grained lockstep:
+ * interval-grained lockstep; simulate() is its one-lane case.
  *
  *  - one SharedOpWindow decodes the instruction stream once and feeds
  *    every lane (workload/shared_decode.hh);
- *  - per-lane ROB/fetch rings and calendar node pools are carved from
- *    one batch-owned BatchArena slab (sim/batch_arena.hh);
  *  - each lane arms the pipeline's idle-cycle fast-forward, which
  *    jumps over provably inert cycles with exact accounting (see the
- *    batched-kernel notes in sim/pipeline.hh);
+ *    hot-path notes in sim/pipeline.hh);
  *  - the driver's per-lane bookkeeping (interval start cycles, power
  *    models, result assembly) is laid out in lane-major arrays.
  *
  * Bit-identity contract: for every lane, at every batch width,
- * simulateBatch() returns byte-for-byte the SimResult that scalar
- * simulate() returns for that lane alone. The lockstep step is
- * exactly one scalar runInstructions() call (the warmup, then each
- * interval) — never a finer quantum, because doCommit() caps commits
- * at the call target, so an artificial sub-interval boundary would
- * change machine state. Pinned by tests/sim/batch_test.cc and the
- * golden report tests.
+ * simulateBatch() returns byte-for-byte the SimResult that lane's
+ * configuration produces when simulated alone, cycle by cycle. The
+ * lockstep step is exactly one runInstructions() call per lane (the
+ * warmup, then each interval) — never a finer quantum, because
+ * doCommit() caps commits at the call target, so an artificial
+ * sub-interval boundary would change machine state. Pinned against a
+ * naive oracle by tests/sim/batch_test.cc and by the golden report
+ * tests.
  */
 
 #ifndef WAVEDYN_SIM_BATCH_HH
@@ -41,17 +40,11 @@
 namespace wavedyn
 {
 
-/** One lane of a mixed batch: machine config plus DVM policy. */
-struct BatchLane
-{
-    SimConfig config;
-    DvmConfig dvm;
-};
-
 /**
  * Simulate every configuration in @p configs over the same run shape,
- * sharing one decode; results are indexed like @p configs. Equivalent
- * to (but faster than) calling simulate() per config.
+ * sharing one decode; results are indexed like @p configs. Publishes
+ * the lanes' summed cycles and idle-skipped cycles to the
+ * `sim.cycles` / `sim.idle_skipped_cycles` counters (observe-only).
  */
 std::vector<SimResult>
 simulateBatch(const BenchmarkProfile &bench,
@@ -59,25 +52,17 @@ simulateBatch(const BenchmarkProfile &bench,
               std::size_t numIntervals, std::size_t intervalInstrs,
               const DvmConfig &dvm = {});
 
-/** Mixed-policy form: each lane carries its own DVM config. */
-std::vector<SimResult>
-simulateBatch(const BenchmarkProfile &bench,
-              const std::vector<BatchLane> &lanes,
-              std::size_t numIntervals, std::size_t intervalInstrs);
-
 /**
  * Process-global batch width: how many cache-missing tasks sharing a
  * run key the RunScheduler folds into one simulateBatch() call.
- * Mirrors the currentJobs()/setJobs() pattern — the CLI configures it
- * once from --batch-width; unset (0) falls back to the
- * WAVEDYN_BATCH_WIDTH environment variable, then kDefaultBatchWidth.
- * 1 disables batching (every task is a scalar simulate()). Results
- * are byte-identical at every width — the knob only moves throughput.
+ * Mirrors the currentJobs()/setJobs() pattern; unset (0) means
+ * kDefaultBatchWidth. Results are byte-identical at every width —
+ * the knob only moves throughput.
  */
 unsigned globalBatchWidth();
 void setGlobalBatchWidth(unsigned width);
 
-/** Built-in default batch width (what the CLI falls back to). */
+/** Built-in batch width, used while none is set. */
 inline constexpr unsigned kDefaultBatchWidth = 16;
 
 } // namespace wavedyn

@@ -8,14 +8,10 @@
  * buckets replaces a binary heap: O(1) amortised schedule/drain
  * instead of O(log n), no per-event allocation in steady state.
  *
- * Storage is a bounded node pool with per-bucket intrusive lists: the
- * pipeline has at most one pending event per issued-but-uncommitted
- * ROB entry, so the pool never needs more than robSize nodes, which
- * lets a batched run carve it (and the bucket heads) from the batch
- * arena (sim/batch_arena.hh) instead of the heap. The heap-mode
- * constructor grows the pool on demand; exceeding an arena-mode
- * capacity falls back to an owned pool, so a wrong estimate costs an
- * allocation, never an event.
+ * Storage is a node pool with per-bucket intrusive lists; freed nodes
+ * are recycled, so the pool grows (on demand, by doubling) only to
+ * the peak number of pending events — at most one per
+ * issued-but-uncommitted ROB entry in the pipeline.
  *
  * Drain order is the exact order the original std::priority_queue
  * popped in — ascending (cycle, seq) — by sorting each (small)
@@ -39,7 +35,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "sim/batch_arena.hh"
 #include "util/bits.hh"
 
 namespace wavedyn
@@ -53,9 +48,6 @@ class CalendarQueue
     static constexpr std::uint64_t kNoEvent = ~0ull;
 
     /**
-     * Heap mode: bucket heads and the node pool are owned; the pool
-     * grows on demand.
-     *
      * @param horizon minimum schedulable distance in cycles; the
      *        bucket ring rounds up to a power of two and grows on
      *        demand if an event ever lands further out.
@@ -63,38 +55,11 @@ class CalendarQueue
     explicit CalendarQueue(std::uint64_t horizon)
     {
         std::uint64_t cap = ceilPow2(horizon + 1);
-        ownHeads.assign(cap, kNil);
+        heads.assign(cap, kNil);
         mask = cap - 1;
-    }
-
-    /**
-     * Arena mode: heads and a @p maxPending node pool are carved from
-     * @p arena. The pipeline's bound is robSize (one pending
-     * completion per issued, uncommitted entry).
-     */
-    CalendarQueue(std::uint64_t horizon, std::size_t maxPending,
-                  BatchArena &arena)
-    {
-        std::uint64_t cap = ceilPow2(horizon + 1);
-        extHeads = arena.allocate<std::uint32_t>(cap);
-        for (std::uint64_t b = 0; b < cap; ++b)
-            extHeads[b] = kNil;
-        mask = cap - 1;
-        extNodes = arena.allocate<Node>(maxPending);
-        poolCap = maxPending;
     }
 
     std::size_t pending() const { return count; }
-
-    /** Arena bytes the arena-mode constructor will carve (heads +
-     *  node pool + alignment slack) — for batch slab sizing. */
-    static std::size_t
-    arenaBytes(std::uint64_t horizon, std::size_t maxPending)
-    {
-        std::uint64_t cap = ceilPow2(horizon + 1);
-        return static_cast<std::size_t>(cap) * sizeof(std::uint32_t) +
-               maxPending * sizeof(Node) + 2 * alignof(std::uint64_t);
-    }
 
     /**
      * Schedule @p seq to fire at @p eventCycle.
@@ -108,13 +73,11 @@ class CalendarQueue
         if (eventCycle - now > mask)
             growHorizon(eventCycle - now);
         std::uint32_t idx = allocNode();
-        Node *ns = nodes();
-        std::uint32_t *hs = heads();
         std::uint64_t b = eventCycle & mask;
-        ns[idx].cycle = eventCycle;
-        ns[idx].seq = seq;
-        ns[idx].next = hs[b];
-        hs[b] = idx;
+        nodes[idx].cycle = eventCycle;
+        nodes[idx].seq = seq;
+        nodes[idx].next = heads[b];
+        heads[b] = idx;
         ++count;
         if (eventCycle < minHint)
             minHint = eventCycle;
@@ -136,22 +99,20 @@ class CalendarQueue
         // this call fires strictly later — keep the hint monotone.
         if (minHint <= cycle)
             minHint = cycle + 1;
-        std::uint32_t *hs = heads();
         std::uint64_t b = cycle & mask;
-        std::uint32_t idx = hs[b];
+        std::uint32_t idx = heads[b];
         if (idx == kNil)
             return;
-        Node *ns = nodes();
         scratch.clear();
         while (idx != kNil) {
-            assert(ns[idx].cycle == cycle);
-            scratch.push_back(ns[idx].seq);
-            std::uint32_t nxt = ns[idx].next;
-            ns[idx].next = freeHead;
+            assert(nodes[idx].cycle == cycle);
+            scratch.push_back(nodes[idx].seq);
+            std::uint32_t nxt = nodes[idx].next;
+            nodes[idx].next = freeHead;
             freeHead = idx;
             idx = nxt;
         }
-        hs[b] = kNil;
+        heads[b] = kNil;
         count -= scratch.size();
         if (count == 0)
             minHint = kNoEvent;
@@ -184,10 +145,8 @@ class CalendarQueue
         std::uint64_t c = from;
         if (minHint > c)
             c = minHint; // nothing pending below the lower bound
-        const std::uint32_t *hs =
-            extHeads ? extHeads : ownHeads.data();
         for (; c <= last; ++c)
-            if (hs[c & mask] != kNil) {
+            if (heads[c & mask] != kNil) {
                 minHint = c;
                 return c;
             }
@@ -206,34 +165,17 @@ class CalendarQueue
         std::uint32_t next = kNil;
     };
 
-    std::uint32_t *heads() { return extHeads ? extHeads : ownHeads.data(); }
-    Node *nodes() { return extNodes ? extNodes : ownNodes.data(); }
-
     std::uint32_t
     allocNode()
     {
         if (freeHead != kNil) {
             std::uint32_t idx = freeHead;
-            freeHead = nodes()[idx].next;
+            freeHead = nodes[idx].next;
             return idx;
         }
-        if (fresh == poolCap)
-            growPool();
+        if (fresh == nodes.size())
+            nodes.resize(std::max<std::size_t>(64, nodes.size() * 2));
         return static_cast<std::uint32_t>(fresh++);
-    }
-
-    /** Double the pool into owned storage (indices stay valid). */
-    void
-    growPool()
-    {
-        std::size_t bigger = std::max<std::size_t>(64, poolCap * 2);
-        std::vector<Node> next(bigger);
-        const Node *old = extNodes ? extNodes : ownNodes.data();
-        if (old != nullptr)
-            std::copy(old, old + poolCap, next.begin());
-        ownNodes = std::move(next);
-        extNodes = nullptr;
-        poolCap = bigger;
     }
 
     /** Re-bucket every pending event into a ring spanning @p dist. */
@@ -242,29 +184,23 @@ class CalendarQueue
     {
         std::uint64_t cap = std::max((mask + 1) * 2, ceilPow2(dist + 1));
         std::vector<std::uint32_t> bigger(cap, kNil);
-        Node *ns = nodes();
-        std::uint32_t *hs = heads();
         for (std::uint64_t b = 0; b <= mask; ++b) {
-            std::uint32_t idx = hs[b];
+            std::uint32_t idx = heads[b];
             while (idx != kNil) {
-                std::uint32_t nxt = ns[idx].next;
-                std::uint64_t nb = ns[idx].cycle & (cap - 1);
-                ns[idx].next = bigger[nb];
+                std::uint32_t nxt = nodes[idx].next;
+                std::uint64_t nb = nodes[idx].cycle & (cap - 1);
+                nodes[idx].next = bigger[nb];
                 bigger[nb] = idx;
                 idx = nxt;
             }
         }
-        ownHeads = std::move(bigger);
-        extHeads = nullptr;
+        heads = std::move(bigger);
         mask = cap - 1;
     }
 
-    std::vector<std::uint32_t> ownHeads;
-    std::vector<Node> ownNodes;
-    std::uint32_t *extHeads = nullptr; //!< arena-carved, when set
-    Node *extNodes = nullptr;          //!< arena-carved, when set
+    std::vector<std::uint32_t> heads; //!< bucket list heads
+    std::vector<Node> nodes;          //!< pool; indices stay valid
     std::uint64_t mask = 0;
-    std::size_t poolCap = 0;
     std::size_t fresh = 0; //!< pool nodes handed out at least once
     std::uint32_t freeHead = kNil;
     std::size_t count = 0;

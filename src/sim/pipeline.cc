@@ -20,20 +20,8 @@ AvfSample::combined(const SimConfig &cfg) const
            bits;
 }
 
-Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
+Pipeline::Pipeline(SharedOpWindow &ops, const SimConfig &cfg,
                    DvmConfig dvm)
-    : Pipeline(stream, cfg, dvm, nullptr)
-{
-}
-
-Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-                   DvmConfig dvm, BatchArena &arena)
-    : Pipeline(stream, cfg, dvm, &arena)
-{
-}
-
-Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-                   DvmConfig dvm, BatchArena *arena)
     : cfg(cfg),
       il1Cache(cfg.il1SizeKb, cfg.il1Assoc, cfg.il1LineBytes, "il1"),
       dl1Cache(cfg.dl1SizeKb, cfg.dl1Assoc, cfg.dl1LineBytes, "dl1"),
@@ -46,22 +34,14 @@ Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
       iqAvfAcc(cfg.iqSize), robAvfAcc(cfg.robSize),
       lsqAvfAcc(cfg.lsqSize),
       dvmCtl(dvm, cfg.iqSize),
-      window(arena ? RingBuffer<InFlight>(cfg.robSize, *arena)
-                   : RingBuffer<InFlight>(cfg.robSize)),
-      fetchQueue(arena ? RingBuffer<InFlight>(2 * cfg.fetchWidth, *arena)
-                       : RingBuffer<InFlight>(2 * cfg.fetchWidth)),
+      window(cfg.robSize),
+      fetchQueue(2 * cfg.fetchWidth),
       // Longest schedulable latency: a load missing DTLB, DL1 and L2.
       // Fixed execution latencies are far shorter; the queue grows on
-      // demand should a configuration ever exceed the bound. The
-      // arena-mode node pool is bounded by the ROB: at most one
-      // pending completion per issued, uncommitted entry.
-      completions(arena
-                      ? CalendarQueue(cfg.dl1Lat + cfg.tlbMissLat +
-                                          cfg.l2Lat + cfg.memLat + 16,
-                                      cfg.robSize + 1, *arena)
-                      : CalendarQueue(cfg.dl1Lat + cfg.tlbMissLat +
-                                      cfg.l2Lat + cfg.memLat + 16)),
-      fetchCursor(stream)
+      // demand should a configuration ever exceed the bound.
+      completions(cfg.dl1Lat + cfg.tlbMissLat + cfg.l2Lat + cfg.memLat +
+                  16),
+      ops(&ops)
 {
     scanSlotMask = window.capacity() - 1;
     notReadyA.assign(scanSlotMask + 1, 0);
@@ -76,20 +56,7 @@ Pipeline::Pipeline(const InstructionStream &stream, const SimConfig &cfg,
     };
     shift_of(cfg.il1LineBytes, il1LineShift, il1LinePow2);
     shift_of(cfg.pageBytes, pageShift, pagePow2);
-}
-
-std::size_t
-Pipeline::arenaBytes(const SimConfig &cfg)
-{
-    std::uint64_t horizon =
-        cfg.dl1Lat + cfg.tlbMissLat + cfg.l2Lat + cfg.memLat + 16;
-    std::size_t bytes =
-        static_cast<std::size_t>(ceilPow2(cfg.robSize)) *
-        sizeof(InFlight);
-    bytes += static_cast<std::size_t>(ceilPow2(2 * cfg.fetchWidth)) *
-             sizeof(InFlight);
-    bytes += CalendarQueue::arenaBytes(horizon, cfg.robSize + 1);
-    return bytes + 4 * alignof(InFlight); // per-array alignment slack
+    setIdleSkip(true);
 }
 
 Pipeline::InFlight *
@@ -530,11 +497,7 @@ Pipeline::doFetch()
     unsigned fetched = 0;
     while (fetched < cfg.fetchWidth && fetchQueue.size() < fq_cap) {
         InFlight e;
-        // Batched lanes read the shared decode window by absolute
-        // index — the same op the private cursor's next() would have
-        // produced (workload/shared_decode.hh pins the identity).
-        e.op = sharedOps ? sharedOps->opAt(fetchPos)
-                         : fetchCursor.next();
+        e.op = ops->opAt(fetchPos);
         ++fetchPos;
 
         // Instruction cache: one access per new line.

@@ -44,53 +44,35 @@
  *    schedule/drain are O(1) amortised. Buckets are sorted before
  *    draining because within-cycle completion order feeds
  *    floating-point AVF accumulation and is therefore bit-significant.
- *  - Fetch decodes the instruction stream through a streaming
- *    InstructionStream::Cursor instead of random-access at(i), which
- *    re-derives segment constants only at phase/modulation boundaries
- *    (see workload/stream.hh).
- *
- * Batched-kernel notes (sim/batch.hh)
- * -----------------------------------
- * simulateBatch() runs N configurations of the same run as N Pipeline
- * lanes in chunked lockstep. Three hooks on this class serve it, all
- * bit-identity-preserving:
- *
- *  - Shared decode: attachSharedOps() redirects fetch from the
- *    private cursor to a SharedOpWindow (workload/shared_decode.hh),
- *    so the stream is decoded once per batch instead of once per
- *    lane. fetchPosition() lets the driver trim the window to the
- *    slowest lane.
- *  - Arena state: the arena constructor carves the ROB/fetch rings
- *    and the calendar queue's bounded node pool (pending completions
- *    never exceed robSize — one per issued, uncommitted entry) from
- *    one batch-owned BatchArena slab instead of N sets of heap
- *    allocations. The per-run state lives exactly as long as the
- *    batch, so teardown is one slab release.
- *  - Idle-cycle fast-forward: setIdleSkip() lets runInstructions()
- *    jump over provably inert cycles — every stage blocked, with the
- *    earliest possible state change bounded by the next completion
- *    event / issue-sleep wakeup / fetch unblock — in one step, with
- *    exact integer occupancy accounting (occ * k) and bitwise-exact
- *    AVF accumulation (AvfAccumulator::tickMany replays the FP adds
- *    with a fixed-point early exit). The skip is only armed when the
+ *  - Fetch reads decoded ops by absolute dynamic index from a
+ *    SharedOpWindow (workload/shared_decode.hh): one streaming
+ *    InstructionStream::Cursor per run (workload/stream.hh) feeds
+ *    every lane of a simulateBatch() call, and fetchPosition() lets
+ *    the driver trim the window to the slowest lane.
+ *  - Idle-cycle fast-forward: runInstructions() jumps over provably
+ *    inert cycles — every stage blocked, with the earliest possible
+ *    state change bounded by the next completion event / issue-sleep
+ *    wakeup / fetch unblock — in one step, with exact integer
+ *    occupancy accounting (occ * k) and bitwise-exact AVF
+ *    accumulation (AvfAccumulator::tickMany replays the FP adds with
+ *    a fixed-point early exit). The constructor arms it whenever the
  *    DVM controller is disabled: an enabled controller observes and
  *    mutates its window state every cycle, so no cycle is inert.
  *    High-CPI (memory-bound) configurations spend most cycles
- *    waiting on memory, which is where the skip pays most; together
- *    with the shared decode the batched kernel measures ~2.0-2.4x
- *    scalar throughput at widths 16-64 (BENCH_sim.json).
+ *    waiting on memory, which is where the skip pays most.
  *
  * Per-cycle machine state stays laid out per lane (an AoS of
  * pipelines): each lane's control flow diverges after the first
  * config-dependent stall, so there is no cross-lane per-cycle loop to
  * vectorise. The struct-of-arrays layout lives one level up, in the
- * batch driver's per-lane bookkeeping and interval-sample assembly
- * arrays (sim/batch.cc), where iteration really is lane-major.
+ * driver's per-lane bookkeeping and interval-sample assembly arrays
+ * (sim/batch.cc), where iteration really is lane-major.
  *
- * Scalar simulate() stays byte-for-byte the reference: it takes none
- * of these hooks, so every batched optimisation must reproduce its
- * results exactly (pinned by tests/sim/batch_test.cc and the golden
- * report tests) rather than redefining them.
+ * The bit-identity reference is a deliberately naive driver in
+ * tests/sim/batch_test.cc: the same warmup and interval loop over a
+ * pipeline with the fast-forward switched off (setIdleSkip(false)),
+ * so every cycle runs through cycleOnce(). simulate() and every
+ * simulateBatch() width must reproduce its results byte for byte.
  *
  * bench/sim_throughput.cc measures the resulting simulate()
  * instructions/second and records them in BENCH_sim.json.
@@ -105,7 +87,6 @@
 #include "avf/estimator.hh"
 #include "dvm/controller.hh"
 #include "power/model.hh"
-#include "sim/batch_arena.hh"
 #include "sim/bpred.hh"
 #include "sim/cache.hh"
 #include "sim/calendar_queue.hh"
@@ -136,39 +117,26 @@ struct AvfSample
 class Pipeline
 {
   public:
-    Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-             DvmConfig dvm = {});
-
     /**
-     * Batched-lane construction: per-run rings and the calendar node
-     * pool are carved from @p arena (see "Batched-kernel notes").
-     * The pipeline must not outlive the arena.
+     * Fetch reads @p ops by absolute dynamic index; the window must
+     * outlive the pipeline and retain every index from
+     * fetchPosition() on. The idle-cycle fast-forward is armed unless
+     * @p dvm is enabled.
      */
-    Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-             DvmConfig dvm, BatchArena &arena);
+    Pipeline(SharedOpWindow &ops, const SimConfig &cfg,
+             DvmConfig dvm = {});
 
     /** Simulate until `count` more instructions commit. */
     void runInstructions(std::uint64_t count);
 
-    /**
-     * Fetch decoded ops from @p w (by absolute dynamic index) instead
-     * of the private cursor. Call before the first runInstructions();
-     * the window must outlive the pipeline and must retain every
-     * index from fetchPosition() on.
-     */
-    void attachSharedOps(SharedOpWindow *w) { sharedOps = w; }
-
     /** Dynamic index the next fetched op will have. */
     std::uint64_t fetchPosition() const { return fetchPos; }
 
-    /** Arena bytes one lane of @p cfg carves (batch slab sizing). */
-    static std::size_t arenaBytes(const SimConfig &cfg);
-
     /**
-     * Arm the idle-cycle fast-forward (batch path only; scalar
-     * simulate() never calls this, staying the plain-loop reference).
-     * Ignored — runInstructions stays cycle-by-cycle — when the DVM
-     * controller is enabled, since it observes every cycle.
+     * Switch the idle-cycle fast-forward. Only the test oracle turns
+     * it off, to run every cycle as the plain-loop reference; turning
+     * it on is ignored while the DVM controller is enabled, since the
+     * controller observes every cycle.
      */
     void
     setIdleSkip(bool on)
@@ -188,7 +156,7 @@ class Pipeline
     /** Cycles elapsed since construction. */
     std::uint64_t now() const { return cycle; }
 
-    /** Cycles covered by the idle fast-forward (0 on the scalar path). */
+    /** Cycles covered by the idle fast-forward. */
     std::uint64_t idleSkippedCycles() const { return idleSkipped; }
 
     /** Instructions committed since construction. */
@@ -218,10 +186,6 @@ class Pipeline
         bool aceCompleted = false; //!< ROB ACE transition applied
         bool mispredicted = false; //!< direction mispredict at fetch
     };
-
-    /** Shared body of the public constructors (arena optional). */
-    Pipeline(const InstructionStream &stream, const SimConfig &cfg,
-             DvmConfig dvm, BatchArena *arena);
 
     void cycleOnce();
     void doCompletions();
@@ -280,10 +244,9 @@ class Pipeline
     std::uint64_t frontSeq = 0;  //!< seq of window.front()
     RingBuffer<InFlight> fetchQueue;
     CalendarQueue completions;
-    InstructionStream::Cursor fetchCursor;
-    SharedOpWindow *sharedOps = nullptr; //!< batch decode, when set
+    SharedOpWindow *ops;        //!< decoded op source
     std::uint64_t fetchPos = 0; //!< ops fetched so far
-    bool idleSkip = false;      //!< fast-forward armed (batch path)
+    bool idleSkip = false;      //!< fast-forward armed
     std::uint64_t idleSkipped = 0; //!< cycles fast-forwarded over
 
     /**

@@ -10,13 +10,6 @@
  * and dependency walks are hot on. Slots never move while an element
  * is alive, so pointers into the buffer stay valid until that
  * element's pop_front().
- *
- * Storage comes from an owned vector by default, or — for batched
- * runs constructing N pipelines at once (sim/batch.hh) — from a
- * BatchArena slab, so all lanes' rings share one allocation. An
- * arena-backed ring must not outlive its arena and must not be
- * copied (the copy would alias the same slots); the owned mode keeps
- * the original value semantics.
  */
 
 #ifndef WAVEDYN_SIM_RING_BUFFER_HH
@@ -27,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "sim/batch_arena.hh"
 #include "util/bits.hh"
 
 namespace wavedyn
@@ -42,15 +34,7 @@ class RingBuffer
     explicit RingBuffer(std::size_t capacity)
     {
         std::size_t cap = static_cast<std::size_t>(ceilPow2(capacity));
-        own.resize(cap);
-        mask = cap - 1;
-    }
-
-    /** Slots carved from @p arena instead of the heap. */
-    RingBuffer(std::size_t capacity, BatchArena &arena)
-    {
-        std::size_t cap = static_cast<std::size_t>(ceilPow2(capacity));
-        ext = arena.allocate<T>(cap);
+        slots.resize(cap);
         mask = cap - 1;
     }
 
@@ -64,14 +48,14 @@ class RingBuffer
     operator[](std::size_t i)
     {
         assert(i < count);
-        return slots()[(head + i) & mask];
+        return slots[(head + i) & mask];
     }
 
     const T &
     operator[](std::size_t i) const
     {
         assert(i < count);
-        return slots()[(head + i) & mask];
+        return slots[(head + i) & mask];
     }
 
     T &front() { return (*this)[0]; }
@@ -84,7 +68,7 @@ class RingBuffer
     push_back(T v)
     {
         assert(!full());
-        slots()[(head + count) & mask] = std::move(v);
+        slots[(head + count) & mask] = std::move(v);
         ++count;
     }
 
@@ -105,11 +89,7 @@ class RingBuffer
     }
 
   private:
-    T *slots() { return ext ? ext : own.data(); }
-    const T *slots() const { return ext ? ext : own.data(); }
-
-    std::vector<T> own;
-    T *ext = nullptr; //!< arena-carved slots, when set
+    std::vector<T> slots;
     std::size_t mask = 0;
     std::size_t head = 0;
     std::size_t count = 0;

@@ -1,9 +1,8 @@
 #include "sim/simulator.hh"
 
-#include <cassert>
 #include <stdexcept>
 
-#include "workload/stream.hh"
+#include "sim/batch.hh"
 
 namespace wavedyn
 {
@@ -169,40 +168,8 @@ simulate(const BenchmarkProfile &bench, const SimConfig &cfg,
          std::size_t numIntervals, std::size_t intervalInstrs,
          const DvmConfig &dvm)
 {
-    assert(numIntervals > 0 && intervalInstrs > 0);
-
-    // An eighth of the run warms caches, TLBs and predictor tables
-    // before sampling begins (the paper fast-forwards to a SimPoint,
-    // which arrives with warm state).
-    std::uint64_t body =
-        static_cast<std::uint64_t>(numIntervals) * intervalInstrs;
-    std::uint64_t warmup = body / 8;
-
-    InstructionStream stream(bench, warmup + body);
-    Pipeline pipe(stream, cfg, dvm);
-    PowerModel power(cfg);
-
-    if (warmup > 0) {
-        pipe.runInstructions(warmup);
-        pipe.resetInterval();
-    }
-
-    SimResult result;
-    result.intervals.reserve(numIntervals);
-
-    for (std::size_t i = 0; i < numIntervals; ++i) {
-        pipe.resetInterval();
-        std::uint64_t start_cycle = pipe.now();
-        pipe.runInstructions(intervalInstrs);
-        result.intervals.push_back(
-            assembleIntervalSample(pipe, power, cfg, start_cycle));
-    }
-
-    result.totalCycles = pipe.now();
-    result.totalInstructions = pipe.committed() - warmup;
-    result.dvmStats = pipe.dvm().stats();
-    result.dvmFinalWqRatio = pipe.dvm().wqRatio();
-    return result;
+    return simulateBatch(bench, {cfg}, numIntervals, intervalInstrs, dvm)
+        .front();
 }
 
 } // namespace wavedyn

@@ -112,7 +112,8 @@ struct SimResult
 /**
  * Simulation front door: one run = one (benchmark, config, DVM policy)
  * triple sampled into numIntervals intervals of intervalInstrs
- * committed instructions each.
+ * committed instructions each. It is the one-lane case of
+ * simulateBatch() (sim/batch.hh).
  */
 SimResult simulate(const BenchmarkProfile &bench, const SimConfig &cfg,
                    std::size_t numIntervals, std::size_t intervalInstrs,
@@ -120,10 +121,9 @@ SimResult simulate(const BenchmarkProfile &bench, const SimConfig &cfg,
 
 /**
  * Assemble one IntervalSample from a pipeline whose interval window
- * just closed. One function shared by scalar simulate() and the
- * batched kernel (sim/batch.hh): both paths must perform the
- * identical floating-point arithmetic, in the identical order, for
- * the batched results to stay bit-identical to the reference.
+ * just closed. Shared by the driver (sim/batch.hh) and the test
+ * oracle, so both perform the identical floating-point arithmetic in
+ * the identical order.
  * @param startCycle pipe.now() at the interval's start.
  */
 IntervalSample assembleIntervalSample(const Pipeline &pipe,

@@ -15,7 +15,8 @@
  * Bit-identity: opAt(i) returns exactly what the i-th next() call on
  * a private Cursor returns — the same object produces the ops, in the
  * same order, through the same DecodeContext caching — so feeding N
- * pipelines from one window cannot change any simulated byte.
+ * pipelines from one window cannot change any simulated byte (pinned
+ * by tests/workload/shared_decode_test.cc).
  */
 
 #ifndef WAVEDYN_WORKLOAD_SHARED_DECODE_HH

@@ -1,11 +1,11 @@
 /**
  * @file
- * Batching on/off golden test: every campaign report must be
+ * Batch-width golden test: every campaign report must be
  * byte-identical whether the scheduler folds cache-missing runs into
- * config-batched simulateBatch() chunks (--batch-width > 1) or runs
- * each task through scalar simulate() (--batch-width 1), at any jobs
- * count. The suite run is additionally pinned against the checked-in
- * golden (tests/data/golden_generated_suite.txt), which predates the
+ * wide simulateBatch() chunks or runs each task as a one-lane chunk
+ * (setGlobalBatchWidth(1)), at any jobs count. The suite run is
+ * additionally pinned against the checked-in golden
+ * (tests/data/golden_generated_suite.txt), which predates the
  * batched kernel — so batching is also proven not to have moved a
  * byte relative to the pre-batching simulator.
  */
@@ -101,11 +101,11 @@ runAt(const char *json, std::size_t jobs, unsigned batchWidth)
 
 TEST(BatchGolden, SuiteReportInvariantAcrossWidthsAndJobs)
 {
-    const std::string unbatched =
+    const std::string oneLane =
         renderAllFormats(runAt(kSuiteSpecJson, 1, 1));
     for (std::size_t jobs : {std::size_t(1), std::size_t(8)})
         for (unsigned width : {16u, 64u})
-            EXPECT_EQ(unbatched,
+            EXPECT_EQ(oneLane,
                       renderAllFormats(
                           runAt(kSuiteSpecJson, jobs, width)))
                 << "jobs=" << jobs << " width=" << width;
@@ -123,9 +123,9 @@ TEST(BatchGolden, BatchedSuiteReproducesPreBatchingGolden)
 
 TEST(BatchGolden, ExploreReportInvariantAcrossWidths)
 {
-    const std::string unbatched = renderReport(
+    const std::string oneLane = renderReport(
         runAt(kExploreSpecJson, 1, 1), ReportFormat::Text);
-    EXPECT_EQ(unbatched,
+    EXPECT_EQ(oneLane,
               renderReport(runAt(kExploreSpecJson, 8, 64),
                            ReportFormat::Text));
 }

@@ -12,6 +12,7 @@
 
 #include "power/model.hh"
 #include "sim/simulator.hh"
+#include "workload/shared_decode.hh"
 #include "workload/stream.hh"
 
 namespace wavedyn
@@ -75,7 +76,8 @@ class PipelineInvariants : public ::testing::TestWithParam<Combo>
 TEST_P(PipelineInvariants, ConservationOfInstructions)
 {
     InstructionStream stream(bench(), 6000);
-    Pipeline pipe(stream, config());
+    SharedOpWindow ops(stream);
+    Pipeline pipe(ops, config());
     pipe.runInstructions(6000);
     const auto &a = pipe.intervalActivity();
     // Everything committed was dispatched; everything dispatched was
@@ -95,7 +97,8 @@ TEST_P(PipelineInvariants, OccupancyWithinCapacity)
 {
     SimConfig cfg = config();
     InstructionStream stream(bench(), 4000);
-    Pipeline pipe(stream, cfg);
+    SharedOpWindow ops(stream);
+    Pipeline pipe(ops, cfg);
     pipe.runInstructions(4000);
     const auto &a = pipe.intervalActivity();
     ASSERT_GT(a.cycles, 0u);
@@ -108,7 +111,8 @@ TEST_P(PipelineInvariants, OccupancyWithinCapacity)
 TEST_P(PipelineInvariants, MissesNeverExceedAccesses)
 {
     InstructionStream stream(bench(), 4000);
-    Pipeline pipe(stream, config());
+    SharedOpWindow ops(stream);
+    Pipeline pipe(ops, config());
     pipe.runInstructions(4000);
     const auto &a = pipe.intervalActivity();
     EXPECT_LE(a.il1Misses, a.il1Accesses);
@@ -125,7 +129,8 @@ TEST_P(PipelineInvariants, CyclesLowerBound)
 {
     SimConfig cfg = config();
     InstructionStream stream(bench(), 4000);
-    Pipeline pipe(stream, cfg);
+    SharedOpWindow ops(stream);
+    Pipeline pipe(ops, cfg);
     pipe.runInstructions(4000);
     // Can't commit more than width per cycle.
     EXPECT_GE(pipe.now() * cfg.fetchWidth, 4000u);
@@ -159,7 +164,8 @@ TEST(PowerIdentity, WattsEqualsBreakdownSumOnRealActivity)
     const auto &bench = benchmarkByName("vortex");
     SimConfig cfg = SimConfig::baseline();
     InstructionStream stream(bench, 4000);
-    Pipeline pipe(stream, cfg);
+    SharedOpWindow ops(stream);
+    Pipeline pipe(ops, cfg);
     pipe.runInstructions(4000);
     PowerModel pm(cfg);
     const auto &a = pipe.intervalActivity();

@@ -157,8 +157,10 @@ TEST_F(TelemetryGoldenTest, SpanMultisetIsJobsInvariant)
     JsonValue m8 = parseJson(slurp(dir + "/m8.json"));
     for (const char *name :
          {"scheduler.runs", "scheduler.computed", "cache.hits",
-          "cache.misses", "cache.stores"})
+          "cache.misses", "cache.stores", "sim.cycles",
+          "sim.idle_skipped_cycles"})
         EXPECT_EQ(counterOf(m1, name), counterOf(m8, name)) << name;
+    EXPECT_GT(counterOf(m1, "sim.cycles"), 0u);
 }
 
 TEST_F(TelemetryGoldenTest, TraceValidatesAndNestsProperly)

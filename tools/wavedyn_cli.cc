@@ -114,7 +114,6 @@
 #include "campaign/report.hh"
 #include "core/serialize.hh"
 #include "lint/driver.hh"
-#include "sim/batch.hh"
 #include "telemetry/logsink.hh"
 #include "telemetry/telemetry.hh"
 #include "util/atomic_file.hh"
@@ -170,10 +169,6 @@ usage()
         "common options:\n"
         "  --jobs N    simulate/train with N worker threads (default:\n"
         "              WAVEDYN_JOBS or hardware concurrency; 1 = serial;\n"
-        "              reports are identical for every N)\n"
-        "  --batch-width N  fold up to N same-shape cache-missing runs\n"
-        "              into one config-batched simulation (default:\n"
-        "              WAVEDYN_BATCH_WIDTH or 16; 1 = unbatched;\n"
         "              reports are identical for every N)\n"
         "  --format F  report format: text (default), markdown, csv,\n"
         "              json\n"
@@ -268,7 +263,6 @@ struct Options
     std::size_t interval = 256;
     std::size_t coeffs = 16;
     std::size_t jobs = 0; // 0 => WAVEDYN_JOBS / hardware concurrency
-    std::size_t batchWidth = 0; // 0 => WAVEDYN_BATCH_WIDTH / default
     double dvmThreshold = -1.0; // <0 => DVM off
     std::string scale = "quick";
     std::size_t generate = 0; // 0 => paper benchmarks
@@ -326,7 +320,6 @@ constexpr FlagDef kFlagRegistry[] = {
     {"--train", true},      {"--test", true},
     {"--samples", true},    {"--interval", true},
     {"--coeffs", true},     {"--jobs", true},
-    {"--batch-width", true},
     {"--dvm", true},        {"--scale", true},
     {"--format", true},     {"--out", true},
     {"--generate", true},   {"--family", true},
@@ -358,8 +351,7 @@ findFlag(const std::string &name)
 std::vector<std::string>
 campaignFlags(std::initializer_list<const char *> extras)
 {
-    std::vector<std::string> allowed = {"--jobs", "--batch-width",
-                                        "--format", "--out",
+    std::vector<std::string> allowed = {"--jobs", "--format", "--out",
                                         "--cache-dir", "--no-cache",
                                         "--trace-out", "--metrics-out"};
     for (const char *e : extras)
@@ -436,8 +428,6 @@ parseOptions(int argc, char **argv, int first,
             o.coeffs = parseSize(val, key);
         else if (key == "--jobs")
             o.jobs = parseSize(val, key);
-        else if (key == "--batch-width")
-            o.batchWidth = parseSize(val, key);
         else if (key == "--dvm")
             o.dvmThreshold = parseDouble(val, key);
         else if (key == "--scale")
@@ -484,7 +474,6 @@ parseOptions(int argc, char **argv, int first,
         i += 2;
     }
     setJobs(o.jobs);
-    setGlobalBatchWidth(static_cast<unsigned>(o.batchWidth));
     return o;
 }
 
