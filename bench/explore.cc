@@ -8,10 +8,10 @@
  * configurations routine).
  *
  * Reports the batched hot path (predictTraces, the lattice RBF kernel
- * on sweep points), the scalar per-point path for comparison, and a
- * small end-to-end adaptive exploration. `--json <path>` additionally
- * records the numbers machine-readably (core/report JSON conventions)
- * so BENCH_explore.json perf trajectories can accumulate.
+ * on sweep points) and a small end-to-end adaptive exploration.
+ * `--json <path>` additionally records the numbers machine-readably
+ * (core/report JSON conventions) so BENCH_explore.json perf
+ * trajectories can accumulate.
  */
 
 #include <chrono>
@@ -84,30 +84,12 @@ main(int argc, char **argv)
         });
     double batchedSec = secondsSince(t0);
 
-    // Scalar path on a subsample, for the speedup ratio.
-    const std::size_t scalarPoints = std::min<std::size_t>(sweepPoints,
-                                                           4096);
-    t0 = std::chrono::steady_clock::now();
-    double scalarAcc = 0.0;
-    for (std::size_t i = 0; i < scalarPoints; ++i) {
-        auto trace = predictor.predictTrace(
-            data.space.pointFromFlatTrainIndex(i));
-        for (double v : trace)
-            scalarAcc += v;
-    }
-    double scalarSec = secondsSince(t0);
-
     TextTable t("sweep throughput (one predictor, trace length " +
                 fmt(predictor.traceLength()) + ")");
     t.header({"path", "points", "seconds", "points/sec"});
     t.row({"batched+parallel", fmt(sweepPoints), fmt(batchedSec, 3),
            fmt(batchedSec > 0.0
                    ? static_cast<double>(sweepPoints) / batchedSec
-                   : 0.0,
-               0)});
-    t.row({"scalar serial", fmt(scalarPoints), fmt(scalarSec, 3),
-           fmt(scalarSec > 0.0
-                   ? static_cast<double>(scalarPoints) / scalarSec
                    : 0.0,
                0)});
     t.print(std::cout);
@@ -142,12 +124,6 @@ main(int argc, char **argv)
         sweep.set("batched_points_per_sec",
                   batchedSec > 0.0
                       ? static_cast<double>(sweepPoints) / batchedSec
-                      : 0.0);
-        sweep.set("scalar_points", std::uint64_t{scalarPoints});
-        sweep.set("scalar_seconds", scalarSec);
-        sweep.set("scalar_points_per_sec",
-                  scalarSec > 0.0
-                      ? static_cast<double>(scalarPoints) / scalarSec
                       : 0.0);
         doc.set("sweep", std::move(sweep));
         JsonValue e2e = JsonValue::object();

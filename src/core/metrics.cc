@@ -12,12 +12,10 @@ evaluatePredictor(const WaveletNeuralPredictor &pred,
 {
     assert(test_points.size() == actual_traces.size());
     EvalResult res;
+    auto predicted = pred.predictTraces(test_points);
     res.msePerTest.reserve(test_points.size());
-    for (std::size_t i = 0; i < test_points.size(); ++i) {
-        auto predicted = pred.predictTrace(test_points[i]);
-        res.msePerTest.push_back(
-            msePercent(actual_traces[i], predicted));
-    }
+    for (std::size_t i = 0; i < test_points.size(); ++i)
+        res.msePerTest.push_back(msePercent(actual_traces[i], predicted[i]));
     res.summary = boxplot(res.msePerTest);
     return res;
 }

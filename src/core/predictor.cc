@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "telemetry/telemetry.hh"
 #include "wavelet/haar.hh"
@@ -14,7 +16,7 @@ namespace wavedyn
 namespace
 {
 
-/** predictTraces' counters, interned once. */
+/** The prediction counters, interned once. */
 struct SweepCounters
 {
     MetricId rbfTerms;        //!< RBF unit terms computed
@@ -162,44 +164,21 @@ WaveletNeuralPredictor::trainImpl(const DesignSpace &space,
     }
 }
 
-std::vector<double>
-WaveletNeuralPredictor::predictCoefficients(const DesignPoint &point) const
-{
-    assert(trained());
-    std::vector<double> coeffs(length, 0.0);
-    auto norm = space.normalize(point);
-    for (std::size_t s = 0; s < selected.size(); ++s)
-        coeffs[selected[s]] = models[s]->predict(norm);
-    return coeffs;
-}
-
-std::vector<double>
-WaveletNeuralPredictor::predictTrace(const DesignPoint &point) const
-{
-    auto trace = fromCoefficients(predictCoefficients(point));
-    if (opts.clampToTrainingRange) {
-        double margin = 0.1 * (trainHi - trainLo);
-        double lo = trainLo - margin;
-        double hi = trainHi + margin;
-        for (double &v : trace)
-            v = std::min(std::max(v, lo), hi);
-    }
-    return trace;
-}
-
 /**
- * One batched prediction call. The lattice kernel applies when every
- * model is an RBF network and every dimension fits its level tables:
- * sweep, train and test points all sit on training levels, so each
- * unit's z^2 terms are looked up per (dimension, level) instead of
- * recomputed per point. Points arrive in blocks sized so the inputs
- * and the per-model prediction columns stay cache resident; each block
- * is predicted model by model, then assemble() turns the columns into
- * traces with one reused coefficient buffer and an allocation-free
- * inverse transform — the per-point allocation churn of the scalar
- * path (fresh coefficient vector + one temporary per dyadic level
- * inside haarInverse) is what a sweep of 10^5-10^6 points cannot
- * afford. The counters are kept locally and published once per call.
+ * One prediction call, the only place coefficient models are
+ * evaluated. Every point sits on training levels of the DesignSpace,
+ * so the constructor gives each model its evaluator once per call: an
+ * RBF network gets a lattice table, which looks up each unit's z^2
+ * terms per (dimension, level) instead of recomputing them per point;
+ * any other model gets one predictMany per block on normalised rows
+ * read from a per-(dimension, level) table. Points arrive in blocks
+ * sized so the inputs and the per-model prediction columns stay cache
+ * resident; each block is predicted model by model, then assemble()
+ * turns the columns into traces with one reused coefficient buffer and
+ * an allocation-free inverse transform — a sweep of 10^5-10^6 points
+ * cannot afford a fresh coefficient vector and one temporary per
+ * dyadic level per point. The counters are kept locally and published
+ * once per call.
  */
 class WaveletNeuralPredictor::Batch
 {
@@ -207,54 +186,41 @@ class WaveletNeuralPredictor::Batch
     static constexpr std::size_t kBlock = 256;
 
     explicit Batch(const WaveletNeuralPredictor &pred)
-        : pred(pred), byModel(pred.models.size()),
-          coeffs(pred.length, 0.0), scratch(pred.length)
+        : pred(pred), levels(pred.space.dimensions()),
+          byModel(pred.models.size()), coeffs(pred.length, 0.0),
+          scratch(pred.length)
     {
         const DesignSpace &space = pred.space;
-        const std::size_t dims = space.dimensions();
-        lattice = dims > 0;
-        for (std::size_t d = 0; d < dims; ++d)
-            lattice = lattice && space.param(d).levels() <=
-                                     RbfLatticeTable::kMaxLevels;
-        for (const auto &m : pred.models) {
-            nets.push_back(dynamic_cast<const RbfNetwork *>(m.get()));
-            lattice = lattice && nets.back() != nullptr;
-        }
-        if (!lattice)
-            return;
-        std::vector<std::vector<double>> levels(dims);
-        for (std::size_t d = 0; d < dims; ++d)
+        for (std::size_t d = 0; d < space.dimensions(); ++d)
             for (double v : space.param(d).trainLevels)
                 levels[d].push_back(space.param(d).normalize(v));
-        for (const RbfNetwork *net : nets)
-            tables.push_back(net->latticeTable(levels));
-    }
-
-    /** True when on-level blocks may take predictLattice(). */
-    bool latticeKernel() const { return lattice; }
-
-    /**
-     * Predict @p n <= kBlock lattice rows (level indices, n x dims).
-     * @pre latticeKernel().
-     */
-    void
-    predictLattice(const std::uint8_t *levelIdx, std::size_t n)
-    {
-        for (std::size_t s = 0; s < nets.size(); ++s) {
-            byModel[s].resize(n);
-            nets[s]->predictLattice(tables[s], levelIdx, n,
-                                    byModel[s].data(), terms);
+        for (const auto &m : pred.models) {
+            nets.push_back(dynamic_cast<const RbfNetwork *>(m.get()));
+            tables.push_back(nets.back() ? nets.back()->latticeTable(levels)
+                                         : RbfLatticeTable{});
         }
     }
 
-    /** Predict the rows of @p x (normalised coordinates). */
+    /** Predict @p n <= kBlock lattice rows (level indices, n x dims). */
     void
-    predictNormalized(const Matrix &x)
+    predict(const std::size_t *levelIdx, std::size_t n)
     {
-        for (std::size_t s = 0; s < pred.models.size(); ++s) {
+        const std::size_t dims = levels.size();
+        Matrix x; // normalised rows, built for the first non-RBF model
+        for (std::size_t s = 0; s < nets.size(); ++s) {
+            if (nets[s]) {
+                byModel[s].resize(n);
+                nets[s]->predictLattice(tables[s], levelIdx, n,
+                                        byModel[s].data(), terms);
+                continue;
+            }
+            if (x.rows() == 0) {
+                x = Matrix(n, dims);
+                for (std::size_t r = 0; r < n; ++r)
+                    for (std::size_t c = 0; c < dims; ++c)
+                        x.at(r, c) = levels[c][levelIdx[r * dims + c]];
+            }
             byModel[s] = pred.models[s]->predictMany(x);
-            if (nets[s])
-                terms.evaluated += x.rows() * nets[s]->units().size();
         }
     }
 
@@ -309,8 +275,8 @@ class WaveletNeuralPredictor::Batch
 
   private:
     const WaveletNeuralPredictor &pred;
-    bool lattice = false;
-    std::vector<const RbfNetwork *> nets;
+    std::vector<std::vector<double>> levels; //!< [dim][level] normalised
+    std::vector<const RbfNetwork *> nets;    //!< null for non-RBF models
     std::vector<RbfLatticeTable> tables;
     std::vector<std::vector<double>> byModel; //!< [model][block row]
     std::vector<double> coeffs;
@@ -318,57 +284,6 @@ class WaveletNeuralPredictor::Batch
     RbfTermCounts terms;
     std::uint64_t clamped = 0;
 };
-
-std::vector<std::vector<double>>
-WaveletNeuralPredictor::predictTraces(
-    const std::vector<DesignPoint> &points) const
-{
-    assert(trained());
-    if (points.empty())
-        return {};
-
-    // A block with a point off the training levels takes one virtual
-    // predictMany per model on its normalised coordinates.
-    Batch batch(*this);
-    const std::size_t dims = space.dimensions();
-    std::vector<std::uint8_t> levelIdx;
-    std::vector<double> traces(
-        std::min(Batch::kBlock, points.size()) * length);
-    std::vector<std::vector<double>> out;
-    out.reserve(points.size());
-    for (std::size_t b0 = 0; b0 < points.size(); b0 += Batch::kBlock) {
-        std::size_t n = std::min(Batch::kBlock, points.size() - b0);
-        bool onLattice = batch.latticeKernel();
-        levelIdx.resize(n * dims);
-        for (std::size_t r = 0; r < n && onLattice; ++r) {
-            const DesignPoint &p = points[b0 + r];
-            for (std::size_t c = 0; c < dims && onLattice; ++c) {
-                const std::vector<double> &lv = space.param(c).trainLevels;
-                auto it = std::find(lv.begin(), lv.end(), p[c]);
-                onLattice = it != lv.end();
-                levelIdx[r * dims + c] =
-                    static_cast<std::uint8_t>(it - lv.begin());
-            }
-        }
-        if (onLattice) {
-            batch.predictLattice(levelIdx.data(), n);
-        } else {
-            Matrix x(n, dims);
-            for (std::size_t r = 0; r < n; ++r) {
-                const DesignPoint &p = points[b0 + r];
-                for (std::size_t c = 0; c < dims; ++c)
-                    x.at(r, c) = space.param(c).normalize(p[c]);
-            }
-            batch.predictNormalized(x);
-        }
-        batch.assemble(n, traces.data());
-        for (std::size_t r = 0; r < n; ++r)
-            out.emplace_back(traces.begin() + r * length,
-                             traces.begin() + (r + 1) * length);
-    }
-    batch.publish();
-    return out;
-}
 
 void
 WaveletNeuralPredictor::predictLatticeTraces(const std::size_t *levelIdx,
@@ -378,30 +293,45 @@ WaveletNeuralPredictor::predictLatticeTraces(const std::size_t *levelIdx,
     assert(trained());
     Batch batch(*this);
     const std::size_t dims = space.dimensions();
-    std::vector<std::uint8_t> narrow;
     for (std::size_t b0 = 0; b0 < n; b0 += Batch::kBlock) {
         std::size_t m = std::min(Batch::kBlock, n - b0);
-        const std::size_t *rows = levelIdx + b0 * dims;
-        if (batch.latticeKernel()) {
-            // Every dimension has at most kMaxLevels levels here, so
-            // each index fits the kernel's byte rows.
-            narrow.resize(m * dims);
-            for (std::size_t i = 0; i < m * dims; ++i)
-                narrow[i] = static_cast<std::uint8_t>(rows[i]);
-            batch.predictLattice(narrow.data(), m);
-        } else {
-            Matrix x(m, dims);
-            for (std::size_t r = 0; r < m; ++r)
-                for (std::size_t c = 0; c < dims; ++c) {
-                    const Parameter &p = space.param(c);
-                    x.at(r, c) =
-                        p.normalize(p.trainLevels[rows[r * dims + c]]);
-                }
-            batch.predictNormalized(x);
-        }
+        batch.predict(levelIdx + b0 * dims, m);
         batch.assemble(m, out + b0 * length);
     }
     batch.publish();
+}
+
+std::vector<std::vector<double>>
+WaveletNeuralPredictor::predictTraces(
+    const std::vector<DesignPoint> &points) const
+{
+    assert(trained());
+    // Parameter::levelIndex cannot report an off-level value, so every
+    // point is checked before anything is predicted.
+    const std::size_t dims = space.dimensions();
+    std::vector<std::size_t> levelIdx(points.size() * dims);
+    for (std::size_t r = 0; r < points.size(); ++r) {
+        std::string invalid = space.validationError(points[r]);
+        if (!invalid.empty())
+            throw std::invalid_argument(invalid);
+        for (std::size_t c = 0; c < dims; ++c)
+            levelIdx[r * dims + c] =
+                space.param(c).levelIndex(points[r][c]);
+    }
+    std::vector<double> traces(points.size() * length);
+    predictLatticeTraces(levelIdx.data(), points.size(), traces.data());
+    std::vector<std::vector<double>> out;
+    out.reserve(points.size());
+    for (std::size_t r = 0; r < points.size(); ++r)
+        out.emplace_back(traces.begin() + r * length,
+                         traces.begin() + (r + 1) * length);
+    return out;
+}
+
+std::vector<double>
+WaveletNeuralPredictor::predictTrace(const DesignPoint &point) const
+{
+    return predictTraces({point}).front();
 }
 
 namespace

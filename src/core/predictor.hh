@@ -97,40 +97,43 @@ class WaveletNeuralPredictor
                  const std::vector<DesignPoint> &points,
                  const std::vector<std::vector<double>> &traces);
 
-    /** Predict the full dynamics trace at a design point. */
+    /**
+     * Predict the full dynamics trace at a design point:
+     * predictTraces({point}).front(). Each call builds the per-call
+     * lattice tables, so scoring many points is predictTraces' job.
+     * @throws std::invalid_argument as predictTraces.
+     */
     std::vector<double> predictTrace(const DesignPoint &point) const;
 
     /**
-     * predictTrace for a batch of points — the exploration hot path.
-     * Bit-identical to calling predictTrace per point. When every
-     * coefficient model is an RBF network and every dimension has at
-     * most RbfLatticeTable::kMaxLevels levels, blocks whose points all
-     * sit on training levels run RbfNetwork::predictLattice on per-call
-     * z^2 tables; any other block normalises its points into one
-     * matrix and calls each model's predictMany once. Publishes the
-     * predict.rbf_terms, predict.rbf_terms_skipped and
-     * predict.clamped_values counters once per call.
+     * Predict the traces at @p points: decode each point to training
+     * level indices and make one predictLatticeTraces call.
+     * @throws std::invalid_argument with
+     *         designSpace().validationError() of the first point that
+     *         is off the training levels or has the wrong dimension
+     *         count, before anything is predicted.
      */
     std::vector<std::vector<double>>
     predictTraces(const std::vector<DesignPoint> &points) const;
 
     /**
-     * predictTraces for @p n lattice points named by their training
-     * level indices — n x designSpace().dimensions(), row-major, as
+     * The one prediction driver: the traces of @p n lattice points
+     * named by their training level indices — n x
+     * designSpace().dimensions(), row-major, as
      * DesignSpace::trainIndicesFromFlat writes them — into @p out,
-     * n x traceLength() row-major. Row r is bit-identical to
-     * predictTrace(designSpace().pointFromTrainIndices(row r)). The
-     * sweep's entry point: one index decode serves every predictor
-     * and no memory is allocated per point. Falls back to predictMany
-     * exactly where predictTraces does and publishes the same
-     * counters.
+     * n x traceLength() row-major. Once per call each coefficient
+     * model gets its evaluator: an RbfNetwork tabulates its units on
+     * the lattice (RbfNetwork::predictLattice), any other model runs
+     * predictMany on the normalised rows. Then the selected
+     * coefficients are scattered, inverse-transformed and clamped.
+     * The sweep calls this directly, so one index decode serves every
+     * predictor and no memory is allocated per point. Publishes the
+     * predict.rbf_terms, predict.rbf_terms_skipped and
+     * predict.clamped_values counters once per call.
+     * @pre each index is below its dimension's level count.
      */
     void predictLatticeTraces(const std::size_t *levelIdx, std::size_t n,
                               double *out) const;
-
-    /** Predict the wavelet coefficient vector (selected slots only). */
-    std::vector<double> predictCoefficients(
-        const DesignPoint &point) const;
 
     /** Indices of the modelled coefficients (selection order). */
     const std::vector<std::size_t> &selectedCoefficients() const

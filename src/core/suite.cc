@@ -117,12 +117,9 @@ runSuite(const ScenarioSet &scenarios, const ExperimentSpec &base,
         cell.mse = out.eval.summary;
         cell.msePerTest = out.eval.msePerTest;
 
-        std::vector<std::vector<double>> preds;
-        preds.reserve(data.testPoints.size());
-        for (const auto &p : data.testPoints)
-            preds.push_back(out.predictor.predictTrace(p));
         cell.asymmetryQ = meanDirectionalAsymmetryQ(
-            data.testTraces.at(ref.domain), preds);
+            data.testTraces.at(ref.domain),
+            out.predictor.predictTraces(data.testPoints));
         cells[i] = std::move(cell);
     });
 

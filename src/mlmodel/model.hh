@@ -44,14 +44,11 @@ class RegressionModel
     virtual void save(std::ostream &os) const = 0;
 
     /**
-     * Predict every row of a matrix in one call — the design-space
-     * exploration hot path, where one model scores 10^5+ points per
-     * sweep. The default loops over predict() with a reused row
-     * buffer; models whose evaluation can skip the per-row copy
-     * (RbfNetwork) override it. Overrides must return bit-identical
-     * values to the per-row path: the explorer's jobs-invariance
-     * golden tests compare batched and scalar predictions byte for
-     * byte.
+     * Predict every row of a matrix in one call: the prediction
+     * driver's evaluator for models without a lattice form
+     * (WaveletNeuralPredictor::predictLatticeTraces). The default
+     * loops over predict() with a reused row buffer; overrides must
+     * return values bit-identical to predict() on each row.
      */
     virtual std::vector<double>
     predictMany(const Matrix &x) const

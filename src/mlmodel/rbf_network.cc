@@ -32,17 +32,17 @@ RbfNetwork::responseAt(const RbfUnit &unit, const double *input)
 RbfLatticeTable
 RbfNetwork::latticeTable(const std::vector<std::vector<double>> &levels) const
 {
-    constexpr std::size_t kLevels = RbfLatticeTable::kMaxLevels;
     RbfLatticeTable t;
     t.dims = levels.size();
     t.units = net.size();
     assert(t.dims >= 1);
     assert(net.empty() || net.front().center.size() == t.dims);
-    t.z2.assign(t.dims * kLevels * t.units, 0.0);
+    for (const std::vector<double> &lv : levels)
+        t.levels = std::max(t.levels, lv.size());
+    t.z2.assign(t.dims * t.levels * t.units, 0.0);
     for (std::size_t d = 0; d < t.dims; ++d) {
-        assert(levels[d].size() <= kLevels);
         for (std::size_t i = 0; i < levels[d].size(); ++i) {
-            double *row = t.z2.data() + (d * kLevels + i) * t.units;
+            double *row = t.z2.data() + (d * t.levels + i) * t.units;
             for (std::size_t u = 0; u < t.units; ++u) {
                 // responseAt's per-dimension term, verbatim.
                 double z = (levels[d][i] - net[u].center[d]) /
@@ -60,7 +60,7 @@ RbfNetwork::latticeTable(const std::vector<std::vector<double>> &levels) const
 
 void
 RbfNetwork::predictLattice(const RbfLatticeTable &t,
-                           const std::uint8_t *levelIdx, std::size_t n,
+                           const std::size_t *levelIdx, std::size_t n,
                            double *out, RbfTermCounts &counts) const
 {
     // Bit-identity with predictMany: responseAt sums the z^2 terms
@@ -68,8 +68,8 @@ RbfNetwork::predictLattice(const RbfLatticeTable &t,
     // below, plus dim D-1 last, are the same sequence of roundings,
     // and each table entry is responseAt's own term. A skipped term is
     // one rbfTermNegligible() proves acc absorbs.
-    constexpr std::size_t kLevels = RbfLatticeTable::kMaxLevels;
     const std::size_t dims = t.dims;
+    const std::size_t levels = t.levels;
     const std::size_t units = t.units;
     // partial[d][u]: unit u's sum over dims 0..d-1 (row 0 is 0.0). A
     // row that shares its first k indices with the previous row keeps
@@ -78,15 +78,15 @@ RbfNetwork::predictLattice(const RbfLatticeTable &t,
     std::vector<double> partial(dims * units, 0.0);
     const double *prefix = partial.data() + (dims - 1) * units;
     std::uint64_t skipped = 0;
-    const std::uint8_t *prev = nullptr;
+    const std::size_t *prev = nullptr;
     for (std::size_t r = 0; r < n; ++r) {
-        const std::uint8_t *idx = levelIdx + r * dims;
+        const std::size_t *idx = levelIdx + r * dims;
         std::size_t k = 0;
         if (prev)
             while (k + 1 < dims && prev[k] == idx[k])
                 ++k;
         for (std::size_t d = k; d + 1 < dims; ++d) {
-            const double *z2 = t.z2.data() + (d * kLevels + idx[d]) * units;
+            const double *z2 = t.z2.data() + (d * levels + idx[d]) * units;
             const double *sum = partial.data() + d * units;
             double *next = partial.data() + (d + 1) * units;
             for (std::size_t u = 0; u < units; ++u)
@@ -94,7 +94,7 @@ RbfNetwork::predictLattice(const RbfLatticeTable &t,
         }
         prev = idx;
         const double *z2last =
-            t.z2.data() + ((dims - 1) * kLevels + idx[dims - 1]) * units;
+            t.z2.data() + ((dims - 1) * levels + idx[dims - 1]) * units;
         double acc = w0;
         for (std::size_t u = 0; u < units; ++u) {
             double z2 = prefix[u] + z2last[u];
@@ -330,10 +330,8 @@ RbfNetwork::predict(const std::vector<double> &input) const
 std::vector<double>
 RbfNetwork::predictMany(const Matrix &x) const
 {
-    // The exploration hot path: evaluate rows in place instead of
-    // copying each into a fresh vector. Accumulation order matches
-    // predict() exactly, so batched sweeps are bit-identical to
-    // point-at-a-time prediction.
+    // Rows are evaluated in place instead of copied into a fresh
+    // vector; accumulation order matches predict() exactly.
     assert(net.empty() || net.front().center.size() == x.cols());
     std::vector<double> out(x.rows());
     for (std::size_t r = 0; r < x.rows(); ++r) {

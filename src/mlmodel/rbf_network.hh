@@ -67,14 +67,15 @@ rbfTermNegligible(double acc, double logAbsWeight, double z2)
 /**
  * A network's unit distances tabulated on a design lattice, for
  * RbfNetwork::predictLattice. On a lattice every coordinate is one of
- * at most kMaxLevels training levels per dimension, so each unit's
- * per-dimension z^2 term is a table entry.
+ * its dimension's training levels, so each unit's per-dimension z^2
+ * term is a table entry. Every dimension takes the same number of
+ * level rows, the largest level count, so a (dimension, level) pair
+ * is one offset.
  */
 struct RbfLatticeTable
 {
-    static constexpr std::size_t kMaxLevels = 8;
-
     std::size_t dims = 0;
+    std::size_t levels = 0;           //!< level rows per dimension
     std::size_t units = 0;
     std::vector<double> z2;           //!< [dim][level][unit]
     std::vector<double> weight;       //!< w per unit
@@ -147,23 +148,22 @@ class RbfNetwork : public RegressionModel
     /**
      * Tabulate every unit's z^2 term on a lattice: @p levels[d][i] is
      * the normalised coordinate of level i of dimension d.
-     * @pre levels.size() == input dimensions >= 1, and at most
-     *      RbfLatticeTable::kMaxLevels levels per dimension.
+     * @pre levels.size() == input dimensions >= 1.
      */
     RbfLatticeTable latticeTable(
         const std::vector<std::vector<double>> &levels) const;
 
     /**
      * predictMany over @p n lattice rows given as level indices
-     * (n x dims, row-major): out[r] is bit-identical to predict() at
-     * row r's normalised coordinates. A row that shares its first k
-     * indices with the previous row reuses that row's per-unit sums
-     * over dims 0..k-1, and terms rbfTermNegligible() proves absorbed
-     * are skipped.
-     * Adds the terms computed and skipped to @p counts.
+     * (n x dims, row-major, as DesignSpace::trainIndicesFromFlat
+     * writes them): out[r] is bit-identical to predict() at row r's
+     * normalised coordinates. A row that shares its first k indices
+     * with the previous row reuses that row's per-unit sums over dims
+     * 0..k-1, and terms rbfTermNegligible() proves absorbed are
+     * skipped. Adds the terms computed and skipped to @p counts.
      */
     void predictLattice(const RbfLatticeTable &table,
-                        const std::uint8_t *levelIdx, std::size_t n,
+                        const std::size_t *levelIdx, std::size_t n,
                         double *out, RbfTermCounts &counts) const;
 
   private:

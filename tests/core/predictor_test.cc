@@ -7,13 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "core/predictor.hh"
 #include "core/sampling.hh"
 #include "telemetry/telemetry.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
+#include "wavelet/haar.hh"
 
 namespace wavedyn
 {
@@ -81,6 +84,45 @@ medianTestMse(const WaveletNeuralPredictor &pred, const SyntheticData &d)
     return boxplot(mses).median;
 }
 
+/**
+ * The coefficient vector the predictor's definition gives at @p point:
+ * each selected slot predicted from the normalised point, the rest
+ * zero. Public accessors only.
+ */
+std::vector<double>
+naiveCoefficients(const WaveletNeuralPredictor &pred,
+                  const DesignPoint &point)
+{
+    std::vector<double> coeffs(pred.traceLength(), 0.0);
+    auto norm = pred.designSpace().normalize(point);
+    const auto &selected = pred.selectedCoefficients();
+    for (std::size_t s = 0; s < selected.size(); ++s)
+        coeffs[selected[s]] = pred.coefficientModels()[s]->predict(norm);
+    return coeffs;
+}
+
+/**
+ * The bit-identity oracle for every prediction entry point: the
+ * coefficients of naiveCoefficients, inverse-transformed point by
+ * point, clamped to the training range plus a 10% margin.
+ */
+std::vector<double>
+naiveTrace(const WaveletNeuralPredictor &pred, const DesignPoint &point)
+{
+    auto coeffs = naiveCoefficients(pred, point);
+    const PredictorOptions &opts = pred.options();
+    auto trace = opts.paperHaar ? haarInverse(coeffs)
+                                : WaveletTransform(opts.mother)
+                                      .inverse(coeffs);
+    if (opts.clampToTrainingRange) {
+        auto [lo, hi] = pred.trainingRange();
+        double margin = 0.1 * (hi - lo);
+        for (double &v : trace)
+            v = std::min(std::max(v, lo - margin), hi + margin);
+    }
+    return trace;
+}
+
 TEST(Predictor, UntrainedReportsUntrained)
 {
     WaveletNeuralPredictor p;
@@ -109,9 +151,9 @@ TEST(Predictor, PredictsTraceOfCorrectLength)
 
 TEST(Predictor, BatchedPredictionBitIdenticalToScalar)
 {
-    // The exploration sweep scores every design point through
-    // predictTraces; its golden byte-stability rests on the batched
-    // path computing exactly what per-point predictTrace computes.
+    // The exploration sweep scores every design point through the
+    // lattice driver; its golden byte-stability rests on the driver
+    // computing exactly what the predictor's definition computes.
     auto d = makeData(40, 8, 64);
     WaveletNeuralPredictor p;
     p.train(d.space, d.train, d.trainTraces);
@@ -125,7 +167,7 @@ TEST(Predictor, BatchedPredictionBitIdenticalToScalar)
     auto batch = p.predictTraces(pts);
     ASSERT_EQ(batch.size(), pts.size());
     for (std::size_t i = 0; i < pts.size(); ++i)
-        EXPECT_EQ(batch[i], p.predictTrace(pts[i])) << "point " << i;
+        EXPECT_EQ(batch[i], naiveTrace(p, pts[i])) << "point " << i;
 
     EXPECT_TRUE(p.predictTraces({}).empty());
 }
@@ -160,14 +202,18 @@ trainLattice(const DesignSpace &space, const std::vector<DesignPoint> &points,
     return pred;
 }
 
+/** predictTraces and predictTrace at @p pts against naiveTrace. */
 void
 expectBatchedMatchesScalar(const WaveletNeuralPredictor &p,
                            const std::vector<DesignPoint> &pts)
 {
     auto batch = p.predictTraces(pts);
     ASSERT_EQ(batch.size(), pts.size());
-    for (std::size_t i = 0; i < pts.size(); ++i)
-        EXPECT_EQ(batch[i], p.predictTrace(pts[i])) << "point " << i;
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+        auto expected = naiveTrace(p, pts[i]);
+        EXPECT_EQ(batch[i], expected) << "point " << i;
+        EXPECT_EQ(p.predictTrace(pts[i]), expected) << "point " << i;
+    }
 }
 
 /** Units across a predictor's RBF coefficient models. */
@@ -232,27 +278,31 @@ TEST(Predictor, LatticeSkipsNegligibleTermsBitIdentically)
               counter("predict.rbf_terms") - evaluated);
 }
 
-TEST(Predictor, OffLatticeAndNonRbfBlocksFallBack)
+TEST(Predictor, OffLevelPointsThrow)
 {
     auto d = makeData(40, 8, 64);
-    // Fetch width 3 lies between the training levels 2 and 4: its
-    // block takes the normalised-coordinate path, the others do not.
-    std::vector<DesignPoint> pts;
-    for (int rep = 0; rep < 70; ++rep)
-        for (const auto &q : d.test)
-            pts.push_back(q);
-    DesignPoint off = d.test[0];
-    off[FetchWidth] = 3;
-    pts.insert(pts.begin() + 300, off);
-
-    for (CoefficientModel model :
-         {CoefficientModel::Rbf, CoefficientModel::Linear,
-          CoefficientModel::GlobalMean}) {
-        PredictorOptions opts;
-        opts.model = model;
-        WaveletNeuralPredictor p(opts);
-        p.train(d.space, d.train, d.trainTraces);
-        expectBatchedMatchesScalar(p, pts);
+    WaveletNeuralPredictor p;
+    p.train(d.space, d.train, d.trainTraces);
+    // Fetch width 3 lies between the training levels 2 and 4, and a
+    // point with one coordinate too few has no level in the last
+    // dimension: neither names a lattice point, so neither is
+    // predicted, even behind valid points in the same batch.
+    DesignPoint offLevel = d.test[0];
+    offLevel[FetchWidth] = 3;
+    DesignPoint truncated = d.test[0];
+    truncated.pop_back();
+    for (const DesignPoint &bad : {offLevel, truncated}) {
+        const std::string why = d.space.validationError(bad);
+        ASSERT_FALSE(why.empty());
+        std::vector<DesignPoint> pts = d.test;
+        pts.push_back(bad);
+        try {
+            p.predictTraces(pts);
+            ADD_FAILURE() << "predictTraces accepted " << why;
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(e.what(), why);
+        }
+        EXPECT_THROW(p.predictTrace(bad), std::invalid_argument);
     }
 }
 
@@ -305,7 +355,7 @@ TEST(Predictor, PredictTracesPublishesSweepCounters)
 
 /**
  * predictLatticeTraces at the flat indices @p flat of the predictor's
- * space, row by row against predictTrace at the same points.
+ * space, row by row against naiveTrace at the same points.
  */
 void
 expectLatticeTracesMatchScalar(const WaveletNeuralPredictor &p,
@@ -322,7 +372,7 @@ expectLatticeTracesMatchScalar(const WaveletNeuralPredictor &p,
     for (std::size_t i = 0; i < flat.size(); ++i) {
         std::vector<double> row(out.begin() + i * len,
                                 out.begin() + (i + 1) * len);
-        EXPECT_EQ(row, p.predictTrace(space.pointFromFlatTrainIndex(flat[i])))
+        EXPECT_EQ(row, naiveTrace(p, space.pointFromFlatTrainIndex(flat[i])))
             << "flat index " << flat[i];
     }
 }
@@ -352,8 +402,8 @@ TEST(Predictor, LatticeTracesMatchScalarOnFullCrossProduct)
 TEST(Predictor, LatticeTracesMatchScalarOnPaperSpaceWalk)
 {
     // A strided walk spans several internal blocks; the non-RBF models
-    // and the orthonormal transform take the predictMany fallback and
-    // the generic inverse.
+    // run predictMany on normalised rows and the orthonormal transform
+    // takes the generic inverse.
     auto d = makeData(40, 8, 64);
     std::vector<std::size_t> walk = flatWalk(d.space, 89);
     ASSERT_GT(walk.size(), 256u);
@@ -374,20 +424,22 @@ TEST(Predictor, LatticeTracesMatchScalarOnPaperSpaceWalk)
     expectLatticeTracesMatchScalar(p, walk);
 }
 
-TEST(Predictor, LatticeTracesFallBackBeyondTableLevels)
+TEST(Predictor, LatticeTracesNineLevelDimension)
 {
-    // A dimension with more levels than the lattice tables hold sends
-    // every block of an all-RBF predictor down the predictMany path.
+    // The lattice tables have no level cap: a 9-level dimension runs
+    // the RBF kernel like any other.
     DesignSpace space;
     std::vector<double> many;
-    for (std::size_t i = 0; i <= RbfLatticeTable::kMaxLevels; ++i)
+    for (std::size_t i = 0; i < 9; ++i)
         many.push_back(static_cast<double>(i));
     space.addParameter({"wide", many, {}});
     space.addParameter({"b", {1, 2, 3}, {}});
     Rng rng(3);
     auto p = trainLattice(space, randomSample(space, 30, rng));
     ASSERT_GT(rbfUnits(p), 0u);
+    const std::uint64_t evaluated = counter("predict.rbf_terms");
     expectLatticeTracesMatchScalar(p, flatWalk(space, 1));
+    EXPECT_GT(counter("predict.rbf_terms"), evaluated);
 }
 
 TEST(Predictor, LatticeTracesPublishTheSameCounters)
@@ -597,7 +649,7 @@ TEST(Predictor, PredictCoefficientsSparse)
     opts.coefficients = 4;
     WaveletNeuralPredictor p(opts);
     p.train(d.space, d.train, d.trainTraces);
-    auto coeffs = p.predictCoefficients(d.test[0]);
+    auto coeffs = naiveCoefficients(p, d.test[0]);
     std::size_t nonzero = 0;
     for (double c : coeffs)
         if (c != 0.0)

@@ -153,14 +153,18 @@ TEST_F(TelemetryGoldenTest, SpanMultisetIsJobsInvariant)
     EXPECT_FALSE(spanMultiset(t1).empty());
 
     // Jobs-invariant counters too: everything that is not a duration.
+    // The predict.* counts are per point, and every suite cell scores
+    // its test points through the lattice driver.
     JsonValue m1 = parseJson(slurp(dir + "/m1.json"));
     JsonValue m8 = parseJson(slurp(dir + "/m8.json"));
     for (const char *name :
          {"scheduler.runs", "scheduler.computed", "cache.hits",
           "cache.misses", "cache.stores", "sim.cycles",
-          "sim.idle_skipped_cycles"})
+          "sim.idle_skipped_cycles", "predict.rbf_terms",
+          "predict.rbf_terms_skipped", "predict.clamped_values"})
         EXPECT_EQ(counterOf(m1, name), counterOf(m8, name)) << name;
     EXPECT_GT(counterOf(m1, "sim.cycles"), 0u);
+    EXPECT_GT(counterOf(m1, "predict.rbf_terms"), 0u);
 }
 
 TEST_F(TelemetryGoldenTest, TraceValidatesAndNestsProperly)

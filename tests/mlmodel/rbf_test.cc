@@ -336,26 +336,32 @@ TEST(RbfNetwork, LatticeMatchesPredictMany)
 {
     Matrix x;
     std::vector<double> y;
-    makeData(60, 3, smoothFunc, 9, x, y);
+    makeData(60, 4, smoothFunc, 9, x, y);
     RbfNetwork net;
     net.fit(x, y);
     ASSERT_FALSE(net.units().empty());
 
-    // Every row of a 4 x 3 x 5 lattice, last dimension fastest.
+    // Every row of a 4 x 3 x 5 x 9 lattice, last dimension fastest.
+    // The dimensions differ in level count, so the table's shared
+    // level stride leaves unused rows in all but the widest.
     std::vector<std::vector<double>> levels = {
         {0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0}, {0.0, 0.5, 1.0},
-        {0.0, 0.25, 0.5, 0.75, 1.0}};
-    std::vector<std::uint8_t> idx;
-    Matrix rows(60, 3);
+        {0.0, 0.25, 0.5, 0.75, 1.0}, {}};
+    for (std::size_t i = 0; i < 9; ++i)
+        levels[3].push_back(static_cast<double>(i) / 8.0);
+    std::vector<std::size_t> idx;
+    Matrix rows(4 * 3 * 5 * 9, 4);
     std::size_t r = 0;
-    for (std::uint8_t a = 0; a < 4; ++a)
-        for (std::uint8_t b = 0; b < 3; ++b)
-            for (std::uint8_t c = 0; c < 5; ++c, ++r) {
-                idx.insert(idx.end(), {a, b, c});
-                rows.at(r, 0) = levels[0][a];
-                rows.at(r, 1) = levels[1][b];
-                rows.at(r, 2) = levels[2][c];
-            }
+    for (std::size_t a = 0; a < 4; ++a)
+        for (std::size_t b = 0; b < 3; ++b)
+            for (std::size_t c = 0; c < 5; ++c)
+                for (std::size_t e = 0; e < 9; ++e, ++r) {
+                    idx.insert(idx.end(), {a, b, c, e});
+                    rows.at(r, 0) = levels[0][a];
+                    rows.at(r, 1) = levels[1][b];
+                    rows.at(r, 2) = levels[2][c];
+                    rows.at(r, 3) = levels[3][e];
+                }
     std::vector<double> got(rows.rows());
     RbfTermCounts counts;
     net.predictLattice(net.latticeTable(levels), idx.data(), rows.rows(),

@@ -997,13 +997,8 @@ cmdPredict(int argc, char **argv)
         point.push_back(parseDouble(argv[3 + i],
                                     "point coordinate " +
                                         std::to_string(i + 1)));
-    // Name the offending coordinate and its allowed levels instead of
-    // extrapolating outside the grid the model was trained on.
-    std::string invalid = model.designSpace().validationError(point);
-    if (!invalid.empty()) {
-        std::cerr << "error: " << invalid << "\n";
-        return 1;
-    }
+    // An off-level point throws the message naming the offending
+    // coordinate and its allowed levels.
     auto trace = model.predictTrace(point);
     std::cout << "predicted dynamics (" << trace.size()
               << " samples):\n" << sparkline(trace) << "\n";
