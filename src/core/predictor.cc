@@ -4,8 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <stdexcept>
-#include <string>
+#include <utility>
 
 #include "telemetry/telemetry.hh"
 #include "wavelet/haar.hh"
@@ -21,6 +20,7 @@ struct SweepCounters
 {
     MetricId rbfTerms;        //!< RBF unit terms computed
     MetricId rbfTermsSkipped; //!< unit terms skipped as negligible
+    MetricId rbfExps;         //!< exp() calls after unit dedup
     MetricId clamped;         //!< trace values clamped to the range
 
     static const SweepCounters &
@@ -31,6 +31,7 @@ struct SweepCounters
             SweepCounters s;
             s.rbfTerms = reg.counter("predict.rbf_terms");
             s.rbfTermsSkipped = reg.counter("predict.rbf_terms_skipped");
+            s.rbfExps = reg.counter("predict.rbf_exps");
             s.clamped = reg.counter("predict.clamped_values");
             return s;
         }();
@@ -164,126 +165,148 @@ WaveletNeuralPredictor::trainImpl(const DesignSpace &space,
     }
 }
 
-/**
- * One prediction call, the only place coefficient models are
- * evaluated. Every point sits on training levels of the DesignSpace,
- * so the constructor gives each model its evaluator once per call: an
- * RBF network gets a lattice table, which looks up each unit's z^2
- * terms per (dimension, level) instead of recomputing them per point;
- * any other model gets one predictMany per block on normalised rows
- * read from a per-(dimension, level) table. Points arrive in blocks
- * sized so the inputs and the per-model prediction columns stay cache
- * resident; each block is predicted model by model, then assemble()
- * turns the columns into traces with one reused coefficient buffer and
- * an allocation-free inverse transform — a sweep of 10^5-10^6 points
- * cannot afford a fresh coefficient vector and one temporary per
- * dyadic level per point. The counters are kept locally and published
- * once per call.
- */
-class WaveletNeuralPredictor::Batch
+namespace
 {
-  public:
-    static constexpr std::size_t kBlock = 256;
 
-    explicit Batch(const WaveletNeuralPredictor &pred)
-        : pred(pred), levels(pred.space.dimensions()),
-          byModel(pred.models.size()), coeffs(pred.length, 0.0),
-          scratch(pred.length)
-    {
-        const DesignSpace &space = pred.space;
-        for (std::size_t d = 0; d < space.dimensions(); ++d)
-            for (double v : space.param(d).trainLevels)
-                levels[d].push_back(space.param(d).normalize(v));
-        for (const auto &m : pred.models) {
-            nets.push_back(dynamic_cast<const RbfNetwork *>(m.get()));
-            tables.push_back(nets.back() ? nets.back()->latticeTable(levels)
-                                         : RbfLatticeTable{});
-        }
-    }
+/** The RBF coefficient models of @p preds, predictor by predictor. */
+std::vector<const RbfNetwork *>
+rbfModels(const std::vector<const WaveletNeuralPredictor *> &preds)
+{
+    std::vector<const RbfNetwork *> nets;
+    for (const WaveletNeuralPredictor *p : preds)
+        for (const auto &m : p->coefficientModels())
+            if (const auto *net = dynamic_cast<const RbfNetwork *>(m.get()))
+                nets.push_back(net);
+    return nets;
+}
 
-    /** Predict @p n <= kBlock lattice rows (level indices, n x dims). */
-    void
-    predict(const std::size_t *levelIdx, std::size_t n)
-    {
-        const std::size_t dims = levels.size();
-        Matrix x; // normalised rows, built for the first non-RBF model
-        for (std::size_t s = 0; s < nets.size(); ++s) {
-            if (nets[s]) {
-                byModel[s].resize(n);
-                nets[s]->predictLattice(tables[s], levelIdx, n,
-                                        byModel[s].data(), terms);
-                continue;
-            }
-            if (x.rows() == 0) {
-                x = Matrix(n, dims);
-                for (std::size_t r = 0; r < n; ++r)
-                    for (std::size_t c = 0; c < dims; ++c)
-                        x.at(r, c) = levels[c][levelIdx[r * dims + c]];
-            }
-            byModel[s] = pred.models[s]->predictMany(x);
-        }
-    }
+/** Normalised coordinate of every training level, [dim][level]. */
+std::vector<std::vector<double>>
+normalisedLevels(const DesignSpace &space)
+{
+    std::vector<std::vector<double>> levels(space.dimensions());
+    for (std::size_t d = 0; d < space.dimensions(); ++d)
+        for (double v : space.param(d).trainLevels)
+            levels[d].push_back(space.param(d).normalize(v));
+    return levels;
+}
 
-    /**
-     * The last block's @p n predictions as traces: scatter the
-     * coefficients, inverse-transform, clamp. Writes n x length
-     * doubles, row-major, to @p out.
-     */
-    void
-    assemble(std::size_t n, double *out)
-    {
-        const std::size_t length = pred.length;
-        const std::vector<std::size_t> &selected = pred.selected;
-        const double margin = 0.1 * (pred.trainHi - pred.trainLo);
-        const double lo = pred.trainLo - margin;
-        const double hi = pred.trainHi + margin;
-        for (std::size_t r = 0; r < n; ++r) {
-            double *trace = out + r * length;
-            for (std::size_t s = 0; s < selected.size(); ++s)
-                coeffs[selected[s]] = byModel[s][r];
-            if (pred.opts.paperHaar) {
-                haarInverseInto(coeffs.data(), length, trace,
-                                scratch.data());
+} // anonymous namespace
+
+TraceEvaluator::TraceEvaluator(
+    std::vector<const WaveletNeuralPredictor *> predictors)
+    : preds(std::move(predictors)),
+      levels(normalisedLevels(preds.front()->space)),
+      pool(rbfModels(preds), levels)
+{
+    std::size_t pooled = 0;
+    for (const WaveletNeuralPredictor *p : preds) {
+        assert(p->trained());
+        assert(normalisedLevels(p->space) == levels);
+        firstModel.push_back(columnOf.size());
+        for (const auto &m : p->models) {
+            if (dynamic_cast<const RbfNetwork *>(m.get())) {
+                columnOf.push_back(pooled++);
             } else {
-                std::vector<double> t = pred.fromCoefficients(coeffs);
-                std::copy(t.begin(), t.end(), trace);
+                columnOf.push_back(pool.networks() + others.size());
+                others.push_back(m.get());
             }
-            // Only the selected slots were written; zero them back so
-            // the buffer is clean for the next point.
-            for (std::size_t s = 0; s < selected.size(); ++s)
-                coeffs[selected[s]] = 0.0;
-            if (pred.opts.clampToTrainingRange)
-                for (std::size_t i = 0; i < length; ++i) {
-                    double &v = trace[i];
-                    clamped += v < lo || v > hi;
-                    v = std::min(std::max(v, lo), hi);
-                }
         }
     }
+}
 
-    /** Add the call's counts to the metrics registry. */
-    void
-    publish() const
-    {
-        // Observe-only: the kernel keeps plain local counts, no atomics.
-        const SweepCounters &ids = SweepCounters::get();
-        MetricsRegistry &reg = metricsRegistry();
-        reg.add(ids.rbfTerms, terms.evaluated);
-        reg.add(ids.rbfTermsSkipped, terms.skipped);
-        reg.add(ids.clamped, clamped);
+TraceEvaluator::Workspace::Workspace(const TraceEvaluator &evaluator)
+    : ev(evaluator), scratch(evaluator.pool),
+      columns(evaluator.columnOf.size() * kBlock), zeros(kBlock, 0.0)
+{
+    std::size_t length = 0;
+    for (const WaveletNeuralPredictor *p : ev.preds)
+        length = std::max(length, p->length);
+    coeffRows.resize(length);
+}
+
+void
+TraceEvaluator::Workspace::predict(const std::size_t *levelIdx,
+                                   std::size_t n)
+{
+    assert(n <= kBlock);
+    rows = n;
+    ev.pool.predict(scratch, levelIdx, n, columns.data(), kBlock, terms);
+    if (ev.others.empty())
+        return;
+    const std::size_t dims = ev.levels.size();
+    Matrix x(n, dims);
+    for (std::size_t r = 0; r < n; ++r)
+        for (std::size_t c = 0; c < dims; ++c)
+            x.at(r, c) = ev.levels[c][levelIdx[r * dims + c]];
+    double *col = columns.data() + ev.pool.networks() * kBlock;
+    for (const RegressionModel *m : ev.others) {
+        std::vector<double> y = m->predictMany(x);
+        std::copy(y.begin(), y.end(), col);
+        col += kBlock;
     }
+}
 
-  private:
-    const WaveletNeuralPredictor &pred;
-    std::vector<std::vector<double>> levels; //!< [dim][level] normalised
-    std::vector<const RbfNetwork *> nets;    //!< null for non-RBF models
-    std::vector<RbfLatticeTable> tables;
-    std::vector<std::vector<double>> byModel; //!< [model][block row]
-    std::vector<double> coeffs;
-    std::vector<double> scratch;
-    RbfTermCounts terms;
-    std::uint64_t clamped = 0;
-};
+void
+TraceEvaluator::Workspace::assemble(std::size_t p, double *out)
+{
+    const WaveletNeuralPredictor &pred = *ev.preds[p];
+    const std::size_t length = pred.length;
+    const std::vector<std::size_t> &selected = pred.selected;
+    const std::size_t *column = ev.columnOf.data() + ev.firstModel[p];
+    // Coefficient i of every row: a model's column, or zeros when no
+    // model predicts it.
+    std::fill(coeffRows.begin(), coeffRows.begin() + length, zeros.data());
+    for (std::size_t s = 0; s < selected.size(); ++s)
+        coeffRows[selected[s]] = columns.data() + column[s] * kBlock;
+    if (pred.opts.paperHaar) {
+        haarInverseColumns(coeffRows.data(), length, rows, out);
+    } else {
+        std::vector<double> coeffs(length);
+        for (std::size_t r = 0; r < rows; ++r) {
+            for (std::size_t i = 0; i < length; ++i)
+                coeffs[i] = coeffRows[i][r];
+            std::vector<double> trace = pred.fromCoefficients(coeffs);
+            for (std::size_t i = 0; i < length; ++i)
+                out[i * rows + r] = trace[i];
+        }
+    }
+    if (!pred.opts.clampToTrainingRange)
+        return;
+    const double margin = 0.1 * (pred.trainHi - pred.trainLo);
+    const double lo = pred.trainLo - margin;
+    const double hi = pred.trainHi + margin;
+    // Counted in doubles, exact below 2^53, so the loop vectorises;
+    // four partial counts keep it off one serial chain of adds.
+    double outside[4] = {0.0, 0.0, 0.0, 0.0};
+    auto clamp = [&](double &v, double &count) {
+        count += v < lo || v > hi ? 1.0 : 0.0;
+        v = std::min(std::max(v, lo), hi);
+    };
+    const std::size_t total = length * rows;
+    std::size_t i = 0;
+    for (; i + 4 <= total; i += 4)
+        for (std::size_t k = 0; k < 4; ++k)
+            clamp(out[i + k], outside[k]);
+    for (; i < total; ++i)
+        clamp(out[i], outside[0]);
+    clamped += static_cast<std::uint64_t>(outside[0] + outside[1] +
+                                          outside[2] + outside[3]);
+}
+
+void
+TraceEvaluator::Workspace::publish()
+{
+    // Observe-only: the kernel keeps plain local counts, no atomics.
+    const SweepCounters &ids = SweepCounters::get();
+    MetricsRegistry &reg = metricsRegistry();
+    reg.add(ids.rbfTerms, terms.evaluated);
+    reg.add(ids.rbfTermsSkipped, terms.skipped);
+    reg.add(ids.rbfExps, terms.exps);
+    reg.add(ids.clamped, clamped);
+    terms = {};
+    clamped = 0;
+}
 
 void
 WaveletNeuralPredictor::predictLatticeTraces(const std::size_t *levelIdx,
@@ -291,14 +314,19 @@ WaveletNeuralPredictor::predictLatticeTraces(const std::size_t *levelIdx,
                                              double *out) const
 {
     assert(trained());
-    Batch batch(*this);
+    TraceEvaluator ev({this});
+    TraceEvaluator::Workspace ws(ev);
     const std::size_t dims = space.dimensions();
-    for (std::size_t b0 = 0; b0 < n; b0 += Batch::kBlock) {
-        std::size_t m = std::min(Batch::kBlock, n - b0);
-        batch.predict(levelIdx + b0 * dims, m);
-        batch.assemble(m, out + b0 * length);
+    std::vector<double> block(TraceEvaluator::kBlock * length);
+    for (std::size_t b0 = 0; b0 < n; b0 += TraceEvaluator::kBlock) {
+        std::size_t m = std::min(TraceEvaluator::kBlock, n - b0);
+        ws.predict(levelIdx + b0 * dims, m);
+        ws.assemble(0, block.data());
+        for (std::size_t r = 0; r < m; ++r)
+            for (std::size_t t = 0; t < length; ++t)
+                out[(b0 + r) * length + t] = block[t * m + r];
     }
-    batch.publish();
+    ws.publish();
 }
 
 std::vector<std::vector<double>>
@@ -306,18 +334,7 @@ WaveletNeuralPredictor::predictTraces(
     const std::vector<DesignPoint> &points) const
 {
     assert(trained());
-    // Parameter::levelIndex cannot report an off-level value, so every
-    // point is checked before anything is predicted.
-    const std::size_t dims = space.dimensions();
-    std::vector<std::size_t> levelIdx(points.size() * dims);
-    for (std::size_t r = 0; r < points.size(); ++r) {
-        std::string invalid = space.validationError(points[r]);
-        if (!invalid.empty())
-            throw std::invalid_argument(invalid);
-        for (std::size_t c = 0; c < dims; ++c)
-            levelIdx[r * dims + c] =
-                space.param(c).levelIndex(points[r][c]);
-    }
+    std::vector<std::size_t> levelIdx = space.trainIndicesOf(points);
     std::vector<double> traces(points.size() * length);
     predictLatticeTraces(levelIdx.data(), points.size(), traces.data());
     std::vector<std::vector<double>> out;

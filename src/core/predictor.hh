@@ -23,6 +23,7 @@
 #define WAVEDYN_CORE_PREDICTOR_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -99,37 +100,28 @@ class WaveletNeuralPredictor
 
     /**
      * Predict the full dynamics trace at a design point:
-     * predictTraces({point}).front(). Each call builds the per-call
-     * lattice tables, so scoring many points is predictTraces' job.
+     * predictTraces({point}).front(). Each call pools and tabulates
+     * every RBF unit, so scoring many points is predictTraces' job.
      * @throws std::invalid_argument as predictTraces.
      */
     std::vector<double> predictTrace(const DesignPoint &point) const;
 
     /**
-     * Predict the traces at @p points: decode each point to training
-     * level indices and make one predictLatticeTraces call.
-     * @throws std::invalid_argument with
-     *         designSpace().validationError() of the first point that
-     *         is off the training levels or has the wrong dimension
-     *         count, before anything is predicted.
+     * Predict the traces at @p points: decode them with
+     * DesignSpace::trainIndicesOf and make one predictLatticeTraces
+     * call.
+     * @throws std::invalid_argument as DesignSpace::trainIndicesOf,
+     *         before anything is predicted.
      */
     std::vector<std::vector<double>>
     predictTraces(const std::vector<DesignPoint> &points) const;
 
     /**
-     * The one prediction driver: the traces of @p n lattice points
-     * named by their training level indices — n x
-     * designSpace().dimensions(), row-major, as
+     * The traces of @p n lattice points named by their training level
+     * indices — n x designSpace().dimensions(), row-major, as
      * DesignSpace::trainIndicesFromFlat writes them — into @p out,
-     * n x traceLength() row-major. Once per call each coefficient
-     * model gets its evaluator: an RbfNetwork tabulates its units on
-     * the lattice (RbfNetwork::predictLattice), any other model runs
-     * predictMany on the normalised rows. Then the selected
-     * coefficients are scattered, inverse-transformed and clamped.
-     * The sweep calls this directly, so one index decode serves every
-     * predictor and no memory is allocated per point. Publishes the
-     * predict.rbf_terms, predict.rbf_terms_skipped and
-     * predict.clamped_values counters once per call.
+     * n x traceLength() row-major: the one-predictor case of
+     * TraceEvaluator. Publishes the predict.* counters once per call.
      * @pre each index is below its dimension's level count.
      */
     void predictLatticeTraces(const std::size_t *levelIdx, std::size_t n,
@@ -180,7 +172,7 @@ class WaveletNeuralPredictor
     friend WaveletNeuralPredictor loadPredictor(std::istream &);
 
   private:
-    class Batch;
+    friend class TraceEvaluator;
 
     void trainImpl(const DesignSpace &space,
                    const std::vector<DesignPoint> &points,
@@ -202,6 +194,98 @@ class WaveletNeuralPredictor
     std::vector<std::unique_ptr<RegressionModel>> models;
     double trainLo = 0.0; //!< smallest training sample value
     double trainHi = 0.0; //!< largest training sample value
+};
+
+/**
+ * The one prediction path: evaluates a list of trained predictors that
+ * share one design lattice at the same level-index rows, in blocks of
+ * at most kBlock rows.
+ *
+ * Built once per list. Every RbfNetwork coefficient model of every
+ * predictor goes into one RbfUnitPool, so a unit that several models
+ * share has its z^2 sums and its exp(-z^2) computed once per row. Any
+ * other model runs predictMany on normalised rows read from a
+ * per-(dimension, level) table. A block's coefficient columns are then
+ * assembled into one predictor's traces at a time — inverse transform
+ * across the block's rows, clamp — so a caller can reduce each
+ * (predictor, block) while it is cache resident.
+ *
+ * Immutable after construction and safe to share between threads;
+ * each thread evaluates through its own Workspace. Every result is
+ * bit-identical to the predictor's definition: each coefficient
+ * model's predict() on the normalised point, inverse-transformed and
+ * clamped to the training range plus a 10% margin.
+ */
+class TraceEvaluator
+{
+  public:
+    /** Rows per block: a block's traces stay in the L2 cache. */
+    static constexpr std::size_t kBlock = 64;
+
+    /**
+     * @pre @p predictors is not empty, every predictor is trained, and
+     *      all were trained on design spaces with the same training
+     *      levels.
+     */
+    explicit TraceEvaluator(
+        std::vector<const WaveletNeuralPredictor *> predictors);
+
+    /** Predictors evaluated, in constructor order. */
+    std::size_t size() const { return preds.size(); }
+
+    /** Trace length of predictor @p p. */
+    std::size_t traceLength(std::size_t p) const
+    {
+        return preds[p]->traceLength();
+    }
+
+    /** One thread's buffers and counters for an evaluation. */
+    class Workspace
+    {
+      public:
+        explicit Workspace(const TraceEvaluator &evaluator);
+
+        /**
+         * Predict every coefficient of every predictor at @p n <=
+         * kBlock lattice rows (level indices, n x dims row-major).
+         */
+        void predict(const std::size_t *levelIdx, std::size_t n);
+
+        /**
+         * Predictor @p p's traces at the n rows of the last predict(),
+         * stored sample by sample as a TraceView of n runs reads them:
+         * sample t of row r at out[t * n + r], n x traceLength()
+         * doubles in all.
+         */
+        void assemble(std::size_t p, double *out);
+
+        /**
+         * Add the counts so far to the predict.rbf_terms,
+         * predict.rbf_terms_skipped, predict.rbf_exps and
+         * predict.clamped_values counters, and reset them.
+         */
+        void publish();
+
+      private:
+        const TraceEvaluator &ev;
+        RbfUnitPool::Scratch scratch;
+        std::vector<double> columns; //!< [column][kBlock]
+        std::size_t rows = 0;        //!< rows of the last predict()
+        std::vector<double> zeros;   //!< an unmodelled coefficient
+        std::vector<const double *> coeffRows; //!< [coefficient][row]
+        RbfTermCounts terms;
+        std::uint64_t clamped = 0;
+    };
+
+  private:
+    std::vector<const WaveletNeuralPredictor *> preds;
+    std::vector<std::vector<double>> levels; //!< [dim][level] normalised
+    std::vector<std::size_t> firstModel;     //!< predictor p's model 0
+    /** Column of each model: pooled RBF networks first, in pool order,
+     *  then every other model. */
+    std::vector<std::size_t> columnOf;
+    std::vector<const RegressionModel *> others; //!< non-RBF models
+    RbfUnitPool pool;
 };
 
 } // namespace wavedyn

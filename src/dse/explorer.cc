@@ -49,51 +49,69 @@ struct ChunkScores
     }
 };
 
-/**
- * Score @p n design points under every scenario — the one scoring path
- * of the sweep and the held-out baseline. predict(predictor, out)
- * writes the points' traces, n x traceLength() row-major, to out; each
- * domain has one trace buffer, reused across scenarios, and every
- * objective reads its traces straight out of those buffers.
- */
-template <typename Predict>
-ChunkScores
-scoreChunk(const PredictorBank &bank, const std::vector<Domain> &domains,
-           const std::vector<Objective> &objectives, std::size_t n,
-           Predict &&predict)
+/** The bank's predictors, scenario-major: index s * domains + j. */
+std::vector<const WaveletNeuralPredictor *>
+bankPredictors(const PredictorBank &bank, const std::vector<Domain> &domains)
 {
-    const std::size_t scen = bank.size();
+    std::vector<const WaveletNeuralPredictor *> preds;
+    for (const auto &perScenario : bank)
+        for (Domain d : domains)
+            preds.push_back(&perScenario.at(d));
+    return preds;
+}
+
+/**
+ * Score @p n lattice rows (level indices, n x dims row-major) under
+ * every scenario — the one scoring path of the sweep and the held-out
+ * baseline. @p ev evaluates bankPredictors(bank, domains). Rows go
+ * through in blocks: one predict() gives every predictor's
+ * coefficients, then each scenario assembles its domains' traces into
+ * block-sized buffers and reduces them to objective scores while they
+ * are cache resident.
+ */
+ChunkScores
+scoreRows(const TraceEvaluator &ev, std::size_t scenarios,
+          const std::vector<Domain> &domains,
+          const std::vector<Objective> &objectives,
+          const std::size_t *levelIdx, std::size_t dims, std::size_t n)
+{
+    assert(ev.size() == scenarios * domains.size());
     const std::size_t nobj = objectives.size();
+    const std::size_t kBlock = TraceEvaluator::kBlock;
     ChunkScores out;
-    out.scenarios = scen;
+    out.scenarios = scenarios;
     out.objectives = nobj;
     out.points = n;
-    out.val.resize(scen * nobj * n);
-    std::vector<std::vector<double>> traces(domains.size());
-    for (std::size_t s = 0; s < scen; ++s) {
-        TraceView view;
-        for (std::size_t j = 0; j < domains.size(); ++j) {
-            const WaveletNeuralPredictor &pred = bank[s].at(domains[j]);
-            assert(j == 0 || pred.traceLength() == view.length);
-            view.length = pred.traceLength();
-            traces[j].resize(n * view.length);
-            predict(pred, traces[j].data());
-        }
-        for (std::size_t i = 0; i < n; ++i) {
-            for (std::size_t j = 0; j < domains.size(); ++j)
-                view.set(domains[j], traces[j].data() + i * view.length);
+    out.val.resize(scenarios * nobj * n);
+    TraceEvaluator::Workspace ws(ev);
+    TraceView view;
+    view.length = ev.traceLength(0);
+    std::vector<std::vector<double>> traces(
+        domains.size(), std::vector<double>(kBlock * view.length));
+    for (std::size_t j = 0; j < domains.size(); ++j)
+        view.set(domains[j], traces[j].data());
+    for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
+        view.runs = std::min(kBlock, n - b0);
+        ws.predict(levelIdx + b0 * dims, view.runs);
+        for (std::size_t s = 0; s < scenarios; ++s) {
+            for (std::size_t j = 0; j < domains.size(); ++j) {
+                assert(ev.traceLength(s * domains.size() + j) ==
+                       view.length);
+                ws.assemble(s * domains.size() + j, traces[j].data());
+            }
             for (std::size_t k = 0; k < nobj; ++k)
-                out.val[(s * nobj + k) * n + i] =
-                    objectiveScore(objectives[k], view);
+                objectiveScores(objectives[k], view,
+                                out.val.data() + (s * nobj + k) * n + b0);
         }
     }
+    ws.publish();
     out.means.resize(n * nobj);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t k = 0; k < nobj; ++k) {
             double sum = 0.0;
-            for (std::size_t s = 0; s < scen; ++s)
+            for (std::size_t s = 0; s < scenarios; ++s)
                 sum += out.score(s, k, i);
-            out.means[i * nobj + k] = sum / static_cast<double>(scen);
+            out.means[i * nobj + k] = sum / static_cast<double>(scenarios);
         }
     return out;
 }
@@ -145,9 +163,10 @@ aggregatePoints(const std::vector<Objective> &objectives,
  * One full sweep: stream sweepPoints strided configurations through
  * the bank in chunks, reduce each chunk to its local front on the
  * worker, merge the shards. O(space) work, O(front + chunk) memory.
- * A chunk decodes its level indices once for every predictor, and
- * only the survivors of its non-dominated filter become FrontPoints;
- * mergeFronts puts the union in canonical order.
+ * One TraceEvaluator serves every chunk; a chunk decodes its level
+ * indices once for every predictor, and only the survivors of its
+ * non-dominated filter become FrontPoints; mergeFronts puts the union
+ * in canonical order.
  */
 std::vector<FrontPoint>
 sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
@@ -161,6 +180,7 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
     const std::size_t dims = space.dimensions();
     {
         ScopedPhase phase("sweep");
+        const TraceEvaluator ev(bankPredictors(bank, domains));
         parallelChunks(
             ThreadPool::global(), sweepPoints, chunk,
             [&](std::size_t c, std::size_t begin, std::size_t end) {
@@ -169,11 +189,9 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
                 for (std::size_t i = 0; i < n; ++i)
                     space.trainIndicesFromFlat((begin + i) * stride,
                                                levelIdx.data() + i * dims);
-                ChunkScores scores = scoreChunk(
-                    bank, domains, spec.objectives, n,
-                    [&](const WaveletNeuralPredictor &pred, double *out) {
-                        pred.predictLatticeTraces(levelIdx.data(), n, out);
-                    });
+                ChunkScores scores =
+                    scoreRows(ev, bank.size(), domains, spec.objectives,
+                              levelIdx.data(), dims, n);
                 std::vector<std::size_t> survivors = nonDominated(
                     scores.means.data(), n, spec.objectives.size());
                 std::vector<DesignPoint> pts;
@@ -440,16 +458,13 @@ runExplore(const ExploreSpec &spec, const CampaignHooks &hooks)
     // stick the later rounds are compared against.
     {
         // Score exactly as the sweep does (one rule for the whole error
-        // table): the predicted score is the cross-scenario mean. The
-        // test points are a handful of design points, so predictTraces
-        // serves them directly.
+        // table): the predicted score is the cross-scenario mean.
         const std::size_t n = testPoints.size();
-        ChunkScores scores = scoreChunk(
-            bank, domains, spec.objectives, n,
-            [&](const WaveletNeuralPredictor &pred, double *out) {
-                for (const auto &t : pred.predictTraces(testPoints))
-                    out = std::copy(t.begin(), t.end(), out);
-            });
+        std::vector<std::size_t> levelIdx = space.trainIndicesOf(testPoints);
+        ChunkScores scores = scoreRows(
+            TraceEvaluator(bankPredictors(bank, domains)), bank.size(),
+            domains, spec.objectives, levelIdx.data(), space.dimensions(),
+            n);
         const std::size_t nobj = spec.objectives.size();
         std::vector<std::vector<double>> predicted;
         predicted.reserve(n);

@@ -1,5 +1,6 @@
 #include "dse/objectives.hh"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -129,13 +130,16 @@ traceOf(Domain d, const TraceView &traces)
     return t;
 }
 
-double
-meanTrace(const double *t, std::size_t n)
+/** out[r] = mean of run r's trace in @p t (sample-by-sample layout). */
+void
+meanTraces(const double *t, std::size_t n, std::size_t runs, double *out)
 {
-    double acc = 0.0;
+    std::fill(out, out + runs, 0.0);
     for (std::size_t i = 0; i < n; ++i)
-        acc += t[i];
-    return acc / static_cast<double>(n);
+        for (std::size_t r = 0; r < runs; ++r)
+            out[r] += t[i * runs + r];
+    for (std::size_t r = 0; r < runs; ++r)
+        out[r] /= static_cast<double>(n);
 }
 
 TraceView
@@ -150,43 +154,71 @@ viewOf(const std::map<Domain, std::vector<double>> &traces)
     return view;
 }
 
-} // anonymous namespace
-
-double
-objectiveValue(Objective o, const TraceView &traces)
+/** objectiveValue of every run of @p traces, out[r] for run r. */
+void
+objectiveValues(Objective o, const TraceView &traces, double *out)
 {
     const std::size_t n = traces.length;
+    const std::size_t runs = traces.runs;
     switch (o) {
       case Objective::Cpi:
-        return meanTrace(traceOf(Domain::Cpi, traces), n);
-      case Objective::Bips: {
-        double cpi = meanTrace(traceOf(Domain::Cpi, traces), n);
-        return cpi > 0.0 ? 1.0 / cpi : 0.0;
-      }
+        meanTraces(traceOf(Domain::Cpi, traces), n, runs, out);
+        return;
+      case Objective::Bips:
+        meanTraces(traceOf(Domain::Cpi, traces), n, runs, out);
+        for (std::size_t r = 0; r < runs; ++r)
+            out[r] = out[r] > 0.0 ? 1.0 / out[r] : 0.0;
+        return;
       case Objective::Power:
-        return meanTrace(traceOf(Domain::Power, traces), n);
+        meanTraces(traceOf(Domain::Power, traces), n, runs, out);
+        return;
       case Objective::Energy: {
         // Intervals hold a fixed instruction count, so per-interval
         // energy is proportional to power_i * cpi_i; the mean of that
         // product is energy per instruction up to the clock period.
         const double *cpi = traceOf(Domain::Cpi, traces);
         const double *power = traceOf(Domain::Power, traces);
-        double acc = 0.0;
+        std::fill(out, out + runs, 0.0);
         for (std::size_t i = 0; i < n; ++i)
-            acc += power[i] * cpi[i];
-        return acc / static_cast<double>(n);
+            for (std::size_t r = 0; r < runs; ++r)
+                out[r] += power[i * runs + r] * cpi[i * runs + r];
+        for (std::size_t r = 0; r < runs; ++r)
+            out[r] /= static_cast<double>(n);
+        return;
       }
       case Objective::Avf:
-        return meanTrace(traceOf(Domain::Avf, traces), n);
+        meanTraces(traceOf(Domain::Avf, traces), n, runs, out);
+        return;
     }
-    return 0.0;
+}
+
+} // anonymous namespace
+
+void
+objectiveScores(Objective o, const TraceView &traces, double *out)
+{
+    objectiveValues(o, traces, out);
+    if (maximised(o))
+        for (std::size_t r = 0; r < traces.runs; ++r)
+            out[r] = -out[r];
+}
+
+double
+objectiveValue(Objective o, const TraceView &traces)
+{
+    assert(traces.runs == 1);
+    double v = 0.0;
+    objectiveValues(o, traces, &v);
+    return v;
 }
 
 double
 objectiveScore(Objective o, const TraceView &traces)
 {
-    double v = objectiveValue(o, traces);
-    return maximised(o) ? -v : v;
+    assert(traces.runs == 1);
+    double v = 0.0;
+    objectiveScores(o, traces, &v);
+    return v;
 }
 
 double

@@ -66,13 +66,16 @@ std::vector<Domain> domainsOf(Objective o);
 std::vector<Domain> domainsFor(const std::vector<Objective> &objectives);
 
 /**
- * One run's traces, borrowed: a pointer per metric domain (null when
- * absent) into buffers of a common length. Lets a sweep score traces
- * straight out of its flat prediction buffers.
+ * The traces of @p runs runs, borrowed: a pointer per metric domain
+ * (null when absent) into buffers of a common length. Sample t of run
+ * r sits at byDomain[d][t * runs + r], so one run's trace is a plain
+ * array and a block of runs is stored sample by sample. Lets a sweep
+ * score traces straight out of its prediction buffers.
  */
 struct TraceView
 {
     std::size_t length = 0;
+    std::size_t runs = 1;
     std::array<const double *, static_cast<std::size_t>(Domain::IqAvf) + 1>
         byDomain{};
 
@@ -94,12 +97,21 @@ struct TraceView
  * means; Energy is the mean of the interval-wise power*cpi product
  * (per-instruction energy up to the fixed clock factor); BIPS is the
  * inverse mean CPI. Sums run i = 0..length-1 from 0.0.
- * @pre every domain in domainsOf(o) is set and length > 0.
+ * @pre every domain in domainsOf(o) is set, length > 0 and
+ *      runs == 1.
  */
 double objectiveValue(Objective o, const TraceView &traces);
 
 /** objectiveValue folded into minimisation space (BIPS negated). */
 double objectiveScore(Objective o, const TraceView &traces);
+
+/**
+ * objectiveScore of every run of @p traces, out[r] for run r. Each
+ * run's sums run over its own samples in order, so out[r] is
+ * bit-identical to objectiveScore of run r alone.
+ * @pre every domain in domainsOf(o) is set and length > 0.
+ */
+void objectiveScores(Objective o, const TraceView &traces, double *out);
 
 /**
  * objectiveValue on traces keyed by domain: a view over the map, so

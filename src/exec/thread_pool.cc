@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "telemetry/telemetry.hh"
 #include "util/options.hh"
 
 namespace wavedyn
@@ -14,6 +15,8 @@ namespace wavedyn
 namespace
 {
 thread_local bool t_on_worker = false;
+/** runIndexed calls open on this thread; only depth 0 is timed. */
+thread_local std::size_t t_depth = 0;
 } // anonymous namespace
 
 ThreadPool::ThreadPool(std::size_t threads)
@@ -91,11 +94,37 @@ namespace detail
 namespace
 {
 
+/**
+ * Run fn(i), capturing its exception into @p error. At the outermost
+ * level (@p timed) the run's wall time goes to the pool.task_us
+ * histogram: the pool's busy time, from which the telemetry summary
+ * derives utilisation. Nested sections run inline inside a timed
+ * index, so timing them too would count that time twice.
+ */
+void
+runOne(const std::function<void(std::size_t)> &fn, std::size_t i,
+       bool timed, std::exception_ptr &error)
+{
+    static const MetricId taskUs =
+        metricsRegistry().histogram("pool.task_us");
+    const std::uint64_t start = timed ? telemetryNowUs() : 0;
+    ++t_depth;
+    try {
+        fn(i);
+    } catch (...) {
+        error = std::current_exception();
+    }
+    --t_depth;
+    if (timed)
+        metricsRegistry().observe(taskUs, telemetryNowUs() - start);
+}
+
 /** Shared state of one runIndexed batch. */
 struct Batch
 {
     const std::function<void(std::size_t)> *fn = nullptr;
     std::size_t count = 0;
+    bool timed = false;
     std::atomic<std::size_t> next{0};
     std::vector<std::exception_ptr> errors;
 
@@ -111,11 +140,7 @@ struct Batch
             std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
             if (i >= count)
                 return;
-            try {
-                (*fn)(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
+            runOne(*fn, i, timed, errors[i]);
         }
     }
 };
@@ -141,15 +166,11 @@ runIndexed(ThreadPool &pool, std::size_t n,
     // Serial path: a one-worker pool reproduces historical --jobs 1
     // behavior exactly, and nested sections run inline on the calling
     // worker so a saturated fixed-size pool cannot deadlock.
+    const bool timed = t_depth == 0;
     if (pool.size() <= 1 || n == 1 || ThreadPool::onWorkerThread()) {
         std::vector<std::exception_ptr> errors(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            try {
-                fn(i);
-            } catch (...) {
-                errors[i] = std::current_exception();
-            }
-        }
+        for (std::size_t i = 0; i < n; ++i)
+            runOne(fn, i, timed, errors[i]);
         rethrowFirst(errors);
         return;
     }
@@ -163,6 +184,7 @@ runIndexed(ThreadPool &pool, std::size_t n,
     Batch batch;
     batch.fn = &fn;
     batch.count = n;
+    batch.timed = timed;
     batch.errors.resize(n);
 
     std::size_t helpers = std::min(pool.size(), n);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
 
 namespace wavedyn
 {
@@ -27,87 +28,6 @@ RbfNetwork::responseAt(const RbfUnit &unit, const double *input)
         acc += z * z;
     }
     return std::exp(-acc);
-}
-
-RbfLatticeTable
-RbfNetwork::latticeTable(const std::vector<std::vector<double>> &levels) const
-{
-    RbfLatticeTable t;
-    t.dims = levels.size();
-    t.units = net.size();
-    assert(t.dims >= 1);
-    assert(net.empty() || net.front().center.size() == t.dims);
-    for (const std::vector<double> &lv : levels)
-        t.levels = std::max(t.levels, lv.size());
-    t.z2.assign(t.dims * t.levels * t.units, 0.0);
-    for (std::size_t d = 0; d < t.dims; ++d) {
-        for (std::size_t i = 0; i < levels[d].size(); ++i) {
-            double *row = t.z2.data() + (d * t.levels + i) * t.units;
-            for (std::size_t u = 0; u < t.units; ++u) {
-                // responseAt's per-dimension term, verbatim.
-                double z = (levels[d][i] - net[u].center[d]) /
-                           net[u].radius[d];
-                row[u] = z * z;
-            }
-        }
-    }
-    for (const RbfUnit &u : net) {
-        t.weight.push_back(u.weight);
-        t.logAbsWeight.push_back(std::log(std::fabs(u.weight)));
-    }
-    return t;
-}
-
-void
-RbfNetwork::predictLattice(const RbfLatticeTable &t,
-                           const std::size_t *levelIdx, std::size_t n,
-                           double *out, RbfTermCounts &counts) const
-{
-    // Bit-identity with predictMany: responseAt sums the z^2 terms
-    // left to right from 0.0, so the running sums over dims 0..d kept
-    // below, plus dim D-1 last, are the same sequence of roundings,
-    // and each table entry is responseAt's own term. A skipped term is
-    // one rbfTermNegligible() proves acc absorbs.
-    const std::size_t dims = t.dims;
-    const std::size_t levels = t.levels;
-    const std::size_t units = t.units;
-    // partial[d][u]: unit u's sum over dims 0..d-1 (row 0 is 0.0). A
-    // row that shares its first k indices with the previous row keeps
-    // rows 0..k and recomputes only the rest; the sweep varies the last
-    // parameter fastest, so that is mostly the final row alone.
-    std::vector<double> partial(dims * units, 0.0);
-    const double *prefix = partial.data() + (dims - 1) * units;
-    std::uint64_t skipped = 0;
-    const std::size_t *prev = nullptr;
-    for (std::size_t r = 0; r < n; ++r) {
-        const std::size_t *idx = levelIdx + r * dims;
-        std::size_t k = 0;
-        if (prev)
-            while (k + 1 < dims && prev[k] == idx[k])
-                ++k;
-        for (std::size_t d = k; d + 1 < dims; ++d) {
-            const double *z2 = t.z2.data() + (d * levels + idx[d]) * units;
-            const double *sum = partial.data() + d * units;
-            double *next = partial.data() + (d + 1) * units;
-            for (std::size_t u = 0; u < units; ++u)
-                next[u] = sum[u] + z2[u];
-        }
-        prev = idx;
-        const double *z2last =
-            t.z2.data() + ((dims - 1) * levels + idx[dims - 1]) * units;
-        double acc = w0;
-        for (std::size_t u = 0; u < units; ++u) {
-            double z2 = prefix[u] + z2last[u];
-            if (rbfTermNegligible(acc, t.logAbsWeight[u], z2)) {
-                ++skipped;
-                continue;
-            }
-            acc += t.weight[u] * std::exp(-z2);
-        }
-        out[r] = acc;
-    }
-    counts.evaluated += n * units - skipped;
-    counts.skipped += skipped;
 }
 
 namespace
@@ -342,6 +262,121 @@ RbfNetwork::predictMany(const Matrix &x) const
         out[r] = acc;
     }
     return out;
+}
+
+RbfUnitPool::RbfUnitPool(const std::vector<const RbfNetwork *> &nets,
+                         const std::vector<std::vector<double>> &levels)
+    : dims(levels.size())
+{
+    assert(dims >= 1);
+    for (const std::vector<double> &lv : levels)
+        levelRows = std::max(levelRows, lv.size());
+    // A unit's key is the bits of its centre then its radius: equal
+    // bits give equal table entries, so sharing a unit changes no sum.
+    std::map<std::vector<std::uint64_t>, std::size_t> index;
+    std::vector<const RbfUnit *> distinct;
+    std::vector<std::uint64_t> key(2 * dims);
+    for (const RbfNetwork *net : nets) {
+        first.push_back(refs.size());
+        bias.push_back(net->bias());
+        for (const RbfUnit &u : net->units()) {
+            assert(u.center.size() == dims && u.radius.size() == dims);
+            std::memcpy(key.data(), u.center.data(),
+                        dims * sizeof(double));
+            std::memcpy(key.data() + dims, u.radius.data(),
+                        dims * sizeof(double));
+            auto [it, added] = index.emplace(key, distinct.size());
+            if (added)
+                distinct.push_back(&u);
+            refs.push_back({it->second, u.weight,
+                            std::log(std::fabs(u.weight))});
+        }
+    }
+    first.push_back(refs.size());
+    units = distinct.size();
+    table.assign(dims * levelRows * units, 0.0);
+    for (std::size_t d = 0; d < dims; ++d) {
+        for (std::size_t i = 0; i < levels[d].size(); ++i) {
+            double *row = table.data() + (d * levelRows + i) * units;
+            for (std::size_t u = 0; u < units; ++u) {
+                // responseAt's per-dimension term, verbatim.
+                double z = (levels[d][i] - distinct[u]->center[d]) /
+                           distinct[u]->radius[d];
+                row[u] = z * z;
+            }
+        }
+    }
+}
+
+RbfUnitPool::Scratch::Scratch(const RbfUnitPool &pool)
+    : partial(pool.dims * pool.units, 0.0), z2(pool.units),
+      expNeg(pool.units), stamp(pool.units, 0)
+{
+}
+
+void
+RbfUnitPool::predict(Scratch &s, const std::size_t *levelIdx,
+                     std::size_t n, double *out, std::size_t stride,
+                     RbfTermCounts &counts) const
+{
+    // Bit-identity with predict(): responseAt sums the z^2 terms left
+    // to right from 0.0, so the running sums over dims 0..d kept
+    // below, plus dim D-1 last, are the same sequence of roundings,
+    // and each table entry is responseAt's own term. A skipped term is
+    // one rbfTermNegligible() proves that network's acc absorbs; the
+    // decision is per network, since acc and the weight are.
+    assert(stride >= n);
+    // partial[d][u]: unit u's sum over dims 0..d-1 (row 0 is 0.0). A
+    // row that shares its first k indices with the previous row keeps
+    // rows 0..k and recomputes only the rest; the sweep varies the last
+    // parameter fastest, so that is mostly the final row alone.
+    const double *prefix = s.partial.data() + (dims - 1) * units;
+    std::uint64_t skipped = 0;
+    std::uint64_t exps = 0;
+    const std::size_t *prev = nullptr;
+    for (std::size_t r = 0; r < n; ++r) {
+        const std::size_t *idx = levelIdx + r * dims;
+        std::size_t k = 0;
+        if (prev)
+            while (k + 1 < dims && prev[k] == idx[k])
+                ++k;
+        for (std::size_t d = k; d + 1 < dims; ++d) {
+            const double *z2 =
+                table.data() + (d * levelRows + idx[d]) * units;
+            const double *sum = s.partial.data() + d * units;
+            double *next = s.partial.data() + (d + 1) * units;
+            for (std::size_t u = 0; u < units; ++u)
+                next[u] = sum[u] + z2[u];
+        }
+        prev = idx;
+        const double *z2last =
+            table.data() + ((dims - 1) * levelRows + idx[dims - 1]) * units;
+        for (std::size_t u = 0; u < units; ++u)
+            s.z2[u] = prefix[u] + z2last[u];
+        // A new stamp invalidates every memoised exp of the last row.
+        const std::uint64_t row = ++s.row;
+        for (std::size_t m = 0; m < bias.size(); ++m) {
+            double acc = bias[m];
+            for (std::size_t j = first[m]; j < first[m + 1]; ++j) {
+                const UnitRef &ref = refs[j];
+                const double z2 = s.z2[ref.unit];
+                if (rbfTermNegligible(acc, ref.logAbsWeight, z2)) {
+                    ++skipped;
+                    continue;
+                }
+                if (s.stamp[ref.unit] != row) {
+                    s.stamp[ref.unit] = row;
+                    s.expNeg[ref.unit] = std::exp(-z2);
+                    ++exps;
+                }
+                acc += ref.weight * s.expNeg[ref.unit];
+            }
+            out[m * stride + r] = acc;
+        }
+    }
+    counts.evaluated += n * refs.size() - skipped;
+    counts.skipped += skipped;
+    counts.exps += exps;
 }
 
 } // namespace wavedyn

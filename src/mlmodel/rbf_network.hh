@@ -20,6 +20,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "mlmodel/model.hh"
@@ -55,39 +56,28 @@ struct RbfUnit
 inline bool
 rbfTermNegligible(double acc, double logAbsWeight, double z2)
 {
+    // (1079 - e) ln 2 per biased exponent e, and +inf where acc never
+    // skips (e = 0 or 0x7ff): ln|w| + inf is +inf or NaN, and z2 is
+    // greater than neither. A lookup keeps the int-to-double
+    // conversion and multiply off the sum's dependency chain.
+    struct Bounds
+    {
+        double byExponent[2048] = {};
+
+        constexpr Bounds()
+        {
+            constexpr double kLn2 = 0.69314718055994530942;
+            for (int e = 1; e < 0x7ff; ++e)
+                byExponent[e] = static_cast<double>(1079 - e) * kLn2;
+            byExponent[0] = std::numeric_limits<double>::infinity();
+            byExponent[0x7ff] = byExponent[0];
+        }
+    };
+    static constexpr Bounds kBounds{};
     std::uint64_t bits = 0;
     std::memcpy(&bits, &acc, sizeof bits);
-    const int e = static_cast<int>((bits >> 52) & 0x7ff);
-    if (e == 0 || e == 0x7ff)
-        return false;
-    constexpr double kLn2 = 0.69314718055994530942;
-    return z2 > logAbsWeight + static_cast<double>(1079 - e) * kLn2;
+    return z2 > logAbsWeight + kBounds.byExponent[(bits >> 52) & 0x7ff];
 }
-
-/**
- * A network's unit distances tabulated on a design lattice, for
- * RbfNetwork::predictLattice. On a lattice every coordinate is one of
- * its dimension's training levels, so each unit's per-dimension z^2
- * term is a table entry. Every dimension takes the same number of
- * level rows, the largest level count, so a (dimension, level) pair
- * is one offset.
- */
-struct RbfLatticeTable
-{
-    std::size_t dims = 0;
-    std::size_t levels = 0;           //!< level rows per dimension
-    std::size_t units = 0;
-    std::vector<double> z2;           //!< [dim][level][unit]
-    std::vector<double> weight;       //!< w per unit
-    std::vector<double> logAbsWeight; //!< ln|w| per unit
-};
-
-/** Unit terms a lattice evaluation computed and skipped. */
-struct RbfTermCounts
-{
-    std::uint64_t evaluated = 0;
-    std::uint64_t skipped = 0;
-};
 
 /** Weight fitting strategies. */
 enum class RbfFit
@@ -145,27 +135,6 @@ class RbfNetwork : public RegressionModel
      */
     static double responseAt(const RbfUnit &unit, const double *input);
 
-    /**
-     * Tabulate every unit's z^2 term on a lattice: @p levels[d][i] is
-     * the normalised coordinate of level i of dimension d.
-     * @pre levels.size() == input dimensions >= 1.
-     */
-    RbfLatticeTable latticeTable(
-        const std::vector<std::vector<double>> &levels) const;
-
-    /**
-     * predictMany over @p n lattice rows given as level indices
-     * (n x dims, row-major, as DesignSpace::trainIndicesFromFlat
-     * writes them): out[r] is bit-identical to predict() at row r's
-     * normalised coordinates. A row that shares its first k indices
-     * with the previous row reuses that row's per-unit sums over dims
-     * 0..k-1, and terms rbfTermNegligible() proves absorbed are
-     * skipped. Adds the terms computed and skipped to @p counts.
-     */
-    void predictLattice(const RbfLatticeTable &table,
-                        const std::size_t *levelIdx, std::size_t n,
-                        double *out, RbfTermCounts &counts) const;
-
   private:
     void fitRidgeAll(const Matrix &x, const std::vector<double> &y,
                      std::vector<RbfUnit> candidates);
@@ -176,6 +145,96 @@ class RbfNetwork : public RegressionModel
     RegressionTree tree;
     std::vector<RbfUnit> net;
     double w0 = 0.0;
+};
+
+/** Unit terms a pooled lattice evaluation computed, skipped and
+ *  exponentiated. */
+struct RbfTermCounts
+{
+    std::uint64_t evaluated = 0; //!< terms added to a network's sum
+    std::uint64_t skipped = 0;   //!< terms rbfTermNegligible() dropped
+    std::uint64_t exps = 0;      //!< exp() calls, <= evaluated
+};
+
+/**
+ * The units of a set of RBF networks, pooled and tabulated on a design
+ * lattice, for evaluating every network at the same lattice rows.
+ *
+ * Networks grown on one design matrix share units: the tree root, and
+ * any split two trees agree on. The pool keeps each distinct (centre,
+ * radius) pair once, matched by bitwise equality, so one z^2 table —
+ * [dimension][level][distinct unit], every dimension taking as many
+ * level rows as the widest — and one running sum per distinct unit
+ * serve every network. Each network keeps its own list of unit
+ * references, in its own order, with its own weights and bias.
+ *
+ * Immutable after construction and safe to share between threads;
+ * each thread evaluates through its own Scratch.
+ */
+class RbfUnitPool
+{
+  public:
+    /**
+     * Pool the units of @p nets on a lattice: @p levels[d][i] is the
+     * normalised coordinate of level i of dimension d.
+     * @pre levels.size() >= 1 and every unit has levels.size()
+     *      dimensions.
+     */
+    RbfUnitPool(const std::vector<const RbfNetwork *> &nets,
+                const std::vector<std::vector<double>> &levels);
+
+    /** Networks pooled, in constructor order. */
+    std::size_t networks() const { return bias.size(); }
+
+    /** Distinct (centre, radius) pairs across all networks. */
+    std::size_t distinctUnits() const { return units; }
+
+    /** One thread's evaluation state; sized for one pool. */
+    struct Scratch
+    {
+        explicit Scratch(const RbfUnitPool &pool);
+
+        std::vector<double> partial;       //!< [dim][unit] prefix sums
+        std::vector<double> z2;            //!< [unit] this row's z^2
+        std::vector<double> expNeg;        //!< [unit] exp(-z2) memo
+        std::vector<std::uint64_t> stamp;  //!< [unit] row expNeg is for
+        std::uint64_t row = 0;             //!< rows evaluated so far
+    };
+
+    /**
+     * Every network at @p n lattice rows given as level indices (n x
+     * dims, row-major, as DesignSpace::trainIndicesFromFlat writes
+     * them): out[m * stride + r] is bit-identical to network m's
+     * predict() at row r's normalised coordinates. A row that shares
+     * its first k indices with the previous row reuses that row's
+     * per-unit sums over dims 0..k-1. Each network skips the terms
+     * rbfTermNegligible() proves its own running sum absorbs, and
+     * exp(-z^2) is computed at most once per distinct unit and row.
+     * Adds the terms computed and skipped and the exp() calls to
+     * @p counts.
+     * @pre stride >= n; each index is below its dimension's level
+     *      count.
+     */
+    void predict(Scratch &scratch, const std::size_t *levelIdx,
+                 std::size_t n, double *out, std::size_t stride,
+                 RbfTermCounts &counts) const;
+
+  private:
+    /** One network's use of a distinct unit. */
+    struct UnitRef
+    {
+        std::size_t unit;
+        double weight;
+        double logAbsWeight; //!< ln|weight|
+    };
+
+    std::size_t dims = 0;
+    std::size_t levelRows = 0; //!< table rows per dimension
+    std::size_t units = 0;
+    std::vector<double> table;       //!< z^2, [dim][level][unit]
+    std::vector<double> bias;        //!< w0 per network
+    std::vector<std::size_t> first;  //!< network m's refs start here
+    std::vector<UnitRef> refs;       //!< every network's, in order
 };
 
 } // namespace wavedyn

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "util/table.hh"
 
@@ -147,6 +148,22 @@ DesignSpace::pointFromFlatTrainIndex(std::size_t flat) const
     std::vector<std::size_t> idx(params.size());
     trainIndicesFromFlat(flat, idx.data());
     return pointFromTrainIndices(idx);
+}
+
+std::vector<std::size_t>
+DesignSpace::trainIndicesOf(const std::vector<DesignPoint> &points) const
+{
+    // Parameter::levelIndex cannot report an off-level value, so every
+    // point is checked before it is decoded.
+    std::vector<std::size_t> idx(points.size() * params.size());
+    for (std::size_t r = 0; r < points.size(); ++r) {
+        std::string invalid = validationError(points[r]);
+        if (!invalid.empty())
+            throw std::invalid_argument(invalid);
+        for (std::size_t c = 0; c < params.size(); ++c)
+            idx[r * params.size() + c] = params[c].levelIndex(points[r][c]);
+    }
+    return idx;
 }
 
 std::vector<std::string>

@@ -108,6 +108,16 @@ class DesignSpace
      */
     DesignPoint pointFromFlatTrainIndex(std::size_t flat) const;
 
+    /**
+     * The training level indices of @p points, points.size() x
+     * dimensions(), row-major as trainIndicesFromFlat writes them.
+     * @throws std::invalid_argument with validationError() of the
+     *         first point off the training levels or with the wrong
+     *         dimension count.
+     */
+    std::vector<std::size_t>
+    trainIndicesOf(const std::vector<DesignPoint> &points) const;
+
     /** All parameter names in order. */
     std::vector<std::string> names() const;
 

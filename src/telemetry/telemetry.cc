@@ -100,12 +100,13 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
     std::string out;
     char line[256];
 
-    // Pool utilization: total per-run simulate time spread over
-    // wall * jobs. Probe hits and phases outside simulate drag it
-    // down honestly; clamp against rounding overshoot.
+    // Pool utilization: the pool's busy time (pool.task_us, one
+    // sample per outermost parallel index) spread over wall * jobs.
+    // Serial phases between parallel sections drag it down honestly;
+    // clamp against rounding overshoot.
     double utilization = -1.0;
     for (const auto &h : snap.histograms) {
-        if (h.name == "sim.run_us" && wallUs > 0 && jobs > 0) {
+        if (h.name == "pool.task_us" && wallUs > 0 && jobs > 0) {
             utilization = static_cast<double>(h.sumUs) /
                           (static_cast<double>(wallUs) *
                            static_cast<double>(jobs));

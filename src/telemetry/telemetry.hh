@@ -68,8 +68,8 @@ void writeMetricsFile(const std::string &path);
 
 /**
  * Render the `-- telemetry:` stderr summary from a snapshot: top
- * phases by wall-clock, cache hit rate, pool utilization
- * (sum of per-run simulate time over wall * jobs, clamped to 100%).
+ * phases by wall-clock, cache hit rate, pool utilization (the
+ * pool.task_us busy time over wall * jobs, clamped to 100%).
  * Returns complete lines, each starting with "-- ".
  */
 std::string renderTelemetrySummary(const MetricsSnapshot &snap,

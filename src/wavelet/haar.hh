@@ -57,6 +57,19 @@ void haarInverseInto(const double *coeffs, std::size_t n, double *out,
                      double *scratch);
 
 /**
+ * haarInverse of @p width coefficient vectors at once, stored by
+ * position: rows[i] points at coefficient i of every vector, width
+ * doubles. Writes the reconstructions sample by sample, sample t of
+ * vector c at out[t * width + c], so every step runs across the
+ * vectors, in place in @p out. Column c is bit-identical to
+ * haarInverse of vector c: same operations in the same order.
+ * @pre isPowerOfTwo(n); out holds n * width doubles and does not
+ *      alias any row.
+ */
+void haarInverseColumns(const double *const *rows, std::size_t n,
+                        std::size_t width, double *out);
+
+/**
  * Resample a series to a power-of-two length by averaging (shrink) or
  * linear interpolation (grow). Used to coerce odd-length traces before
  * decomposition; the simulator normally produces power-of-two traces.

@@ -426,8 +426,8 @@ TEST(Predictor, LatticeTracesMatchScalarOnPaperSpaceWalk)
 
 TEST(Predictor, LatticeTracesNineLevelDimension)
 {
-    // The lattice tables have no level cap: a 9-level dimension runs
-    // the RBF kernel like any other.
+    // The unit pool's z^2 table has no level cap: a 9-level dimension
+    // runs the RBF kernel like any other.
     DesignSpace space;
     std::vector<double> many;
     for (std::size_t i = 0; i < 9; ++i)
@@ -457,7 +457,8 @@ TEST(Predictor, LatticeTracesPublishTheSameCounters)
     }
     const char *const names[] = {"predict.rbf_terms",
                                  "predict.rbf_terms_skipped",
-                                 "predict.clamped_values"};
+                                 "predict.clamped_values",
+                                 "predict.rbf_exps"};
     auto deltas = [&](auto run) {
         std::vector<std::uint64_t> d;
         for (const char *name : names)
@@ -473,6 +474,98 @@ TEST(Predictor, LatticeTracesPublishTheSameCounters)
                   p.predictLatticeTraces(idx.data(), walk.size(),
                                          out.data());
               }));
+}
+
+TEST(Predictor, EvaluatorSharesUnitsAcrossPredictors)
+{
+    // Predictors trained on one design matrix share RBF units: the tree
+    // root and the splits their trees agree on. The offset family grows
+    // the base family's trees with running sums a thousand times
+    // larger, so shared units get different skip decisions; it goes
+    // first, so a skip must not carry over to a later predictor. The
+    // wide predictor keeps the base family's centres and changes every
+    // radius. The last family grows different trees below the root.
+    DesignSpace space = DesignSpace::paper();
+    Rng rng(5);
+    const auto points = bestLatinHypercube(space, 40, 4, rng);
+    const std::size_t len = 32;
+    auto family = [&](auto trace) {
+        std::vector<std::vector<double>> traces;
+        for (const auto &p : points)
+            traces.push_back(trace(space.normalize(p)));
+        return traces;
+    };
+    auto base = family([&](const std::vector<double> &n) {
+        return latticeTrace(n, len);
+    });
+    auto offset = family([&](const std::vector<double> &n) {
+        auto t = latticeTrace(n, len);
+        for (double &v : t)
+            v += 1e3;
+        return t;
+    });
+    auto other = family([&](const std::vector<double> &n) {
+        return syntheticTrace(n, len);
+    });
+    PredictorOptions wideOpts;
+    wideOpts.rbf.radiusScale = 2.0;
+    std::vector<WaveletNeuralPredictor> preds(4);
+    preds[2] = WaveletNeuralPredictor(wideOpts);
+    preds[0].train(space, points, offset);
+    preds[1].train(space, points, base);
+    preds[2].train(space, points, base);
+    preds[3].train(space, points, other);
+    std::vector<const WaveletNeuralPredictor *> ptrs;
+    std::size_t units = 0;
+    for (const auto &p : preds) {
+        ptrs.push_back(&p);
+        units += rbfUnits(p);
+    }
+
+    // Consecutive flat indices, so most neighbouring rows differ only
+    // in the last dimension: three full blocks and a ragged tail.
+    const std::size_t block = TraceEvaluator::kBlock;
+    const std::size_t n = 3 * block + 5;
+    const std::size_t dims = space.dimensions();
+    std::vector<std::size_t> flat, idx(n * dims);
+    for (std::size_t i = 0; i < n; ++i) {
+        flat.push_back(40000 + i);
+        space.trainIndicesFromFlat(flat[i], idx.data() + i * dims);
+    }
+
+    const char *const names[] = {"predict.rbf_terms",
+                                 "predict.rbf_terms_skipped",
+                                 "predict.rbf_exps"};
+    std::vector<std::uint64_t> before;
+    for (const char *name : names)
+        before.push_back(counter(name));
+    TraceEvaluator ev(ptrs);
+    TraceEvaluator::Workspace ws(ev);
+    std::vector<double> traces(block * len);
+    for (std::size_t b0 = 0; b0 < n; b0 += block) {
+        const std::size_t m = std::min(block, n - b0);
+        ws.predict(idx.data() + b0 * dims, m);
+        for (std::size_t p = 0; p < preds.size(); ++p) {
+            ws.assemble(p, traces.data());
+            for (std::size_t r = 0; r < m; ++r) {
+                std::vector<double> row(len);
+                for (std::size_t t = 0; t < len; ++t)
+                    row[t] = traces[t * m + r];
+                EXPECT_EQ(row, naiveTrace(preds[p],
+                                          space.pointFromFlatTrainIndex(
+                                              flat[b0 + r])))
+                    << "predictor " << p << " flat index " << flat[b0 + r];
+            }
+        }
+    }
+    ws.publish();
+    const std::uint64_t terms = counter(names[0]) - before[0];
+    const std::uint64_t skipped = counter(names[1]) - before[1];
+    const std::uint64_t exps = counter(names[2]) - before[2];
+    EXPECT_EQ(terms + skipped, n * units);
+    EXPECT_GT(skipped, 0u);
+    EXPECT_GT(exps, 0u);
+    EXPECT_LT(exps, terms);
 }
 
 TEST(Predictor, RetrainWarmKeepsSelectionFrozen)

@@ -193,7 +193,8 @@ TEST(Explorer, SweepCountersAreJobsInvariant)
     auto deltas = [](std::size_t jobs) {
         const char *names[] = {"predict.rbf_terms",
                                "predict.rbf_terms_skipped",
-                               "predict.clamped_values"};
+                               "predict.clamped_values",
+                               "predict.rbf_exps"};
         std::vector<std::uint64_t> grown;
         for (const char *n : names)
             grown.push_back(metricsRegistry().snapshot().counterOr(n));
@@ -207,13 +208,22 @@ TEST(Explorer, SweepCountersAreJobsInvariant)
     EXPECT_EQ(serial, deltas(8));
     EXPECT_GT(serial[0], 0u);
     EXPECT_GT(serial[1], 0u);
+    // Units the scenario x domain predictors share get one exp a row.
+    EXPECT_GT(serial[3], 0u);
+    EXPECT_LT(serial[3], serial[0]);
 }
 
 TEST(Explorer, ChunkSizeDoesNotChangeTheReport)
 {
     // Chunking only moves worker-local reduction boundaries; the
-    // frontier merge and canonical ordering erase it.
-    EXPECT_EQ(serialRender(), renderPinnedCampaign(1, 17));
+    // frontier merge and canonical ordering erase it. Chunks of one
+    // row, and of one row either side of the scoring block size, put
+    // ragged blocks at every chunk end.
+    const std::size_t block = TraceEvaluator::kBlock;
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{17}, block - 1,
+                              block + 1})
+        EXPECT_EQ(serialRender(), renderPinnedCampaign(1, chunk))
+            << "chunk " << chunk;
     EXPECT_EQ(serialRender(), renderPinnedCampaign(8, 512));
 }
 

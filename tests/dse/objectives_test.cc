@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "dse/objectives.hh"
 #include "util/rng.hh"
@@ -153,6 +154,45 @@ TEST(Objectives, ViewAndMapScoreBitForBit)
                 << objectiveName(o);
             EXPECT_EQ(objectiveScore(o, view), objectiveScore(o, traces))
                 << objectiveName(o);
+        }
+    }
+}
+
+TEST(Objectives, BlockViewScoresEachRunAlone)
+{
+    // A block of runs stored sample by sample scores every run exactly
+    // as a one-run view of that run alone.
+    Rng rng(7);
+    const std::size_t n = 16, runs = 5;
+    std::vector<std::vector<double>> cpi(runs), power(runs), avf(runs);
+    std::vector<double> cpiBlock(n * runs), powerBlock(n * runs),
+        avfBlock(n * runs);
+    for (std::size_t r = 0; r < runs; ++r)
+        for (std::size_t t = 0; t < n; ++t) {
+            cpi[r].push_back(rng.uniform(0.01, 40.0));
+            power[r].push_back(rng.uniform(0.01, 40.0));
+            avf[r].push_back(rng.uniform(0.0, 1.0));
+            cpiBlock[t * runs + r] = cpi[r].back();
+            powerBlock[t * runs + r] = power[r].back();
+            avfBlock[t * runs + r] = avf[r].back();
+        }
+    TraceView block;
+    block.length = n;
+    block.runs = runs;
+    block.set(Domain::Cpi, cpiBlock.data());
+    block.set(Domain::Power, powerBlock.data());
+    block.set(Domain::Avf, avfBlock.data());
+    for (Objective o : allObjectives()) {
+        std::vector<double> scores(runs);
+        objectiveScores(o, block, scores.data());
+        for (std::size_t r = 0; r < runs; ++r) {
+            TraceView one;
+            one.length = n;
+            one.set(Domain::Cpi, cpi[r].data());
+            one.set(Domain::Power, power[r].data());
+            one.set(Domain::Avf, avf[r].data());
+            EXPECT_EQ(scores[r], objectiveScore(o, one))
+                << objectiveName(o) << " run " << r;
         }
     }
 }

@@ -20,6 +20,7 @@
 #include "exec/scheduler.hh"
 #include "exec/thread_pool.hh"
 #include "sim/batch.hh"
+#include "telemetry/telemetry.hh"
 #include "util/json.hh"
 #include "util/options.hh"
 #include "workload/profile.hh"
@@ -189,6 +190,33 @@ TEST(ParallelFor, NestedSectionsRunInlineWithoutDeadlock)
     });
     EXPECT_EQ(inner.load(), 4 * 8);
     EXPECT_FALSE(ThreadPool::onWorkerThread());
+}
+
+/** Samples in the pool.task_us histogram so far. */
+std::uint64_t
+poolTaskSamples()
+{
+    for (const auto &h : metricsRegistry().snapshot().histograms)
+        if (h.name == "pool.task_us")
+            return h.count;
+    return 0;
+}
+
+TEST(ParallelFor, TimesOnlyOutermostIndices)
+{
+    // Busy time is one sample per outermost index: nested sections run
+    // inside a timed index, so the count is the same for any pool size.
+    for (std::size_t workers : {1u, 4u}) {
+        ThreadPool pool(workers);
+        const std::uint64_t before = poolTaskSamples();
+        parallelFor(pool, 6, [&](std::size_t) {
+            parallelFor(pool, 5, [](std::size_t) {});
+        });
+        parallelChunks(pool, 10, 3, [](std::size_t, std::size_t,
+                                       std::size_t) {});
+        EXPECT_EQ(poolTaskSamples() - before, 6u + 4u)
+            << workers << " workers";
+    }
 }
 
 TEST(GlobalPool, TracksJobsSetting)

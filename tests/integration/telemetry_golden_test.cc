@@ -161,10 +161,19 @@ TEST_F(TelemetryGoldenTest, SpanMultisetIsJobsInvariant)
          {"scheduler.runs", "scheduler.computed", "cache.hits",
           "cache.misses", "cache.stores", "sim.cycles",
           "sim.idle_skipped_cycles", "predict.rbf_terms",
-          "predict.rbf_terms_skipped", "predict.clamped_values"})
+          "predict.rbf_terms_skipped", "predict.clamped_values",
+          "predict.rbf_exps"})
         EXPECT_EQ(counterOf(m1, name), counterOf(m8, name)) << name;
     EXPECT_GT(counterOf(m1, "sim.cycles"), 0u);
     EXPECT_GT(counterOf(m1, "predict.rbf_terms"), 0u);
+    EXPECT_GT(counterOf(m1, "predict.rbf_exps"), 0u);
+    // The pool's busy time has one sample per outermost parallel
+    // index, whichever worker ran it.
+    auto samples = [](const JsonValue &m) {
+        return m.at("histograms").at("pool.task_us").at("count").asUint64();
+    };
+    EXPECT_EQ(samples(m1), samples(m8));
+    EXPECT_GT(samples(m1), 0u);
 }
 
 TEST_F(TelemetryGoldenTest, TraceValidatesAndNestsProperly)

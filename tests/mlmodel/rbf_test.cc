@@ -332,14 +332,36 @@ TEST(RbfSkipRule, NeverSkipsOnSpecialValues)
     EXPECT_TRUE(rbfTermNegligible(1.0, 0.0, 800.0));
 }
 
-TEST(RbfNetwork, LatticeMatchesPredictMany)
+TEST(RbfUnitPool, SharedUnitsMatchPredictMany)
 {
+    // Networks grown on one design matrix share units. The offset
+    // target grows the same tree as the plain one (same units, a much
+    // larger running sum, so different skip decisions); the wider
+    // radius scale keeps every centre and changes every radius; the
+    // other target grows a different tree below the shared root.
     Matrix x;
     std::vector<double> y;
     makeData(60, 4, smoothFunc, 9, x, y);
-    RbfNetwork net;
-    net.fit(x, y);
-    ASSERT_FALSE(net.units().empty());
+    std::vector<double> offset = y, other = y;
+    for (std::size_t i = 0; i < y.size(); ++i) {
+        offset[i] += 1e3;
+        other[i] = std::cos(5.0 * x.at(i, 2)) * x.at(i, 3);
+    }
+    RbfOptions wide;
+    wide.radiusScale = 2.0;
+    std::vector<RbfNetwork> nets(4);
+    nets[2] = RbfNetwork(wide);
+    nets[0].fit(x, offset);
+    nets[1].fit(x, y);
+    nets[2].fit(x, y);
+    nets[3].fit(x, other);
+    std::vector<const RbfNetwork *> ptrs;
+    std::size_t total = 0;
+    for (const RbfNetwork &net : nets) {
+        ASSERT_FALSE(net.units().empty());
+        ptrs.push_back(&net);
+        total += net.units().size();
+    }
 
     // Every row of a 4 x 3 x 5 x 9 lattice, last dimension fastest.
     // The dimensions differ in level count, so the table's shared
@@ -362,13 +384,27 @@ TEST(RbfNetwork, LatticeMatchesPredictMany)
                     rows.at(r, 2) = levels[2][c];
                     rows.at(r, 3) = levels[3][e];
                 }
-    std::vector<double> got(rows.rows());
+
+    RbfUnitPool pool(ptrs, levels);
+    EXPECT_EQ(pool.networks(), nets.size());
+    EXPECT_LT(pool.distinctUnits(), total);
+    // Two calls on one scratch: the exp memo must not leak across the
+    // split, which falls between rows that differ in the last index.
+    const std::size_t n = rows.rows(), split = 301;
+    std::vector<double> got(nets.size() * n);
+    RbfUnitPool::Scratch scratch(pool);
     RbfTermCounts counts;
-    net.predictLattice(net.latticeTable(levels), idx.data(), rows.rows(),
-                       got.data(), counts);
-    EXPECT_EQ(got, net.predictMany(rows));
-    EXPECT_EQ(counts.evaluated + counts.skipped,
-              rows.rows() * net.units().size());
+    pool.predict(scratch, idx.data(), split, got.data(), n, counts);
+    pool.predict(scratch, idx.data() + split * 4, n - split,
+                 got.data() + split, n, counts);
+    for (std::size_t m = 0; m < nets.size(); ++m)
+        EXPECT_EQ(std::vector<double>(got.begin() + m * n,
+                                      got.begin() + (m + 1) * n),
+                  nets[m].predictMany(rows))
+            << "network " << m;
+    EXPECT_EQ(counts.evaluated + counts.skipped, n * total);
+    EXPECT_GT(counts.skipped, 0u);
+    EXPECT_LT(counts.exps, counts.evaluated);
 }
 
 class RbfFitModes : public ::testing::TestWithParam<RbfFit>

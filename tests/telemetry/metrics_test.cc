@@ -2,7 +2,8 @@
  * @file
  * Tests for the sharded metrics registry: exact sums under concurrent
  * writers, deterministic snapshots regardless of which thread did the
- * work, the fixed histogram bucket layout, and JSON rendering.
+ * work, the fixed histogram bucket layout, JSON rendering, and the
+ * stderr summary's derived figures.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "telemetry/metrics.hh"
+#include "telemetry/telemetry.hh"
 #include "util/json.hh"
 
 namespace wavedyn
@@ -176,6 +178,34 @@ TEST(Metrics, JsonRoundTripAndSchema)
     EXPECT_EQ(doc.at("histograms").at("dur").at("count").asUint64(), 1u);
     EXPECT_EQ(doc.at("bucket_bounds_us").size(),
               HistogramLayout::kBuckets - 1);
+}
+
+TEST(TelemetrySummary, UtilizationIsPoolBusyTimeOverWallTimesJobs)
+{
+    auto line = [](const MetricsSnapshot &snap, std::size_t jobs) {
+        std::string out = renderTelemetrySummary(snap, 2000000, jobs);
+        return out.substr(0, out.find('\n'));
+    };
+    MetricsSnapshot snap;
+    MetricsSnapshot::Histogram sim;
+    sim.name = "sim.run_us";
+    sim.count = 4;
+    sim.sumUs = 8000000;
+    snap.histograms.push_back(sim);
+    // Simulation time is no longer the busy time: a warm campaign
+    // simulates nothing and still keeps the pool busy.
+    EXPECT_EQ(line(snap, 4), "-- telemetry: wall 2.000 s, jobs 4");
+
+    MetricsSnapshot::Histogram pool;
+    pool.name = "pool.task_us";
+    pool.count = 12;
+    pool.sumUs = 6000000;
+    snap.histograms.push_back(pool);
+    EXPECT_EQ(line(snap, 4),
+              "-- telemetry: wall 2.000 s, jobs 4, pool utilization 75%");
+    // Rounding overshoot clamps at 100%.
+    EXPECT_EQ(line(snap, 2),
+              "-- telemetry: wall 2.000 s, jobs 2, pool utilization 100%");
 }
 
 } // namespace

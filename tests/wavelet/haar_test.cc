@@ -251,5 +251,34 @@ INSTANTIATE_TEST_SUITE_P(Sizes, HaarInverseInto,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128,
                                            256, 512, 1024));
 
+TEST_P(HaarInverseInto, ColumnsBitIdenticalToHaarInverse)
+{
+    // The sweep inverts a block of rows at once, coefficient by
+    // coefficient; unmodelled coefficients share one row of zeros.
+    const std::size_t n = GetParam();
+    for (std::size_t width : {1u, 3u, 64u}) {
+        Rng rng(n * 17 + width);
+        std::vector<std::vector<double>> vectors(
+            width, std::vector<double>(n, 0.0));
+        std::vector<std::vector<double>> byPosition(
+            n, std::vector<double>(width, 0.0));
+        const std::vector<double> zeros(width, 0.0);
+        std::vector<const double *> rows(n, zeros.data());
+        for (std::size_t i = 0; i < n; i += 1 + i % 3) {
+            for (std::size_t c = 0; c < width; ++c)
+                byPosition[i][c] = vectors[c][i] = rng.gaussian() * 3.0;
+            rows[i] = byPosition[i].data();
+        }
+        std::vector<double> out(n * width, -1.0);
+        haarInverseColumns(rows.data(), n, width, out.data());
+        for (std::size_t c = 0; c < width; ++c) {
+            auto reference = haarInverse(vectors[c]);
+            for (std::size_t t = 0; t < n; ++t)
+                ASSERT_EQ(out[t * width + c], reference[t])
+                    << "sample " << t << " column " << c << " n " << n;
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace wavedyn
