@@ -212,17 +212,45 @@ TraceEvaluator::TraceEvaluator(
                 others.push_back(m.get());
             }
         }
+
+        SegmentPlan plan;
+        if (p->opts.paperHaar) {
+            plan.haar = haarSegmentPlan(p->length, p->selected);
+        } else {
+            plan.haar.registers = p->length;
+            for (std::uint32_t t = 0; t < p->length; ++t)
+                plan.haar.segments.push_back({t, 1});
+        }
+        plan.firstRegister = registerCount;
+        registerCount += plan.haar.registers;
+        std::vector<std::uint32_t> samples(plan.haar.registers, 0);
+        for (const HaarSegmentPlan::Segment &seg : plan.haar.segments)
+            samples[seg.reg] += seg.samples;
+        for (std::uint32_t r = 0; r < samples.size(); ++r)
+            if (samples[r] > 0)
+                plan.covered.emplace_back(r, samples[r]);
+        plans.push_back(std::move(plan));
     }
 }
 
 TraceEvaluator::Workspace::Workspace(const TraceEvaluator &evaluator)
     : ev(evaluator), scratch(evaluator.pool),
-      columns(evaluator.columnOf.size() * kBlock), zeros(kBlock, 0.0)
+      columns(evaluator.columnOf.size() * kBlock), zeros(kBlock, 0.0),
+      registers(evaluator.registerCount * kBlock),
+      segs(evaluator.preds.size())
 {
     std::size_t length = 0;
     for (const WaveletNeuralPredictor *p : ev.preds)
         length = std::max(length, p->length);
     coeffRows.resize(length);
+    for (std::size_t p = 0; p < ev.plans.size(); ++p) {
+        const SegmentPlan &plan = ev.plans[p];
+        for (const HaarSegmentPlan::Segment &seg : plan.haar.segments)
+            segs[p].push_back(
+                {registers.data() +
+                     (plan.firstRegister + seg.reg) * kBlock,
+                 seg.samples});
+    }
 }
 
 void
@@ -248,50 +276,111 @@ TraceEvaluator::Workspace::predict(const std::size_t *levelIdx,
 }
 
 void
-TraceEvaluator::Workspace::assemble(std::size_t p, double *out)
+TraceEvaluator::Workspace::bindCoefficients(std::size_t p)
 {
     const WaveletNeuralPredictor &pred = *ev.preds[p];
-    const std::size_t length = pred.length;
     const std::vector<std::size_t> &selected = pred.selected;
     const std::size_t *column = ev.columnOf.data() + ev.firstModel[p];
     // Coefficient i of every row: a model's column, or zeros when no
     // model predicts it.
-    std::fill(coeffRows.begin(), coeffRows.begin() + length, zeros.data());
+    std::fill(coeffRows.begin(), coeffRows.begin() + pred.length,
+              zeros.data());
     for (std::size_t s = 0; s < selected.size(); ++s)
         coeffRows[selected[s]] = columns.data() + column[s] * kBlock;
-    if (pred.opts.paperHaar) {
-        haarInverseColumns(coeffRows.data(), length, rows, out);
-    } else {
-        std::vector<double> coeffs(length);
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t i = 0; i < length; ++i)
-                coeffs[i] = coeffRows[i][r];
-            std::vector<double> trace = pred.fromCoefficients(coeffs);
-            for (std::size_t i = 0; i < length; ++i)
-                out[i * rows + r] = trace[i];
-        }
-    }
-    if (!pred.opts.clampToTrainingRange)
-        return;
+}
+
+void
+TraceEvaluator::Workspace::clamp(std::size_t p, double *values,
+                                 std::size_t n, std::uint64_t weight)
+{
+    const WaveletNeuralPredictor &pred = *ev.preds[p];
     const double margin = 0.1 * (pred.trainHi - pred.trainLo);
     const double lo = pred.trainLo - margin;
     const double hi = pred.trainHi + margin;
     // Counted in doubles, exact below 2^53, so the loop vectorises;
     // four partial counts keep it off one serial chain of adds.
     double outside[4] = {0.0, 0.0, 0.0, 0.0};
-    auto clamp = [&](double &v, double &count) {
+    auto clampOne = [&](double &v, double &count) {
         count += v < lo || v > hi ? 1.0 : 0.0;
         v = std::min(std::max(v, lo), hi);
     };
-    const std::size_t total = length * rows;
     std::size_t i = 0;
-    for (; i + 4 <= total; i += 4)
+    for (; i + 4 <= n; i += 4)
         for (std::size_t k = 0; k < 4; ++k)
-            clamp(out[i + k], outside[k]);
-    for (; i < total; ++i)
-        clamp(out[i], outside[0]);
-    clamped += static_cast<std::uint64_t>(outside[0] + outside[1] +
-                                          outside[2] + outside[3]);
+            clampOne(values[i + k], outside[k]);
+    for (; i < n; ++i)
+        clampOne(values[i], outside[0]);
+    clamped += weight * static_cast<std::uint64_t>(
+                            outside[0] + outside[1] + outside[2] +
+                            outside[3]);
+}
+
+void
+TraceEvaluator::Workspace::assemble(std::size_t p, double *out)
+{
+    const WaveletNeuralPredictor &pred = *ev.preds[p];
+    const std::size_t length = pred.length;
+    bindCoefficients(p);
+    if (pred.opts.paperHaar)
+        haarInverseColumns(coeffRows.data(), length, rows, out);
+    else
+        inverseRows(p, out, rows);
+    if (pred.opts.clampToTrainingRange)
+        clamp(p, out, length * rows, 1);
+}
+
+void
+TraceEvaluator::Workspace::inverseRows(std::size_t p, double *out,
+                                       std::size_t stride)
+{
+    const WaveletNeuralPredictor &pred = *ev.preds[p];
+    std::vector<double> coeffs(pred.length);
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t i = 0; i < pred.length; ++i)
+            coeffs[i] = coeffRows[i][r];
+        std::vector<double> trace = pred.fromCoefficients(coeffs);
+        for (std::size_t t = 0; t < pred.length; ++t)
+            out[t * stride + r] = trace[t];
+    }
+}
+
+const std::vector<TraceSegment> &
+TraceEvaluator::Workspace::segments(std::size_t p)
+{
+    const WaveletNeuralPredictor &pred = *ev.preds[p];
+    const SegmentPlan &plan = ev.plans[p];
+    double *reg = registers.data() + plan.firstRegister * kBlock;
+    if (pred.opts.paperHaar) {
+        const std::size_t *column = ev.columnOf.data() + ev.firstModel[p];
+        auto coeff = [&](std::uint32_t slot) {
+            return columns.data() + column[slot] * kBlock;
+        };
+        if (plan.haar.rootSlot == HaarSegmentPlan::kNoSlot)
+            std::fill(reg, reg + rows, 0.0);
+        else
+            std::copy(coeff(plan.haar.rootSlot),
+                      coeff(plan.haar.rootSlot) + rows, reg);
+        for (const HaarSegmentPlan::Op &op : plan.haar.ops) {
+            const double *a = reg + op.src * kBlock;
+            const double *d = coeff(op.slot);
+            double *o = reg + op.dst * kBlock;
+            if (op.add)
+                for (std::size_t r = 0; r < rows; ++r)
+                    o[r] = a[r] + d[r];
+            else
+                for (std::size_t r = 0; r < rows; ++r)
+                    o[r] = a[r] - d[r];
+        }
+    } else {
+        bindCoefficients(p);
+        inverseRows(p, reg, kBlock);
+    }
+    // After every op: a register can be both a segment and the source
+    // of a deeper split.
+    if (pred.opts.clampToTrainingRange)
+        for (const auto &[r, samples] : plan.covered)
+            clamp(p, reg + r * kBlock, rows, samples);
+    return segs[p];
 }
 
 void

@@ -25,12 +25,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/design_space.hh"
 #include "mlmodel/linear_model.hh"
 #include "mlmodel/rbf_network.hh"
 #include "wavelet/dwt.hh"
+#include "wavelet/haar.hh"
 #include "wavelet/selection.hh"
 
 namespace wavedyn
@@ -205,10 +207,10 @@ class WaveletNeuralPredictor
  * predictor goes into one RbfUnitPool, so a unit that several models
  * share has its z^2 sums and its exp(-z^2) computed once per row. Any
  * other model runs predictMany on normalised rows read from a
- * per-(dimension, level) table. A block's coefficient columns are then
- * assembled into one predictor's traces at a time — inverse transform
- * across the block's rows, clamp — so a caller can reduce each
- * (predictor, block) while it is cache resident.
+ * per-(dimension, level) table. A block's coefficient columns then
+ * become one predictor's traces at a time, either as full traces
+ * (assemble) or as runs of equal samples (segments), so a caller can
+ * reduce each (predictor, block) while it is cache resident.
  *
  * Immutable after construction and safe to share between threads;
  * each thread evaluates through its own Workspace. Every result is
@@ -233,12 +235,6 @@ class TraceEvaluator
     /** Predictors evaluated, in constructor order. */
     std::size_t size() const { return preds.size(); }
 
-    /** Trace length of predictor @p p. */
-    std::size_t traceLength(std::size_t p) const
-    {
-        return preds[p]->traceLength();
-    }
-
     /** One thread's buffers and counters for an evaluation. */
     class Workspace
     {
@@ -253,11 +249,25 @@ class TraceEvaluator
 
         /**
          * Predictor @p p's traces at the n rows of the last predict(),
-         * stored sample by sample as a TraceView of n runs reads them:
-         * sample t of row r at out[t * n + r], n x traceLength()
-         * doubles in all.
+         * stored sample by sample: sample t of row r at out[t * n + r],
+         * n x traceLength() doubles in all. Bit-identical to
+         * haarInverse, so predictLatticeTraces assembles: segments()
+         * can differ in the sign of a zero, which a trace would show.
          */
         void assemble(std::size_t p, double *out);
+
+        /**
+         * Predictor @p p's traces at the n rows of the last predict()
+         * as segments in sample order, covering its trace length:
+         * a paper-Haar predictor runs its HaarSegmentPlan
+         * across the rows, any other transform is n one-sample
+         * segments of its full inverse. Each segment's value is
+         * clamped once and counted once per sample it covers, so
+         * every value, clamp decision and count matches assemble()
+         * up to the sign of a zero. The segments stay valid until the
+         * next predict().
+         */
+        const std::vector<TraceSegment> &segments(std::size_t p);
 
         /**
          * Add the counts so far to the predict.rbf_terms,
@@ -267,18 +277,44 @@ class TraceEvaluator
         void publish();
 
       private:
+        /** Point coeffRows at predictor @p p's coefficient columns. */
+        void bindCoefficients(std::size_t p);
+        /** The full inverse of every row's bound coefficients (any
+         *  transform): sample t of row r at out[t * stride + r]. */
+        void inverseRows(std::size_t p, double *out, std::size_t stride);
+        /** Clamp @p n values of predictor @p p in place; count them. */
+        void clamp(std::size_t p, double *values, std::size_t n,
+                   std::uint64_t weight);
+
         const TraceEvaluator &ev;
         RbfUnitPool::Scratch scratch;
         std::vector<double> columns; //!< [column][kBlock]
         std::size_t rows = 0;        //!< rows of the last predict()
         std::vector<double> zeros;   //!< an unmodelled coefficient
         std::vector<const double *> coeffRows; //!< [coefficient][row]
+        std::vector<double> registers; //!< [register][kBlock]
+        /** Each predictor's segments, pointing into registers. */
+        std::vector<std::vector<TraceSegment>> segs;
         RbfTermCounts terms;
         std::uint64_t clamped = 0;
     };
 
   private:
+    /** How one predictor's segments are computed. */
+    struct SegmentPlan
+    {
+        /** Paper Haar: the plan; otherwise registers = length and
+         *  segment t is register t, filled by the full inverse. */
+        HaarSegmentPlan haar;
+        std::size_t firstRegister = 0; //!< in Workspace::registers
+        /** (register, samples it covers), for every register that
+         *  some segment reads. */
+        std::vector<std::pair<std::uint32_t, std::uint32_t>> covered;
+    };
+
     std::vector<const WaveletNeuralPredictor *> preds;
+    std::vector<SegmentPlan> plans;
+    std::size_t registerCount = 0; //!< over every plan
     std::vector<std::vector<double>> levels; //!< [dim][level] normalised
     std::vector<std::size_t> firstModel;     //!< predictor p's model 0
     /** Column of each model: pooled RBF networks first, in pool order,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <sstream>
@@ -65,9 +66,10 @@ bankPredictors(const PredictorBank &bank, const std::vector<Domain> &domains)
  * every scenario — the one scoring path of the sweep and the held-out
  * baseline. @p ev evaluates bankPredictors(bank, domains). Rows go
  * through in blocks: one predict() gives every predictor's
- * coefficients, then each scenario assembles its domains' traces into
- * block-sized buffers and reduces them to objective scores while they
- * are cache resident.
+ * coefficients, then each scenario turns its domains' coefficients
+ * into segments and reduces them to objective scores while they are
+ * cache resident. Records one sweep.predict_us (coefficient models)
+ * and one sweep.score_us (segments, clamp, sums) sample per call.
  */
 ChunkScores
 scoreRows(const TraceEvaluator &ev, std::size_t scenarios,
@@ -84,27 +86,31 @@ scoreRows(const TraceEvaluator &ev, std::size_t scenarios,
     out.points = n;
     out.val.resize(scenarios * nobj * n);
     TraceEvaluator::Workspace ws(ev);
-    TraceView view;
-    view.length = ev.traceLength(0);
-    std::vector<std::vector<double>> traces(
-        domains.size(), std::vector<double>(kBlock * view.length));
-    for (std::size_t j = 0; j < domains.size(); ++j)
-        view.set(domains[j], traces[j].data());
+    SegmentView view;
+    std::uint64_t predictUs = 0;
+    std::uint64_t scoreUs = 0;
     for (std::size_t b0 = 0; b0 < n; b0 += kBlock) {
-        view.runs = std::min(kBlock, n - b0);
-        ws.predict(levelIdx + b0 * dims, view.runs);
+        view.rows = std::min(kBlock, n - b0);
+        const std::uint64_t start = telemetryNowUs();
+        ws.predict(levelIdx + b0 * dims, view.rows);
+        const std::uint64_t predicted = telemetryNowUs();
         for (std::size_t s = 0; s < scenarios; ++s) {
-            for (std::size_t j = 0; j < domains.size(); ++j) {
-                assert(ev.traceLength(s * domains.size() + j) ==
-                       view.length);
-                ws.assemble(s * domains.size() + j, traces[j].data());
-            }
+            for (std::size_t j = 0; j < domains.size(); ++j)
+                view.set(domains[j], ws.segments(s * domains.size() + j));
             for (std::size_t k = 0; k < nobj; ++k)
-                objectiveScores(objectives[k], view,
-                                out.val.data() + (s * nobj + k) * n + b0);
+                scoreSegments(objectives[k], view,
+                              out.val.data() + (s * nobj + k) * n + b0);
         }
+        predictUs += predicted - start;
+        scoreUs += telemetryNowUs() - predicted;
     }
     ws.publish();
+    static const MetricId predictTimer =
+        metricsRegistry().histogram("sweep.predict_us");
+    static const MetricId scoreTimer =
+        metricsRegistry().histogram("sweep.score_us");
+    metricsRegistry().observe(predictTimer, predictUs);
+    metricsRegistry().observe(scoreTimer, scoreUs);
     out.means.resize(n * nobj);
     for (std::size_t i = 0; i < n; ++i)
         for (std::size_t k = 0; k < nobj; ++k) {

@@ -1,6 +1,7 @@
 #include "dse/objectives.hh"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -122,117 +123,185 @@ domainsFor(const std::vector<Objective> &objectives)
 namespace
 {
 
-const double *
-traceOf(Domain d, const TraceView &traces)
+const std::vector<TraceSegment> &
+segmentsOf(Domain d, const SegmentView &view)
 {
-    const double *t = traces.of(d);
-    assert(t != nullptr && traces.length > 0);
-    return t;
+    const std::vector<TraceSegment> *segs = view.of(d);
+    assert(segs != nullptr && !segs->empty());
+    return *segs;
 }
 
-/** out[r] = mean of run r's trace in @p t (sample-by-sample layout). */
+/**
+ * The sums run kGroup rows at a time with the running sums held in
+ * registers: each row's sum is one serial chain of adds, so only
+ * independent rows keep the adders busy.
+ */
+constexpr std::size_t kGroup = 16;
+
+/** acc[k] += v[k] for every k < G, @p times times. */
+template <std::size_t G>
+inline void
+addRepeated(double (&acc)[G], const double (&v)[G], std::size_t times)
+{
+    for (std::size_t i = 0; i < times; ++i)
+        for (std::size_t k = 0; k < G; ++k)
+            acc[k] += v[k];
+}
+
+/** out[r] = mean of row r's trace for rows r0 .. r0 + G - 1. */
+template <std::size_t G>
 void
-meanTraces(const double *t, std::size_t n, std::size_t runs, double *out)
+meanSegmentRows(const std::vector<TraceSegment> &segs, std::size_t r0,
+                double *out)
 {
-    std::fill(out, out + runs, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t r = 0; r < runs; ++r)
-            out[r] += t[i * runs + r];
-    for (std::size_t r = 0; r < runs; ++r)
-        out[r] /= static_cast<double>(n);
-}
-
-TraceView
-viewOf(const std::map<Domain, std::vector<double>> &traces)
-{
-    TraceView view;
-    for (const auto &[d, trace] : traces) {
-        assert(view.length == 0 || view.length == trace.size());
-        view.length = trace.size();
-        view.set(d, trace.data());
+    double acc[G] = {};
+    std::size_t n = 0;
+    for (const TraceSegment &seg : segs) {
+        double v[G];
+        for (std::size_t k = 0; k < G; ++k)
+            v[k] = seg.values[r0 + k];
+        addRepeated(acc, v, seg.samples);
+        n += seg.samples;
     }
-    return view;
+    for (std::size_t k = 0; k < G; ++k)
+        out[r0 + k] = acc[k] / static_cast<double>(n);
 }
 
-/** objectiveValue of every run of @p traces, out[r] for run r. */
+/** out[r] = mean of row r's trace over @p segs. */
 void
-objectiveValues(Objective o, const TraceView &traces, double *out)
+meanSegments(const std::vector<TraceSegment> &segs, std::size_t rows,
+             double *out)
 {
-    const std::size_t n = traces.length;
-    const std::size_t runs = traces.runs;
+    std::size_t r = 0;
+    for (; r + kGroup <= rows; r += kGroup)
+        meanSegmentRows<kGroup>(segs, r, out);
+    for (; r < rows; ++r)
+        meanSegmentRows<1>(segs, r, out);
+}
+
+/**
+ * out[r] = mean of row r's power * cpi product for rows r0 .. r0 +
+ * G - 1. The walk steps to the next boundary of either list; one
+ * product holds for every sample up to it.
+ */
+template <std::size_t G>
+void
+meanProductRows(const std::vector<TraceSegment> &power,
+                const std::vector<TraceSegment> &cpi, std::size_t r0,
+                double *out)
+{
+    double acc[G] = {};
+    std::size_t n = 0;
+    std::size_t p = 0;
+    std::size_t c = 0;
+    std::size_t pLeft = power[0].samples;
+    std::size_t cLeft = cpi[0].samples;
+    while (p < power.size()) {
+        assert(c < cpi.size());
+        const std::size_t m = std::min(pLeft, cLeft);
+        double v[G];
+        for (std::size_t k = 0; k < G; ++k)
+            v[k] = power[p].values[r0 + k] * cpi[c].values[r0 + k];
+        addRepeated(acc, v, m);
+        n += m;
+        pLeft -= m;
+        cLeft -= m;
+        if (pLeft == 0 && ++p < power.size())
+            pLeft = power[p].samples;
+        if (cLeft == 0 && ++c < cpi.size())
+            cLeft = cpi[c].samples;
+    }
+    assert(c == cpi.size());
+    for (std::size_t k = 0; k < G; ++k)
+        out[r0 + k] = acc[k] / static_cast<double>(n);
+}
+
+/** out[r] = mean of row r's power * cpi product. */
+void
+meanProducts(const std::vector<TraceSegment> &power,
+             const std::vector<TraceSegment> &cpi, std::size_t rows,
+             double *out)
+{
+    std::size_t r = 0;
+    for (; r + kGroup <= rows; r += kGroup)
+        meanProductRows<kGroup>(power, cpi, r, out);
+    for (; r < rows; ++r)
+        meanProductRows<1>(power, cpi, r, out);
+}
+
+/** objectiveValue of every row of @p view, out[r] for row r. */
+void
+segmentValues(Objective o, const SegmentView &view, double *out)
+{
+    const std::size_t rows = view.rows;
     switch (o) {
       case Objective::Cpi:
-        meanTraces(traceOf(Domain::Cpi, traces), n, runs, out);
+        meanSegments(segmentsOf(Domain::Cpi, view), rows, out);
         return;
       case Objective::Bips:
-        meanTraces(traceOf(Domain::Cpi, traces), n, runs, out);
-        for (std::size_t r = 0; r < runs; ++r)
+        meanSegments(segmentsOf(Domain::Cpi, view), rows, out);
+        for (std::size_t r = 0; r < rows; ++r)
             out[r] = out[r] > 0.0 ? 1.0 / out[r] : 0.0;
         return;
       case Objective::Power:
-        meanTraces(traceOf(Domain::Power, traces), n, runs, out);
+        meanSegments(segmentsOf(Domain::Power, view), rows, out);
         return;
-      case Objective::Energy: {
+      case Objective::Energy:
         // Intervals hold a fixed instruction count, so per-interval
         // energy is proportional to power_i * cpi_i; the mean of that
         // product is energy per instruction up to the clock period.
-        const double *cpi = traceOf(Domain::Cpi, traces);
-        const double *power = traceOf(Domain::Power, traces);
-        std::fill(out, out + runs, 0.0);
-        for (std::size_t i = 0; i < n; ++i)
-            for (std::size_t r = 0; r < runs; ++r)
-                out[r] += power[i * runs + r] * cpi[i * runs + r];
-        for (std::size_t r = 0; r < runs; ++r)
-            out[r] /= static_cast<double>(n);
+        meanProducts(segmentsOf(Domain::Power, view),
+                     segmentsOf(Domain::Cpi, view), rows, out);
         return;
-      }
       case Objective::Avf:
-        meanTraces(traceOf(Domain::Avf, traces), n, runs, out);
+        meanSegments(segmentsOf(Domain::Avf, view), rows, out);
         return;
     }
+}
+
+/** objectiveValue of @p traces: one row of one-sample segments. */
+double
+mapValue(Objective o, const std::map<Domain, std::vector<double>> &traces)
+{
+    std::array<std::vector<TraceSegment>,
+               static_cast<std::size_t>(Domain::IqAvf) + 1>
+        segs;
+    SegmentView view;
+    for (const auto &[d, trace] : traces) {
+        std::vector<TraceSegment> &list = segs[static_cast<std::size_t>(d)];
+        for (const double &v : trace)
+            list.push_back({&v, 1});
+        view.set(d, list);
+    }
+    double v = 0.0;
+    segmentValues(o, view, &v);
+    return v;
 }
 
 } // anonymous namespace
 
 void
-objectiveScores(Objective o, const TraceView &traces, double *out)
+scoreSegments(Objective o, const SegmentView &view, double *out)
 {
-    objectiveValues(o, traces, out);
+    segmentValues(o, view, out);
     if (maximised(o))
-        for (std::size_t r = 0; r < traces.runs; ++r)
+        for (std::size_t r = 0; r < view.rows; ++r)
             out[r] = -out[r];
-}
-
-double
-objectiveValue(Objective o, const TraceView &traces)
-{
-    assert(traces.runs == 1);
-    double v = 0.0;
-    objectiveValues(o, traces, &v);
-    return v;
-}
-
-double
-objectiveScore(Objective o, const TraceView &traces)
-{
-    assert(traces.runs == 1);
-    double v = 0.0;
-    objectiveScores(o, traces, &v);
-    return v;
 }
 
 double
 objectiveValue(Objective o,
                const std::map<Domain, std::vector<double>> &traces)
 {
-    return objectiveValue(o, viewOf(traces));
+    return mapValue(o, traces);
 }
 
 double
 objectiveScore(Objective o,
                const std::map<Domain, std::vector<double>> &traces)
 {
-    return objectiveScore(o, viewOf(traces));
+    double v = mapValue(o, traces);
+    return maximised(o) ? -v : v;
 }
 
 } // namespace wavedyn

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "wavelet/haar.hh"
 
 namespace wavedyn
 {
@@ -66,63 +67,55 @@ std::vector<Domain> domainsOf(Objective o);
 std::vector<Domain> domainsFor(const std::vector<Objective> &objectives);
 
 /**
- * The traces of @p runs runs, borrowed: a pointer per metric domain
- * (null when absent) into buffers of a common length. Sample t of run
- * r sits at byDomain[d][t * runs + r], so one run's trace is a plain
- * array and a block of runs is stored sample by sample. Lets a sweep
- * score traces straight out of its prediction buffers.
+ * The traces of a block of rows as segments, borrowed: per metric
+ * domain (null when absent) a list of TraceSegments in sample order,
+ * each holding one value per row. A plain trace is its samples as
+ * one-sample segments with rows = 1, so predicted blocks and
+ * simulated traces are scored by one routine.
  */
-struct TraceView
+struct SegmentView
 {
-    std::size_t length = 0;
-    std::size_t runs = 1;
-    std::array<const double *, static_cast<std::size_t>(Domain::IqAvf) + 1>
+    std::size_t rows = 1;
+    std::array<const std::vector<TraceSegment> *,
+               static_cast<std::size_t>(Domain::IqAvf) + 1>
         byDomain{};
 
-    const double *
+    const std::vector<TraceSegment> *
     of(Domain d) const
     {
         return byDomain[static_cast<std::size_t>(d)];
     }
 
     void
-    set(Domain d, const double *trace)
+    set(Domain d, const std::vector<TraceSegment> &segments)
     {
-        byDomain[static_cast<std::size_t>(d)] = trace;
+        byDomain[static_cast<std::size_t>(d)] = &segments;
     }
 };
 
 /**
- * Raw figure of merit from one run's traces. CPI/Power/AVF are trace
- * means; Energy is the mean of the interval-wise power*cpi product
- * (per-instruction energy up to the fixed clock factor); BIPS is the
- * inverse mean CPI. Sums run i = 0..length-1 from 0.0.
- * @pre every domain in domainsOf(o) is set, length > 0 and
- *      runs == 1.
+ * objectiveScore of every row of @p view, out[r] for row r. Every sum
+ * adds each sample in order from 0.0 (a segment adds its value once
+ * per sample it covers), so out[r] is bit-identical to the score of
+ * row r's traces written out sample by sample.
+ * @pre every domain in domainsOf(o) is set, and all of them cover
+ *      the same nonzero number of samples.
  */
-double objectiveValue(Objective o, const TraceView &traces);
-
-/** objectiveValue folded into minimisation space (BIPS negated). */
-double objectiveScore(Objective o, const TraceView &traces);
+void scoreSegments(Objective o, const SegmentView &view, double *out);
 
 /**
- * objectiveScore of every run of @p traces, out[r] for run r. Each
- * run's sums run over its own samples in order, so out[r] is
- * bit-identical to objectiveScore of run r alone.
- * @pre every domain in domainsOf(o) is set and length > 0.
- */
-void objectiveScores(Objective o, const TraceView &traces, double *out);
-
-/**
- * objectiveValue on traces keyed by domain: a view over the map, so
- * predicted and simulated traces share one scoring routine.
+ * Raw figure of merit from one run's traces keyed by domain. CPI,
+ * Power and AVF are trace means; Energy is the mean of the
+ * interval-wise power * cpi product (per-instruction energy up to the
+ * fixed clock factor); BIPS is the inverse mean CPI. Scored through a
+ * SegmentView of one-sample segments.
  * @pre every domain in domainsOf(o) is present and non-empty, and
  *      every trace in the map has the same length.
  */
 double objectiveValue(Objective o,
                       const std::map<Domain, std::vector<double>> &traces);
 
-/** objectiveScore on traces keyed by domain (see objectiveValue). */
+/** objectiveValue folded into minimisation space (BIPS negated). */
 double objectiveScore(Objective o,
                       const std::map<Domain, std::vector<double>> &traces);
 

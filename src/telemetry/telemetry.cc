@@ -164,6 +164,27 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
         out += '\n';
     }
 
+    // The sweep's stage split, in worker time summed over chunks.
+    std::uint64_t predictUs = 0;
+    std::uint64_t scoreUs = 0;
+    for (const auto &h : snap.histograms) {
+        if (h.name == "sweep.predict_us")
+            predictUs = h.sumUs;
+        else if (h.name == "sweep.score_us")
+            scoreUs = h.sumUs;
+    }
+    if (predictUs + scoreUs > 0) {
+        const double total = static_cast<double>(predictUs + scoreUs);
+        std::snprintf(line, sizeof(line),
+                      "-- telemetry: sweep worker time: predict %s "
+                      "(%.0f%%), score %s (%.0f%%)\n",
+                      formatSeconds(predictUs).c_str(),
+                      100.0 * static_cast<double>(predictUs) / total,
+                      formatSeconds(scoreUs).c_str(),
+                      100.0 * static_cast<double>(scoreUs) / total);
+        out += line;
+    }
+
     std::uint64_t hits = snap.counterOr("cache.hits");
     std::uint64_t misses = snap.counterOr("cache.misses");
     if (hits + misses > 0) {

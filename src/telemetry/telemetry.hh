@@ -69,7 +69,9 @@ void writeMetricsFile(const std::string &path);
 /**
  * Render the `-- telemetry:` stderr summary from a snapshot: top
  * phases by wall-clock, cache hit rate, pool utilization (the
- * pool.task_us busy time over wall * jobs, clamped to 100%).
+ * pool.task_us busy time over wall * jobs, clamped to 100%) and the
+ * sweep's split of worker time between prediction (sweep.predict_us)
+ * and scoring (sweep.score_us).
  * Returns complete lines, each starting with "-- ".
  */
 std::string renderTelemetrySummary(const MetricsSnapshot &snap,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace wavedyn
 {
@@ -110,6 +111,63 @@ haarInverseColumns(const double *const *rows, std::size_t n,
             }
         }
     }
+}
+
+HaarSegmentPlan
+haarSegmentPlan(std::size_t n, const std::vector<std::size_t> &selected)
+{
+    assert(isPowerOfTwo(n));
+    using Plan = HaarSegmentPlan;
+    std::vector<std::uint32_t> slotOf(n, Plan::kNoSlot);
+    for (std::size_t s = 0; s < selected.size(); ++s) {
+        assert(selected[s] < n && slotOf[selected[s]] == Plan::kNoSlot);
+        slotOf[selected[s]] = static_cast<std::uint32_t>(s);
+    }
+    // below[j]: detail j or one of its descendants is selected.
+    std::vector<bool> below(n, false);
+    for (std::size_t j = n; j-- > 1;)
+        below[j] = slotOf[j] != Plan::kNoSlot ||
+                   (2 * j < n && (below[2 * j] || below[2 * j + 1]));
+
+    Plan plan;
+    plan.rootSlot = slotOf[0];
+    // Ops are generated depth first, keyed by node, then put in node
+    // (level) order; registers are numbered as they are made.
+    std::vector<std::pair<std::size_t, Plan::Op>> ops;
+    auto segment = [&](std::uint32_t reg, std::size_t samples) {
+        if (!plan.segments.empty() && plan.segments.back().reg == reg)
+            plan.segments.back().samples +=
+                static_cast<std::uint32_t>(samples);
+        else
+            plan.segments.push_back(
+                {reg, static_cast<std::uint32_t>(samples)});
+    };
+    // Node j carries register reg, its average, over span samples.
+    auto walk = [&](auto &self, std::size_t j, std::uint32_t reg,
+                    std::size_t span) -> void {
+        if (j >= n || !below[j]) {
+            segment(reg, span);
+            return;
+        }
+        std::uint32_t even = reg;
+        std::uint32_t odd = reg;
+        if (slotOf[j] != Plan::kNoSlot) {
+            even = static_cast<std::uint32_t>(plan.registers++);
+            odd = static_cast<std::uint32_t>(plan.registers++);
+            ops.push_back({j, {even, reg, slotOf[j], true}});
+            ops.push_back({j, {odd, reg, slotOf[j], false}});
+        }
+        self(self, 2 * j, even, span / 2);
+        self(self, 2 * j + 1, odd, span / 2);
+    };
+    walk(walk, 1, 0, n);
+    std::stable_sort(ops.begin(), ops.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    for (const auto &op : ops)
+        plan.ops.push_back(op.second);
+    return plan;
 }
 
 std::vector<double>

@@ -22,6 +22,7 @@
 #define WAVEDYN_WAVELET_HAAR_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace wavedyn
@@ -68,6 +69,68 @@ void haarInverseInto(const double *coeffs, std::size_t n, double *out,
  */
 void haarInverseColumns(const double *const *rows, std::size_t n,
                         std::size_t width, double *out);
+
+/**
+ * haarInverse of a vector whose only nonzero coefficients are a
+ * selected few, as runs of equal samples. Detail j's children are
+ * details 2j and 2j + 1, so a subtree of the layout with no selected
+ * detail reconstructs to one value repeated over its samples, and a
+ * selected detail j splits its average a into a + d_j and a - d_j.
+ *
+ * Registers hold those values: register 0 is coefficient 0 (zero when
+ * it is not selected), and every op writes one new register, so s
+ * selected details make at most 1 + 2s registers.
+ *
+ * By value every sample equals haarInverse of the masked vector.
+ * haarInverse also adds each unselected detail as +-0.0, which can
+ * flip the sign of a zero sample and nothing else; a clamp and a sum
+ * from +0.0 cannot tell the two apart.
+ */
+struct HaarSegmentPlan
+{
+    /** reg[dst] = reg[src] + coefficient slot (reg[src] - it when
+     *  !add); slot indexes the selected list. */
+    struct Op
+    {
+        std::uint32_t dst;
+        std::uint32_t src;
+        std::uint32_t slot;
+        bool add;
+    };
+
+    /** samples consecutive samples equal to register reg. */
+    struct Segment
+    {
+        std::uint32_t reg;
+        std::uint32_t samples;
+    };
+
+    static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+    std::uint32_t rootSlot = kNoSlot; //!< slot of coefficient 0
+    std::size_t registers = 1;
+    std::vector<Op> ops;           //!< level order: sources first
+    std::vector<Segment> segments; //!< sample order, covering n
+};
+
+/**
+ * The segment plan of length-@p n vectors whose nonzero coefficients
+ * are @p selected (distinct indices below n, any order; slot s is
+ * selected[s]). Adjacent segments of one register are merged.
+ * @pre isPowerOfTwo(n).
+ */
+HaarSegmentPlan haarSegmentPlan(std::size_t n,
+                                const std::vector<std::size_t> &selected);
+
+/**
+ * A run of equal samples across a block of rows: @p samples
+ * consecutive samples whose value in row r is values[r].
+ */
+struct TraceSegment
+{
+    const double *values;
+    std::size_t samples;
+};
 
 /**
  * Resample a series to a power-of-two length by averaging (shrink) or

@@ -568,6 +568,75 @@ TEST(Predictor, EvaluatorSharesUnitsAcrossPredictors)
     EXPECT_LT(exps, terms);
 }
 
+TEST(Predictor, SegmentsMatchAssembleAndCountClampsAlike)
+{
+    // Every predictor the sweep can meet: sparse paper-Haar with the
+    // clamp on and off, all coefficients, a non-RBF model, and the
+    // orthonormal transforms, whose segments are one sample each.
+    auto d = makeData(24, 4, 64, 11);
+    std::vector<PredictorOptions> variants(7);
+    variants[0].coefficients = 8;
+    variants[1].coefficients = 8;
+    variants[1].clampToTrainingRange = false;
+    variants[2].coefficients = 64;
+    variants[3].coefficients = 5;
+    variants[3].model = CoefficientModel::Linear;
+    variants[4].coefficients = 8;
+    variants[4].paperHaar = false;
+    variants[4].mother = MotherWavelet::Daubechies4;
+    variants[5].coefficients = 8;
+    variants[5].paperHaar = false;
+    variants[6].coefficients = 3;
+    variants[6].selection = SelectionScheme::Order;
+
+    const std::size_t dims = d.space.dimensions();
+    const std::size_t block = TraceEvaluator::kBlock;
+    std::vector<std::size_t> walk = flatWalk(d.space, 997);
+    std::vector<std::size_t> idx(walk.size() * dims);
+    for (std::size_t i = 0; i < walk.size(); ++i)
+        d.space.trainIndicesFromFlat(walk[i], idx.data() + i * dims);
+    std::uint64_t clampedSomewhere = 0;
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+        WaveletNeuralPredictor pred(variants[v]);
+        pred.train(d.space, d.train, d.trainTraces);
+        const std::size_t len = pred.traceLength();
+        TraceEvaluator ev({&pred});
+        TraceEvaluator::Workspace assembled(ev), segmented(ev);
+        std::vector<double> traces(block * len);
+        std::uint64_t assembledCount = 0, segmentCount = 0;
+        for (std::size_t b0 = 0; b0 < walk.size(); b0 += block) {
+            const std::size_t m = std::min(block, walk.size() - b0);
+            std::uint64_t before = counter("predict.clamped_values");
+            assembled.predict(idx.data() + b0 * dims, m);
+            assembled.assemble(0, traces.data());
+            assembled.publish();
+            assembledCount += counter("predict.clamped_values") - before;
+
+            before = counter("predict.clamped_values");
+            segmented.predict(idx.data() + b0 * dims, m);
+            const std::vector<TraceSegment> &segs = segmented.segments(0);
+            segmented.publish();
+            segmentCount += counter("predict.clamped_values") - before;
+            for (std::size_t r = 0; r < m; ++r) {
+                std::size_t t = 0;
+                for (const TraceSegment &seg : segs)
+                    for (std::size_t i = 0; i < seg.samples; ++i, ++t)
+                        ASSERT_EQ(seg.values[r], traces[t * m + r])
+                            << "variant " << v << " row " << b0 + r
+                            << " sample " << t;
+                ASSERT_EQ(t, len) << "variant " << v;
+            }
+        }
+        EXPECT_EQ(segmentCount, assembledCount) << "variant " << v;
+        if (!variants[v].clampToTrainingRange) {
+            EXPECT_EQ(segmentCount, 0u);
+        }
+        clampedSomewhere += segmentCount;
+    }
+    // The walk reaches design-space corners the training set does not.
+    EXPECT_GT(clampedSomewhere, 0u);
+}
+
 TEST(Predictor, RetrainWarmKeepsSelectionFrozen)
 {
     auto d = makeData(30, 8, 64);

@@ -32,6 +32,8 @@ namespace
 
 const char *kGoldenPath =
     WAVEDYN_TEST_DATA_DIR "/golden_explore_report.txt";
+const char *kSparseGoldenPath =
+    WAVEDYN_TEST_DATA_DIR "/golden_explore_sparse_report.txt";
 
 /** The pinned campaign: 3 mixed scenarios, 2 refinement rounds. */
 ExploreSpec
@@ -79,6 +81,31 @@ serialRender()
 {
     static const std::string rendered = renderPinnedCampaign(1);
     return rendered;
+}
+
+/**
+ * The pinned campaign with 64-sample traces, 8 of 64 coefficients and
+ * all five objectives: the predicted traces are piecewise constant
+ * over runs of several samples, which the 16-sample campaign (k = 16
+ * of 16) never produces. paperHaar = false runs the orthonormal
+ * Daubechies4 transform instead.
+ */
+std::string
+renderSparseCampaign(bool paperHaar)
+{
+    ScenarioSet scenarios = pinnedScenarios();
+    ExploreSpec spec = pinnedSpec(scenarios);
+    spec.base.samples = 64;
+    spec.objectives = allObjectives();
+    spec.chunk = 256;
+    spec.maxSweepPoints = 2048;
+    spec.predictor.coefficients = 8;
+    spec.predictor.paperHaar = paperHaar;
+    spec.predictor.mother = MotherWavelet::Daubechies4;
+    setJobs(1);
+    ExploreReport report = runExplore(spec);
+    setJobs(0);
+    return renderExploreReport(report);
 }
 
 std::string
@@ -181,27 +208,68 @@ TEST(Explorer, GoldenReportMatchesByteForByte)
            "intentional, regenerate with WAVEDYN_UPDATE_GOLDEN=1";
 }
 
+TEST(Explorer, SparseGoldenReportMatchesByteForByte)
+{
+    // One file, the paper-Haar report followed by the Daubechies4 one.
+    const std::string rendered =
+        renderSparseCampaign(true) + renderSparseCampaign(false);
+
+    if (std::getenv("WAVEDYN_UPDATE_GOLDEN")) {
+        std::ofstream out(kSparseGoldenPath, std::ios::binary);
+        ASSERT_TRUE(out.good()) << "cannot write " << kSparseGoldenPath;
+        out << rendered;
+        GTEST_SKIP() << "golden file regenerated: " << kSparseGoldenPath;
+    }
+
+    std::string golden = readFile(kSparseGoldenPath);
+    ASSERT_FALSE(golden.empty())
+        << "missing golden file " << kSparseGoldenPath
+        << " (regenerate with WAVEDYN_UPDATE_GOLDEN=1)";
+    EXPECT_EQ(rendered, golden)
+        << "sparse explorer report drifted from the golden file; if "
+           "intentional, regenerate with WAVEDYN_UPDATE_GOLDEN=1";
+}
+
 TEST(Explorer, EightJobsReportIdenticalToSerial)
 {
     EXPECT_EQ(serialRender(), renderPinnedCampaign(8));
 }
 
+/** Sample count of histogram @p name, 0 when absent. */
+std::uint64_t
+histogramCount(const MetricsSnapshot &snap, const std::string &name)
+{
+    for (const auto &h : snap.histograms)
+        if (h.name == name)
+            return h.count;
+    return 0;
+}
+
 TEST(Explorer, SweepCountersAreJobsInvariant)
 {
-    // predictTraces' observe-only counters depend on the chunking,
-    // never on which worker scored a chunk.
+    // The sweep's observe-only counters, and the sample counts of its
+    // stage timers, depend on the chunking, never on which worker
+    // scored a chunk.
     auto deltas = [](std::size_t jobs) {
         const char *names[] = {"predict.rbf_terms",
                                "predict.rbf_terms_skipped",
                                "predict.clamped_values",
                                "predict.rbf_exps"};
-        std::vector<std::uint64_t> grown;
-        for (const char *n : names)
-            grown.push_back(metricsRegistry().snapshot().counterOr(n));
+        const char *timers[] = {"sweep.predict_us", "sweep.score_us"};
+        auto read = [&] {
+            MetricsSnapshot snap = metricsRegistry().snapshot();
+            std::vector<std::uint64_t> v;
+            for (const char *n : names)
+                v.push_back(snap.counterOr(n));
+            for (const char *n : timers)
+                v.push_back(histogramCount(snap, n));
+            return v;
+        };
+        std::vector<std::uint64_t> grown = read();
         renderPinnedCampaign(jobs);
+        std::vector<std::uint64_t> now = read();
         for (std::size_t i = 0; i < grown.size(); ++i)
-            grown[i] =
-                metricsRegistry().snapshot().counterOr(names[i]) - grown[i];
+            grown[i] = now[i] - grown[i];
         return grown;
     };
     std::vector<std::uint64_t> serial = deltas(1);
@@ -211,6 +279,10 @@ TEST(Explorer, SweepCountersAreJobsInvariant)
     // Units the scenario x domain predictors share get one exp a row.
     EXPECT_GT(serial[3], 0u);
     EXPECT_LT(serial[3], serial[0]);
+    // One sample per scored chunk: the held-out scorer and 3 sweeps
+    // of 512 points in chunks of 64.
+    EXPECT_EQ(serial[4], 1u + 3u * 512u / 64u);
+    EXPECT_EQ(serial[5], serial[4]);
 }
 
 TEST(Explorer, ChunkSizeDoesNotChangeTheReport)

@@ -3,11 +3,13 @@
  * Objective definition tests: name round-trips, list parsing errors,
  * domain requirements, and the trace-to-scalar evaluations (including
  * the minimisation fold for maximised objectives) on both the map and
- * the borrowed-buffer form.
+ * the segment form the sweep scores.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
 #include <vector>
 
@@ -107,11 +109,11 @@ orderedMean(const std::vector<double> &t)
     return acc / static_cast<double>(t.size());
 }
 
-TEST(Objectives, ViewAndMapScoreBitForBit)
+TEST(Objectives, MapScoresInDocumentedOrder)
 {
-    // The sweep scores predicted traces through the view, simulated
-    // runs go through the map: both must give the exact same double,
-    // summed in the documented order.
+    // Simulated runs are scored through the map: every sum adds the
+    // samples in order from 0.0, the order the sweep's segment sums
+    // reproduce.
     Rng rng(42);
     for (int trial = 0; trial < 50; ++trial) {
         const std::size_t n = 1 + rng.below(200);
@@ -121,20 +123,6 @@ TEST(Objectives, ViewAndMapScoreBitForBit)
             for (std::size_t i = 0; i < n; ++i)
                 t.push_back(rng.uniform(0.01, 40.0));
         }
-        // A flat buffer holding the same traces back to back.
-        std::vector<double> flat;
-        TraceView view;
-        view.length = n;
-        for (const auto &entry : traces)
-            flat.insert(flat.end(), entry.second.begin(),
-                        entry.second.end());
-        std::size_t offset = 0;
-        for (const auto &entry : traces) {
-            view.set(entry.first, flat.data() + offset);
-            offset += n;
-        }
-        EXPECT_EQ(view.of(Domain::IqAvf), nullptr);
-
         const auto &cpi = traces.at(Domain::Cpi);
         const auto &power = traces.at(Domain::Power);
         double energy = 0.0;
@@ -148,51 +136,58 @@ TEST(Objectives, ViewAndMapScoreBitForBit)
             {Objective::Avf, orderedMean(traces.at(Domain::Avf))},
         };
         for (Objective o : allObjectives()) {
-            EXPECT_EQ(objectiveValue(o, view), expected.at(o))
-                << objectiveName(o);
             EXPECT_EQ(objectiveValue(o, traces), expected.at(o))
                 << objectiveName(o);
-            EXPECT_EQ(objectiveScore(o, view), objectiveScore(o, traces))
+            EXPECT_EQ(objectiveScore(o, traces),
+                      maximised(o) ? -expected.at(o) : expected.at(o))
                 << objectiveName(o);
         }
     }
 }
 
-TEST(Objectives, BlockViewScoresEachRunAlone)
+TEST(Objectives, SegmentViewScoresLikeTheMap)
 {
-    // A block of runs stored sample by sample scores every run exactly
-    // as a one-run view of that run alone.
+    // Each domain's rows share one random split of the n samples into
+    // runs, a different split per domain, so energy steps through
+    // boundaries of either list. Row r written out sample by sample
+    // must score bit-for-bit as the map does.
     Rng rng(7);
-    const std::size_t n = 16, runs = 5;
-    std::vector<std::vector<double>> cpi(runs), power(runs), avf(runs);
-    std::vector<double> cpiBlock(n * runs), powerBlock(n * runs),
-        avfBlock(n * runs);
-    for (std::size_t r = 0; r < runs; ++r)
-        for (std::size_t t = 0; t < n; ++t) {
-            cpi[r].push_back(rng.uniform(0.01, 40.0));
-            power[r].push_back(rng.uniform(0.01, 40.0));
-            avf[r].push_back(rng.uniform(0.0, 1.0));
-            cpiBlock[t * runs + r] = cpi[r].back();
-            powerBlock[t * runs + r] = power[r].back();
-            avfBlock[t * runs + r] = avf[r].back();
+    const Domain domains[] = {Domain::Cpi, Domain::Power, Domain::Avf};
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t n = 1 + rng.below(130);
+        const std::size_t rows = 1 + rng.below(64);
+        std::vector<std::vector<double>> values[3];
+        std::vector<TraceSegment> segs[3];
+        SegmentView view;
+        view.rows = rows;
+        for (std::size_t j = 0; j < 3; ++j) {
+            for (std::size_t t = 0; t < n;) {
+                const std::size_t run =
+                    std::min<std::size_t>(1 + rng.below(9), n - t);
+                values[j].emplace_back();
+                for (std::size_t r = 0; r < rows; ++r)
+                    values[j].back().push_back(rng.uniform(0.01, 40.0));
+                segs[j].push_back({nullptr, run});
+                t += run;
+            }
+            for (std::size_t i = 0; i < segs[j].size(); ++i)
+                segs[j][i].values = values[j][i].data();
+            view.set(domains[j], segs[j]);
         }
-    TraceView block;
-    block.length = n;
-    block.runs = runs;
-    block.set(Domain::Cpi, cpiBlock.data());
-    block.set(Domain::Power, powerBlock.data());
-    block.set(Domain::Avf, avfBlock.data());
-    for (Objective o : allObjectives()) {
-        std::vector<double> scores(runs);
-        objectiveScores(o, block, scores.data());
-        for (std::size_t r = 0; r < runs; ++r) {
-            TraceView one;
-            one.length = n;
-            one.set(Domain::Cpi, cpi[r].data());
-            one.set(Domain::Power, power[r].data());
-            one.set(Domain::Avf, avf[r].data());
-            EXPECT_EQ(scores[r], objectiveScore(o, one))
-                << objectiveName(o) << " run " << r;
+        EXPECT_EQ(view.of(Domain::IqAvf), nullptr);
+        for (Objective o : allObjectives()) {
+            std::vector<double> scores(rows);
+            scoreSegments(o, view, scores.data());
+            for (std::size_t r = 0; r < rows; ++r) {
+                std::map<Domain, std::vector<double>> traces;
+                for (std::size_t j = 0; j < 3; ++j)
+                    for (const TraceSegment &seg : segs[j])
+                        traces[domains[j]].insert(
+                            traces[domains[j]].end(), seg.samples,
+                            seg.values[r]);
+                EXPECT_EQ(scores[r], objectiveScore(o, traces))
+                    << objectiveName(o) << " row " << r << " n " << n;
+            }
         }
     }
 }

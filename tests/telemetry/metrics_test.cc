@@ -208,5 +208,25 @@ TEST(TelemetrySummary, UtilizationIsPoolBusyTimeOverWallTimesJobs)
               "-- telemetry: wall 2.000 s, jobs 2, pool utilization 100%");
 }
 
+TEST(TelemetrySummary, SweepSplitsPredictFromScore)
+{
+    MetricsSnapshot snap;
+    EXPECT_EQ(renderTelemetrySummary(snap, 1000000, 1).find("sweep"),
+              std::string::npos);
+    MetricsSnapshot::Histogram predict;
+    predict.name = "sweep.predict_us";
+    predict.count = 3;
+    predict.sumUs = 3000000;
+    MetricsSnapshot::Histogram score;
+    score.name = "sweep.score_us";
+    score.count = 3;
+    score.sumUs = 1000000;
+    snap.histograms = {predict, score};
+    EXPECT_NE(renderTelemetrySummary(snap, 1000000, 1)
+                  .find("-- telemetry: sweep worker time: predict "
+                        "3.000 s (75%), score 1.000 s (25%)\n"),
+              std::string::npos);
+}
+
 } // namespace
 } // namespace wavedyn

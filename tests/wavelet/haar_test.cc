@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hh"
@@ -278,6 +280,116 @@ TEST_P(HaarInverseInto, ColumnsBitIdenticalToHaarInverse)
                     << "sample " << t << " column " << c << " n " << n;
         }
     }
+}
+
+/**
+ * The samples a segment plan describes at coefficients @p bySlot
+ * (value of selected[s] at bySlot[s]), and checks on its shape: ops
+ * read registers already written, segments cover n samples in order.
+ */
+std::vector<double>
+expandPlan(const HaarSegmentPlan &plan, std::size_t n,
+           const std::vector<double> &bySlot)
+{
+    std::vector<double> reg(plan.registers, 0.0);
+    std::vector<bool> written(plan.registers, false);
+    reg[0] = plan.rootSlot == HaarSegmentPlan::kNoSlot
+                 ? 0.0
+                 : bySlot[plan.rootSlot];
+    written[0] = true;
+    for (const HaarSegmentPlan::Op &op : plan.ops) {
+        EXPECT_LT(op.dst, plan.registers);
+        EXPECT_TRUE(written[op.src]) << "op reads register " << op.src
+                                     << " before it is written";
+        EXPECT_FALSE(written[op.dst]);
+        reg[op.dst] = op.add ? reg[op.src] + bySlot[op.slot]
+                             : reg[op.src] - bySlot[op.slot];
+        written[op.dst] = true;
+    }
+    std::vector<double> out;
+    for (const HaarSegmentPlan::Segment &seg : plan.segments) {
+        EXPECT_GT(seg.samples, 0u);
+        EXPECT_TRUE(written[seg.reg]);
+        out.insert(out.end(), seg.samples, reg[seg.reg]);
+    }
+    EXPECT_EQ(out.size(), n);
+    return out;
+}
+
+/** Plan @p selected, expand it at random coefficients, and compare
+ *  by value with haarInverse of the masked vector. */
+void
+checkPlan(std::size_t n, const std::vector<std::size_t> &selected,
+          Rng &rng)
+{
+    HaarSegmentPlan plan = haarSegmentPlan(n, selected);
+    std::size_t details = 0;
+    for (std::size_t i : selected)
+        details += i != 0;
+    EXPECT_LE(plan.registers, 1 + 2 * details);
+    for (std::size_t i = 1; i < plan.segments.size(); ++i)
+        EXPECT_NE(plan.segments[i - 1].reg, plan.segments[i].reg)
+            << "adjacent segments of one register are merged";
+
+    std::vector<double> bySlot, masked(n, 0.0);
+    for (std::size_t i : selected) {
+        bySlot.push_back(rng.gaussian() * 3.0);
+        masked[i] = bySlot.back();
+    }
+    std::vector<double> expanded = expandPlan(plan, n, bySlot);
+    std::vector<double> reference = haarInverse(masked);
+    ASSERT_EQ(expanded.size(), n);
+    for (std::size_t t = 0; t < n; ++t)
+        ASSERT_EQ(expanded[t], reference[t])
+            << "sample " << t << " n " << n << " selected "
+            << selected.size();
+}
+
+TEST(HaarSegmentPlan, MatchesMaskedInverse)
+{
+    Rng rng(2024);
+    for (std::size_t n : {1u, 2u, 4u, 8u, 16u, 64u, 128u}) {
+        std::vector<std::size_t> all(n);
+        for (std::size_t i = 0; i < n; ++i)
+            all[i] = i;
+        checkPlan(n, {}, rng);  // every sample is zero
+        checkPlan(n, {0}, rng); // one segment, the average
+        checkPlan(n, all, rng); // n one-sample segments
+        // Only the finest details, with and without the average.
+        std::vector<std::size_t> finest;
+        for (std::size_t i = n / 2; i < n && n > 1; ++i)
+            finest.push_back(i);
+        checkPlan(n, finest, rng);
+        finest.push_back(0);
+        checkPlan(n, finest, rng);
+        // Random selections in random order, c0 absent half the time.
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<std::size_t> order = all;
+            for (std::size_t i = n; i > 1; --i)
+                std::swap(order[i - 1], order[rng.below(i)]);
+            const std::size_t k = std::min<std::size_t>(
+                n, trial % 2 ? 16 : 1 + rng.below(n));
+            checkPlan(n, {order.begin(), order.begin() + k}, rng);
+        }
+    }
+}
+
+TEST(HaarSegmentPlan, SixteenOfOneTwentyEight)
+{
+    // The paper's k = 16 of 128: coarse details and a few fine ones.
+    const std::vector<std::size_t> selected = {
+        0, 1, 2, 3, 5, 6, 9, 12, 17, 25, 40, 41, 77, 100, 101, 127};
+    HaarSegmentPlan plan = haarSegmentPlan(128, selected);
+    EXPECT_EQ(plan.rootSlot, 0u);
+    EXPECT_EQ(plan.registers, 1u + 2u * 15u);
+    EXPECT_EQ(plan.ops.size(), 2u * 15u);
+    EXPECT_LT(plan.segments.size(), 64u);
+    Rng rng(16);
+    checkPlan(128, selected, rng);
+    // Level order: an op's node never precedes its parent's.
+    for (std::size_t i = 1; i < plan.ops.size(); ++i)
+        EXPECT_LE(selected[plan.ops[i - 1].slot],
+                  selected[plan.ops[i].slot]);
 }
 
 } // anonymous namespace
