@@ -21,6 +21,8 @@ struct SweepCounters
     MetricId rbfTerms;        //!< RBF unit terms computed
     MetricId rbfTermsSkipped; //!< unit terms skipped as negligible
     MetricId rbfExps;         //!< exp() calls after unit dedup
+    MetricId rbfReruns;       //!< (row, network) sums rerun exactly
+    MetricId rbfRows;         //!< lattice rows evaluated
     MetricId clamped;         //!< trace values clamped to the range
 
     static const SweepCounters &
@@ -32,6 +34,8 @@ struct SweepCounters
             s.rbfTerms = reg.counter("predict.rbf_terms");
             s.rbfTermsSkipped = reg.counter("predict.rbf_terms_skipped");
             s.rbfExps = reg.counter("predict.rbf_exps");
+            s.rbfReruns = reg.counter("predict.rbf_exact_reruns");
+            s.rbfRows = reg.counter("predict.rbf_rows");
             s.clamped = reg.counter("predict.clamped_values");
             return s;
         }();
@@ -392,6 +396,8 @@ TraceEvaluator::Workspace::publish()
     reg.add(ids.rbfTerms, terms.evaluated);
     reg.add(ids.rbfTermsSkipped, terms.skipped);
     reg.add(ids.rbfExps, terms.exps);
+    reg.add(ids.rbfReruns, terms.reruns);
+    reg.add(ids.rbfRows, terms.rows);
     reg.add(ids.clamped, clamped);
     terms = {};
     clamped = 0;

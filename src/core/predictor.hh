@@ -222,7 +222,7 @@ class TraceEvaluator
 {
   public:
     /** Rows per block: a block's traces stay in the L2 cache. */
-    static constexpr std::size_t kBlock = 64;
+    static constexpr std::size_t kBlock = RbfUnitPool::kBlock;
 
     /**
      * @pre @p predictors is not empty, every predictor is trained, and
@@ -271,7 +271,8 @@ class TraceEvaluator
 
         /**
          * Add the counts so far to the predict.rbf_terms,
-         * predict.rbf_terms_skipped, predict.rbf_exps and
+         * predict.rbf_terms_skipped, predict.rbf_exps,
+         * predict.rbf_exact_reruns, predict.rbf_rows and
          * predict.clamped_values counters, and reset them.
          */
         void publish();

@@ -9,6 +9,7 @@
 #include <istream>
 #include <limits>
 #include <ostream>
+#include <utility>
 
 #include "mlmodel/linear_model.hh"
 #include "mlmodel/rbf_network.hh"
@@ -47,12 +48,12 @@ RbfNetwork::save(std::ostream &os) const
 std::unique_ptr<RbfNetwork>
 RbfNetwork::load(std::istream &is)
 {
-    auto model = std::make_unique<RbfNetwork>();
+    double bias = 0.0;
     std::size_t count = 0, dims = 0;
-    if (!(is >> model->w0 >> count >> dims))
+    if (!(is >> bias >> count >> dims))
         return nullptr;
-    model->net.resize(count);
-    for (RbfUnit &u : model->net) {
+    std::vector<RbfUnit> units(count);
+    for (RbfUnit &u : units) {
         u.center.resize(dims);
         u.radius.resize(dims);
         for (double &c : u.center)
@@ -64,7 +65,7 @@ RbfNetwork::load(std::istream &is)
         if (!(is >> u.weight))
             return nullptr;
     }
-    return model;
+    return std::make_unique<RbfNetwork>(bias, std::move(units));
 }
 
 void

@@ -21,6 +21,8 @@ struct SimCounters
 {
     wavedyn::MetricId cycles;            //!< lane cycles, warmup included
     wavedyn::MetricId idleSkippedCycles; //!< of which fast-forwarded
+    wavedyn::MetricId issueScans;        //!< issue stages that scanned
+    wavedyn::MetricId idleIssueScans;    //!< of which found none ready
 
     static const SimCounters &
     get()
@@ -30,6 +32,8 @@ struct SimCounters
             SimCounters s;
             s.cycles = reg.counter("sim.cycles");
             s.idleSkippedCycles = reg.counter("sim.idle_skipped_cycles");
+            s.issueScans = reg.counter("sim.issue_scans");
+            s.idleIssueScans = reg.counter("sim.issue_idle_scans");
             return s;
         }();
         return c;
@@ -135,10 +139,12 @@ simulateBatch(const BenchmarkProfile &bench,
                                        startCycles[l]));
     }
 
-    std::uint64_t cycles = 0, skipped = 0;
+    std::uint64_t cycles = 0, skipped = 0, scans = 0, idleScans = 0;
     for (std::size_t l = 0; l < n; ++l) {
         cycles += pipes[l].now();
         skipped += pipes[l].idleSkippedCycles();
+        scans += pipes[l].issueScanCount();
+        idleScans += pipes[l].idleIssueScanCount();
         out[l].totalCycles = pipes[l].now();
         out[l].totalInstructions = pipes[l].committed() - warmup;
         out[l].dvmStats = pipes[l].dvm().stats();
@@ -147,6 +153,8 @@ simulateBatch(const BenchmarkProfile &bench,
     const SimCounters &sc = SimCounters::get();
     metricsRegistry().add(sc.cycles, cycles);
     metricsRegistry().add(sc.idleSkippedCycles, skipped);
+    metricsRegistry().add(sc.issueScans, scans);
+    metricsRegistry().add(sc.idleIssueScans, idleScans);
     return out;
 }
 

@@ -43,8 +43,9 @@ namespace wavedyn
 /**
  * Simulate every configuration in @p configs over the same run shape,
  * sharing one decode; results are indexed like @p configs. Publishes
- * the lanes' summed cycles and idle-skipped cycles to the
- * `sim.cycles` / `sim.idle_skipped_cycles` counters (observe-only).
+ * the lanes' summed cycles, idle-skipped cycles, issue scans and idle
+ * issue scans to the `sim.cycles`, `sim.idle_skipped_cycles`,
+ * `sim.issue_scans` and `sim.issue_idle_scans` counters (observe-only).
  */
 std::vector<SimResult>
 simulateBatch(const BenchmarkProfile &bench,

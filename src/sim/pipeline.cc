@@ -434,6 +434,8 @@ Pipeline::doIssue()
     }
 
     lastReadyCount = ready_seen;
+    ++issueScans;
+    idleIssueScans += ready_seen == 0;
     // Entries beyond the scan cap are assumed waiting.
     std::uint64_t in_iq = iqOcc + issued; // occupancy at scan start
     lastWaitingCount =

@@ -159,6 +159,12 @@ class Pipeline
     /** Cycles covered by the idle fast-forward. */
     std::uint64_t idleSkippedCycles() const { return idleSkipped; }
 
+    /** Issue stages that ran their scan: awake, IQ empty or not. */
+    std::uint64_t issueScanCount() const { return issueScans; }
+
+    /** Of those, the scans that found no entry ready. */
+    std::uint64_t idleIssueScanCount() const { return idleIssueScans; }
+
     /** Instructions committed since construction. */
     std::uint64_t committed() const { return totalCommitted; }
 
@@ -248,6 +254,8 @@ class Pipeline
     std::uint64_t fetchPos = 0; //!< ops fetched so far
     bool idleSkip = false;      //!< fast-forward armed
     std::uint64_t idleSkipped = 0; //!< cycles fast-forwarded over
+    std::uint64_t issueScans = 0;     //!< see issueScanCount()
+    std::uint64_t idleIssueScans = 0; //!< see idleIssueScanCount()
 
     /**
      * Unissued IQ residents in dispatch (= seq) order as parallel

@@ -177,12 +177,25 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
         const double total = static_cast<double>(predictUs + scoreUs);
         std::snprintf(line, sizeof(line),
                       "-- telemetry: sweep worker time: predict %s "
-                      "(%.0f%%), score %s (%.0f%%)\n",
+                      "(%.0f%%), score %s (%.0f%%)",
                       formatSeconds(predictUs).c_str(),
                       100.0 * static_cast<double>(predictUs) / total,
                       formatSeconds(scoreUs).c_str(),
                       100.0 * static_cast<double>(scoreUs) / total);
         out += line;
+        // The RBF kernel's exp() calls per lattice row and its exact
+        // reruns, over every prediction of the run.
+        const std::uint64_t rows = snap.counterOr("predict.rbf_rows");
+        if (rows > 0) {
+            std::snprintf(
+                line, sizeof(line), "; kernel %.1f exp/row, %llu reruns",
+                static_cast<double>(snap.counterOr("predict.rbf_exps")) /
+                    static_cast<double>(rows),
+                static_cast<unsigned long long>(
+                    snap.counterOr("predict.rbf_exact_reruns")));
+            out += line;
+        }
+        out += '\n';
     }
 
     std::uint64_t hits = snap.counterOr("cache.hits");

@@ -442,6 +442,36 @@ TEST(Predictor, LatticeTracesNineLevelDimension)
     EXPECT_GT(counter("predict.rbf_terms"), evaluated);
 }
 
+TEST(Predictor, LatticeSumsNearZeroRerunExactly)
+{
+    // The half-trace step changes sign across parameter a, so the
+    // coarsest detail coefficient's network sums to nearly zero on some
+    // lattice rows: those rows rerun ref by ref, and every trace must
+    // still match naiveTrace.
+    DesignSpace space;
+    space.addParameter({"a", {1, 2, 3, 4, 5, 6, 7}, {}});
+    space.addParameter({"b", {10, 20, 30, 40}, {}});
+    space.addParameter({"c", {3, 5, 7, 9, 11}, {}});
+    std::vector<DesignPoint> train;
+    std::vector<std::vector<double>> traces;
+    Rng rng(8);
+    for (const DesignPoint &p : randomSample(space, 45, rng)) {
+        std::vector<double> x = space.normalize(p);
+        std::vector<double> t(32);
+        for (std::size_t i = 0; i < t.size(); ++i)
+            t[i] = 2.0 + 0.3 * x[1] * x[2] +
+                   (i < 16 ? 1.0 : -1.0) * (x[0] - 0.45 + 0.1 * x[1]);
+        train.push_back(p);
+        traces.push_back(std::move(t));
+    }
+    WaveletNeuralPredictor p;
+    p.train(space, train, traces);
+    ASSERT_GT(rbfUnits(p), 0u);
+    const std::uint64_t reruns = counter("predict.rbf_exact_reruns");
+    expectLatticeTracesMatchScalar(p, flatWalk(space, 1));
+    EXPECT_GT(counter("predict.rbf_exact_reruns"), reruns);
+}
+
 TEST(Predictor, LatticeTracesPublishTheSameCounters)
 {
     auto d = makeData(40, 8, 64);
@@ -458,7 +488,9 @@ TEST(Predictor, LatticeTracesPublishTheSameCounters)
     const char *const names[] = {"predict.rbf_terms",
                                  "predict.rbf_terms_skipped",
                                  "predict.clamped_values",
-                                 "predict.rbf_exps"};
+                                 "predict.rbf_exps",
+                                 "predict.rbf_exact_reruns",
+                                 "predict.rbf_rows"};
     auto deltas = [&](auto run) {
         std::vector<std::uint64_t> d;
         for (const char *name : names)

@@ -254,7 +254,9 @@ TEST(Explorer, SweepCountersAreJobsInvariant)
         const char *names[] = {"predict.rbf_terms",
                                "predict.rbf_terms_skipped",
                                "predict.clamped_values",
-                               "predict.rbf_exps"};
+                               "predict.rbf_exps",
+                               "predict.rbf_exact_reruns",
+                               "predict.rbf_rows"};
         const char *timers[] = {"sweep.predict_us", "sweep.score_us"};
         auto read = [&] {
             MetricsSnapshot snap = metricsRegistry().snapshot();
@@ -279,10 +281,11 @@ TEST(Explorer, SweepCountersAreJobsInvariant)
     // Units the scenario x domain predictors share get one exp a row.
     EXPECT_GT(serial[3], 0u);
     EXPECT_LT(serial[3], serial[0]);
+    EXPECT_GT(serial[5], 0u);
     // One sample per scored chunk: the held-out scorer and 3 sweeps
     // of 512 points in chunks of 64.
-    EXPECT_EQ(serial[4], 1u + 3u * 512u / 64u);
-    EXPECT_EQ(serial[5], serial[4]);
+    EXPECT_EQ(serial[6], 1u + 3u * 512u / 64u);
+    EXPECT_EQ(serial[7], serial[6]);
 }
 
 TEST(Explorer, ChunkSizeDoesNotChangeTheReport)

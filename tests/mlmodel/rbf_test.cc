@@ -332,6 +332,61 @@ TEST(RbfSkipRule, NeverSkipsOnSpecialValues)
     EXPECT_TRUE(rbfTermNegligible(1.0, 0.0, 800.0));
 }
 
+/** A double with biased exponent @p e, a random mantissa and sign. */
+double
+withExponent(Rng &rng, std::uint64_t e)
+{
+    std::uint64_t bits = (rng.next() & (1ull << 63)) | (e << 52) |
+                         (rng.next() & ((1ull << 52) - 1));
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+}
+
+TEST(RbfSkipRule, NegligibleAtTheFloorStaysNegligibleAbove)
+{
+    // The lattice kernel leaves out a term negligible at a network's
+    // floor exponent for every exponent the sum reaches above it, so
+    // the bound must not grow with the exponent.
+    for (unsigned e = 1; e < 0x7fe; ++e)
+        ASSERT_LE(rbfNegligibleBound(e + 1), rbfNegligibleBound(e)) << e;
+    EXPECT_EQ(rbfNegligibleBound(0), std::numeric_limits<double>::infinity());
+    EXPECT_EQ(rbfNegligibleBound(0x7ff),
+              std::numeric_limits<double>::infinity());
+
+    // Cases drawn as in SkippedTermsNeverChangeTheSum; every higher
+    // finite exponent must skip the term too, and adding it there must
+    // leave the sum's bits alone.
+    Rng rng(2025);
+    std::size_t negligible = 0;
+    for (int i = 0; i < 4000; ++i) {
+        const std::uint64_t floorExp = 1 + rng.below(0x7fe);
+        double w = std::pow(10.0, rng.uniform(-300.0, 300.0));
+        if (rng.chance(0.5))
+            w = -w;
+        const double logAbsW = std::log(std::fabs(w));
+        double z2 = rng.uniform(0.0, 800.0);
+        if (rng.chance(0.5))
+            z2 = std::min(
+                std::max(logAbsW +
+                             rbfNegligibleBound(
+                                 static_cast<unsigned>(floorExp)) +
+                             rng.uniform(0.0, 1e-3),
+                         0.0),
+                800.0);
+        if (!rbfTermNegligible(withExponent(rng, floorExp), logAbsW, z2))
+            continue;
+        ++negligible;
+        for (std::uint64_t e = floorExp + 1; e < 0x7ff; ++e) {
+            const double acc = withExponent(rng, e);
+            ASSERT_TRUE(rbfTermNegligible(acc, logAbsW, z2))
+                << "floor " << floorExp << " exponent " << e;
+            ASSERT_EQ(bitsOf(acc + w * std::exp(-z2)), bitsOf(acc));
+        }
+    }
+    EXPECT_GT(negligible, 1000u);
+}
+
 TEST(RbfUnitPool, SharedUnitsMatchPredictMany)
 {
     // Networks grown on one design matrix share units. The offset
@@ -388,8 +443,8 @@ TEST(RbfUnitPool, SharedUnitsMatchPredictMany)
     RbfUnitPool pool(ptrs, levels);
     EXPECT_EQ(pool.networks(), nets.size());
     EXPECT_LT(pool.distinctUnits(), total);
-    // Two calls on one scratch: the exp memo must not leak across the
-    // split, which falls between rows that differ in the last index.
+    // Two calls on one scratch: nothing tabulated for one block may
+    // leak into the next; the split falls inside a run.
     const std::size_t n = rows.rows(), split = 301;
     std::vector<double> got(nets.size() * n);
     RbfUnitPool::Scratch scratch(pool);
@@ -405,6 +460,232 @@ TEST(RbfUnitPool, SharedUnitsMatchPredictMany)
     EXPECT_EQ(counts.evaluated + counts.skipped, n * total);
     EXPECT_GT(counts.skipped, 0u);
     EXPECT_LT(counts.exps, counts.evaluated);
+    EXPECT_EQ(counts.rows, n);
+}
+
+/** A lattice and some of its rows, as level indices. */
+struct Lattice
+{
+    std::vector<std::vector<double>> levels; //!< [dim][level]
+    std::vector<std::size_t> idx;            //!< rows x dims
+
+    std::size_t rows() const { return idx.size() / levels.size(); }
+
+    std::vector<double>
+    point(std::size_t r) const
+    {
+        std::vector<double> x;
+        for (std::size_t d = 0; d < levels.size(); ++d)
+            x.push_back(levels[d][idx[r * levels.size() + d]]);
+        return x;
+    }
+};
+
+/** Every row of the lattice, last dimension fastest. */
+Lattice
+fullLattice(std::vector<std::vector<double>> levels)
+{
+    Lattice lat;
+    lat.levels = std::move(levels);
+    std::vector<std::size_t> at(lat.levels.size(), 0);
+    for (;;) {
+        lat.idx.insert(lat.idx.end(), at.begin(), at.end());
+        std::size_t d = at.size();
+        while (d > 0 && ++at[d - 1] == lat.levels[d - 1].size())
+            at[--d] = 0;
+        if (d == 0)
+            return lat;
+    }
+}
+
+/** n evenly spaced levels in [0, 1]. */
+std::vector<double>
+evenLevels(std::size_t n)
+{
+    std::vector<double> lv;
+    for (std::size_t i = 0; i < n; ++i)
+        lv.push_back(static_cast<double>(i) / static_cast<double>(n - 1));
+    return lv;
+}
+
+/**
+ * The reruns the pool owes: (row, network) pairs whose running sum,
+ * added term by term as predict() adds it, dips below the network's
+ * floor or ends inf or NaN. A network with a zero, subnormal or
+ * non-finite bias has no floor.
+ */
+std::uint64_t
+expectedReruns(const std::vector<RbfNetwork> &nets, const Lattice &lat)
+{
+    std::uint64_t reruns = 0;
+    for (const RbfNetwork &net : nets) {
+        const double b = net.bias();
+        double floor = 0.0;
+        if (std::isnormal(b))
+            floor = std::max(
+                std::numeric_limits<double>::min(),
+                std::ldexp(1.0, std::ilogb(b) -
+                                    static_cast<int>(
+                                        RbfUnitPool::kFloorBinades)));
+        for (std::size_t r = 0; r < lat.rows(); ++r) {
+            const std::vector<double> x = lat.point(r);
+            double acc = b, lo = std::fabs(b);
+            for (const RbfUnit &u : net.units()) {
+                acc += u.weight * RbfNetwork::response(u, x);
+                lo = std::min(lo, std::fabs(acc));
+            }
+            reruns += lo < floor || !std::isfinite(acc);
+        }
+    }
+    return reruns;
+}
+
+/**
+ * Pool @p nets on @p lat, evaluate its rows in calls of @p block rows
+ * and expect every result bit-identical to predict(); returns the
+ * counts.
+ */
+RbfTermCounts
+expectPoolMatchesPredict(const std::vector<RbfNetwork> &nets,
+                         const Lattice &lat, std::size_t block)
+{
+    std::vector<const RbfNetwork *> ptrs;
+    std::size_t refs = 0;
+    for (const RbfNetwork &net : nets) {
+        ptrs.push_back(&net);
+        refs += net.units().size();
+    }
+    RbfUnitPool pool(ptrs, lat.levels);
+    const std::size_t n = lat.rows(), dims = lat.levels.size();
+    std::vector<double> got(nets.size() * n);
+    RbfUnitPool::Scratch scratch(pool);
+    RbfTermCounts counts;
+    for (std::size_t b0 = 0; b0 < n; b0 += block)
+        pool.predict(scratch, lat.idx.data() + b0 * dims,
+                     std::min(block, n - b0), got.data() + b0, n, counts);
+    std::size_t mismatches = 0;
+    for (std::size_t m = 0; m < nets.size(); ++m)
+        for (std::size_t r = 0; r < n; ++r) {
+            const double want = nets[m].predict(lat.point(r));
+            if (bitsOf(got[m * n + r]) == bitsOf(want))
+                continue;
+            if (mismatches++ == 0)
+                ADD_FAILURE() << "network " << m << " row " << r << ": got "
+                              << got[m * n + r] << ", predict() " << want;
+        }
+    EXPECT_EQ(mismatches, 0u) << "block of " << block;
+    EXPECT_EQ(counts.evaluated + counts.skipped, n * refs);
+    EXPECT_EQ(counts.rows, n);
+    return counts;
+}
+
+/** A unit with the same radius in every dimension. */
+RbfUnit
+unitAt(std::vector<double> center, double radius, double weight)
+{
+    RbfUnit u;
+    u.radius.assign(center.size(), radius);
+    u.center = std::move(center);
+    u.weight = weight;
+    return u;
+}
+
+TEST(RbfUnitPool, SumsNearZeroRerunExactly)
+{
+    // 64 levels in the last dimension: each block is one run. Every
+    // network has bias 1, so its floor is 2^-4.
+    const Lattice lat = fullLattice({{0.0, 0.5, 1.0}, evenLevels(64)});
+    const double mid = lat.levels[1][31];
+    std::vector<RbfNetwork> nets;
+    // Crosses zero: exactly 0 at (0.5, mid). The second unit is far
+    // from there (z^2 = 52, past its threshold) but near rows of the
+    // same block, so the block tabulates a 0 for it at that row, and
+    // the rerun must call exp() instead: predict() adds the term to 0.
+    RbfUnit narrow = unitAt({0.5, mid}, 0.3, -1.0);
+    narrow.radius[1] = 0.1;
+    RbfUnit far = unitAt({0.5, mid + 0.4}, 0.3, 1.0);
+    far.radius[1] = 0.4 / std::sqrt(52.0);
+    nets.emplace_back(1.0, std::vector<RbfUnit>{narrow, far});
+    // Dips to 0.05, one binade below the floor.
+    RbfUnit dip = narrow;
+    dip.weight = -0.95;
+    nets.emplace_back(1.0, std::vector<RbfUnit>{dip});
+    // Overflows to inf: reruns although no sum is small.
+    nets.emplace_back(1.0, std::vector<RbfUnit>{unitAt({0.5, mid}, 0.5, 1e308),
+                                                unitAt({0.5, mid}, 0.6, 1e308)});
+
+    const RbfTermCounts counts = expectPoolMatchesPredict(nets, lat, 64);
+    EXPECT_GT(counts.reruns, 0u);
+    EXPECT_EQ(counts.reruns, expectedReruns(nets, lat));
+    // The far term is all that is left there.
+    const double left = nets[0].predict(lat.point(64 + 31));
+    EXPECT_GT(left, 0.0);
+    EXPECT_LT(left, 1e-20);
+}
+
+TEST(RbfUnitPool, ExtremeValuesMatchPredict)
+{
+    // Zero, subnormal, tiny, huge and non-finite biases; weights from
+    // 1e-300 to 1e300; one unit with a NaN centre. Blocks of 1, 2, 63
+    // and 64 rows, and a row order in which no row shares a prefix
+    // with the last.
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Lattice lat = fullLattice({evenLevels(4), evenLevels(3), evenLevels(6)});
+    Rng rng(77);
+    std::vector<RbfNetwork> nets;
+    for (double bias : {0.0, -0.0, 4.9e-324, 1e-310, 2.3e-308, 1e-300,
+                        -3.0, 1.0, 1e300, -1e300, inf, nan}) {
+        std::vector<RbfUnit> units;
+        for (int i = 0; i < 6; ++i) {
+            double w = std::pow(10.0, rng.uniform(-300.0, 300.0));
+            if (rng.chance(0.5))
+                w = -w;
+            units.push_back(unitAt({rng.uniform(), rng.uniform(),
+                                    rng.uniform()},
+                                   rng.uniform(0.05, 1.0), w));
+        }
+        nets.emplace_back(bias, std::move(units));
+    }
+    std::vector<RbfUnit> withNan = nets[7].units();
+    withNan[2].center[1] = nan;
+    nets.emplace_back(1.0, withNan);
+
+    for (std::size_t block : {1, 2, 63, 64, 1000})
+        expectPoolMatchesPredict(nets, lat, block);
+    Lattice shuffled = lat;
+    const std::size_t dims = lat.levels.size();
+    for (std::size_t r = 0; r < lat.rows(); ++r) {
+        const std::size_t from = (r * 37) % lat.rows();
+        std::copy(lat.idx.begin() + from * dims,
+                  lat.idx.begin() + (from + 1) * dims,
+                  shuffled.idx.begin() + r * dims);
+    }
+    for (std::size_t r = 1; r < shuffled.rows(); ++r)
+        ASSERT_NE(shuffled.idx[r * dims], shuffled.idx[(r - 1) * dims]);
+    const RbfTermCounts counts = expectPoolMatchesPredict(nets, shuffled, 64);
+    EXPECT_EQ(counts.reruns, expectedReruns(nets, shuffled));
+}
+
+TEST(RbfUnitPool, WellConditionedPoolNeverReruns)
+{
+    // Positive terms on a bias of 10: no sum comes near its floor.
+    const Lattice lat = fullLattice({evenLevels(5), evenLevels(4),
+                                     evenLevels(8)});
+    Rng rng(5);
+    std::vector<RbfNetwork> nets;
+    for (int m = 0; m < 8; ++m) {
+        std::vector<RbfUnit> units;
+        for (int i = 0; i < 12; ++i)
+            units.push_back(unitAt({rng.uniform(), rng.uniform(),
+                                    rng.uniform()},
+                                   rng.uniform(0.05, 0.5),
+                                   rng.uniform(0.1, 1.0)));
+        nets.emplace_back(10.0, std::move(units));
+    }
+    const RbfTermCounts counts = expectPoolMatchesPredict(nets, lat, 64);
+    EXPECT_EQ(counts.reruns, 0u);
+    EXPECT_GT(counts.skipped, 0u);
 }
 
 class RbfFitModes : public ::testing::TestWithParam<RbfFit>

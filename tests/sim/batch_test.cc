@@ -191,6 +191,32 @@ TEST(SimulateBatch, PublishesSummedLaneCycles)
               rs[0].totalCycles + rs[1].totalCycles);
 }
 
+TEST(SimulateBatch, IssueScanCountersAreBatchInvariant)
+{
+    // Per-lane counts: one batch of lanes publishes what the same
+    // lanes run one at a time publish.
+    MetricsRegistry &reg = metricsRegistry();
+    const BenchmarkProfile &gcc = benchmarkByName("gcc");
+    std::vector<SimConfig> cfgs = {laneConfig(0), laneConfig(3),
+                                   laneConfig(5)};
+    auto published = [&](const std::vector<std::vector<SimConfig>> &calls) {
+        const char *names[] = {"sim.issue_scans", "sim.issue_idle_scans"};
+        std::vector<std::uint64_t> v;
+        for (const char *name : names)
+            v.push_back(reg.snapshot().counterOr(name));
+        for (const std::vector<SimConfig> &c : calls)
+            simulateBatch(gcc, c, kSamples, kPerInterval);
+        for (std::size_t i = 0; i < v.size(); ++i)
+            v[i] = reg.snapshot().counterOr(names[i]) - v[i];
+        return v;
+    };
+    const std::vector<std::uint64_t> batched = published({cfgs});
+    EXPECT_EQ(batched,
+              published({{cfgs[0]}, {cfgs[1]}, {cfgs[2]}}));
+    EXPECT_GT(batched[1], 0u);
+    EXPECT_LT(batched[1], batched[0]);
+}
+
 TEST(SimulateBatch, IdenticalConfigsProduceIdenticalLanes)
 {
     const BenchmarkProfile &bench = benchmarkByName("gcc");
