@@ -18,12 +18,9 @@ namespace
 /** The prediction counters, interned once. */
 struct SweepCounters
 {
-    MetricId rbfTerms;        //!< RBF unit terms computed
-    MetricId rbfTermsSkipped; //!< unit terms skipped as negligible
-    MetricId rbfExps;         //!< exp() calls after unit dedup
-    MetricId rbfReruns;       //!< (row, network) sums rerun exactly
-    MetricId rbfRows;         //!< lattice rows evaluated
-    MetricId clamped;         //!< trace values clamped to the range
+    MetricId rbfTerms; //!< RBF unit terms added
+    MetricId rbfRows;  //!< lattice rows evaluated
+    MetricId clamped;  //!< trace values clamped to the range
 
     static const SweepCounters &
     get()
@@ -32,9 +29,6 @@ struct SweepCounters
             MetricsRegistry &reg = metricsRegistry();
             SweepCounters s;
             s.rbfTerms = reg.counter("predict.rbf_terms");
-            s.rbfTermsSkipped = reg.counter("predict.rbf_terms_skipped");
-            s.rbfExps = reg.counter("predict.rbf_exps");
-            s.rbfReruns = reg.counter("predict.rbf_exact_reruns");
             s.rbfRows = reg.counter("predict.rbf_rows");
             s.clamped = reg.counter("predict.clamped_values");
             return s;
@@ -393,10 +387,7 @@ TraceEvaluator::Workspace::publish()
     // Observe-only: the kernel keeps plain local counts, no atomics.
     const SweepCounters &ids = SweepCounters::get();
     MetricsRegistry &reg = metricsRegistry();
-    reg.add(ids.rbfTerms, terms.evaluated);
-    reg.add(ids.rbfTermsSkipped, terms.skipped);
-    reg.add(ids.rbfExps, terms.exps);
-    reg.add(ids.rbfReruns, terms.reruns);
+    reg.add(ids.rbfTerms, terms.terms);
     reg.add(ids.rbfRows, terms.rows);
     reg.add(ids.clamped, clamped);
     terms = {};

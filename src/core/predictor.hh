@@ -205,9 +205,9 @@ class WaveletNeuralPredictor
  *
  * Built once per list. Every RbfNetwork coefficient model of every
  * predictor goes into one RbfUnitPool, so a unit that several models
- * share has its z^2 sums and its exp(-z^2) computed once per row. Any
- * other model runs predictMany on normalised rows read from a
- * per-(dimension, level) table. A block's coefficient columns then
+ * share has its response computed once per row. Any other model runs
+ * predictMany on normalised rows read from a per-(dimension, level)
+ * table. A block's coefficient columns then
  * become one predictor's traces at a time, either as full traces
  * (assemble) or as runs of equal samples (segments), so a caller can
  * reduce each (predictor, block) while it is cache resident.
@@ -271,9 +271,8 @@ class TraceEvaluator
 
         /**
          * Add the counts so far to the predict.rbf_terms,
-         * predict.rbf_terms_skipped, predict.rbf_exps,
-         * predict.rbf_exact_reruns, predict.rbf_rows and
-         * predict.clamped_values counters, and reset them.
+         * predict.rbf_rows and predict.clamped_values counters, and
+         * reset them.
          */
         void publish();
 

@@ -183,16 +183,14 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
                       formatSeconds(scoreUs).c_str(),
                       100.0 * static_cast<double>(scoreUs) / total);
         out += line;
-        // The RBF kernel's exp() calls per lattice row and its exact
-        // reruns, over every prediction of the run.
+        // The RBF kernel's unit terms per lattice row, over every
+        // prediction of the run.
         const std::uint64_t rows = snap.counterOr("predict.rbf_rows");
         if (rows > 0) {
             std::snprintf(
-                line, sizeof(line), "; kernel %.1f exp/row, %llu reruns",
-                static_cast<double>(snap.counterOr("predict.rbf_exps")) /
-                    static_cast<double>(rows),
-                static_cast<unsigned long long>(
-                    snap.counterOr("predict.rbf_exact_reruns")));
+                line, sizeof(line), "; kernel %.1f terms/row",
+                static_cast<double>(snap.counterOr("predict.rbf_terms")) /
+                    static_cast<double>(rows));
             out += line;
         }
         out += '\n';

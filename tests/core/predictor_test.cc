@@ -250,34 +250,6 @@ TEST(Predictor, LatticeFullCrossProductMatchesScalar)
     expectBatchedMatchesScalar(p, all);
 }
 
-TEST(Predictor, LatticeSkipsNegligibleTermsBitIdentically)
-{
-    // Radii pinned at the floor: units are narrow next to the level
-    // spacing, so most unit terms vanish against the running sum.
-    // Ridge fitting keeps every tree node as a unit.
-    DesignSpace space = DesignSpace::paper();
-    PredictorOptions opts;
-    opts.rbf.radiusScale = 1e-3;
-    opts.rbf.fit = RbfFit::RidgeAll;
-    Rng rng(5);
-    auto p = trainLattice(space, bestLatinHypercube(space, 60, 4, rng),
-                          opts);
-    ASSERT_GT(rbfUnits(p), 0u);
-    for (const auto &m : p.coefficientModels())
-        for (const RbfUnit &u : dynamic_cast<const RbfNetwork &>(*m).units())
-            for (double r : u.radius)
-                ASSERT_EQ(r, opts.rbf.radiusFloor);
-
-    std::vector<DesignPoint> walk;
-    for (std::size_t i = 0; i < space.trainSpaceSize(); i += 97)
-        walk.push_back(space.pointFromFlatTrainIndex(i));
-    const std::uint64_t evaluated = counter("predict.rbf_terms");
-    const std::uint64_t skipped = counter("predict.rbf_terms_skipped");
-    expectBatchedMatchesScalar(p, walk);
-    EXPECT_GT(counter("predict.rbf_terms_skipped") - skipped,
-              counter("predict.rbf_terms") - evaluated);
-}
-
 TEST(Predictor, OffLevelPointsThrow)
 {
     auto d = makeData(40, 8, 64);
@@ -342,13 +314,12 @@ TEST(Predictor, PredictTracesPublishesSweepCounters)
         for (double v : t)
             outside += v < lo - margin || v > hi + margin;
 
-    const std::uint64_t evaluated = counter("predict.rbf_terms");
-    const std::uint64_t skipped = counter("predict.rbf_terms_skipped");
+    const std::uint64_t terms = counter("predict.rbf_terms");
+    const std::uint64_t rows = counter("predict.rbf_rows");
     const std::uint64_t clamps = counter("predict.clamped_values");
     clamped.predictTraces(pts);
-    EXPECT_EQ(counter("predict.rbf_terms") - evaluated +
-                  counter("predict.rbf_terms_skipped") - skipped,
-              pts.size() * units);
+    EXPECT_EQ(counter("predict.rbf_terms") - terms, pts.size() * units);
+    EXPECT_EQ(counter("predict.rbf_rows") - rows, pts.size());
     EXPECT_EQ(counter("predict.clamped_values") - clamps, outside);
     EXPECT_GT(outside, 0u);
 }
@@ -426,7 +397,7 @@ TEST(Predictor, LatticeTracesMatchScalarOnPaperSpaceWalk)
 
 TEST(Predictor, LatticeTracesNineLevelDimension)
 {
-    // The unit pool's z^2 table has no level cap: a 9-level dimension
+    // The unit pool's factor table has no level cap: a 9-level dimension
     // runs the RBF kernel like any other.
     DesignSpace space;
     std::vector<double> many;
@@ -440,36 +411,6 @@ TEST(Predictor, LatticeTracesNineLevelDimension)
     const std::uint64_t evaluated = counter("predict.rbf_terms");
     expectLatticeTracesMatchScalar(p, flatWalk(space, 1));
     EXPECT_GT(counter("predict.rbf_terms"), evaluated);
-}
-
-TEST(Predictor, LatticeSumsNearZeroRerunExactly)
-{
-    // The half-trace step changes sign across parameter a, so the
-    // coarsest detail coefficient's network sums to nearly zero on some
-    // lattice rows: those rows rerun ref by ref, and every trace must
-    // still match naiveTrace.
-    DesignSpace space;
-    space.addParameter({"a", {1, 2, 3, 4, 5, 6, 7}, {}});
-    space.addParameter({"b", {10, 20, 30, 40}, {}});
-    space.addParameter({"c", {3, 5, 7, 9, 11}, {}});
-    std::vector<DesignPoint> train;
-    std::vector<std::vector<double>> traces;
-    Rng rng(8);
-    for (const DesignPoint &p : randomSample(space, 45, rng)) {
-        std::vector<double> x = space.normalize(p);
-        std::vector<double> t(32);
-        for (std::size_t i = 0; i < t.size(); ++i)
-            t[i] = 2.0 + 0.3 * x[1] * x[2] +
-                   (i < 16 ? 1.0 : -1.0) * (x[0] - 0.45 + 0.1 * x[1]);
-        train.push_back(p);
-        traces.push_back(std::move(t));
-    }
-    WaveletNeuralPredictor p;
-    p.train(space, train, traces);
-    ASSERT_GT(rbfUnits(p), 0u);
-    const std::uint64_t reruns = counter("predict.rbf_exact_reruns");
-    expectLatticeTracesMatchScalar(p, flatWalk(space, 1));
-    EXPECT_GT(counter("predict.rbf_exact_reruns"), reruns);
 }
 
 TEST(Predictor, LatticeTracesPublishTheSameCounters)
@@ -486,10 +427,7 @@ TEST(Predictor, LatticeTracesPublishTheSameCounters)
             walk[i], idx.data() + i * d.space.dimensions());
     }
     const char *const names[] = {"predict.rbf_terms",
-                                 "predict.rbf_terms_skipped",
                                  "predict.clamped_values",
-                                 "predict.rbf_exps",
-                                 "predict.rbf_exact_reruns",
                                  "predict.rbf_rows"};
     auto deltas = [&](auto run) {
         std::vector<std::uint64_t> d;
@@ -513,10 +451,10 @@ TEST(Predictor, EvaluatorSharesUnitsAcrossPredictors)
     // Predictors trained on one design matrix share RBF units: the tree
     // root and the splits their trees agree on. The offset family grows
     // the base family's trees with running sums a thousand times
-    // larger, so shared units get different skip decisions; it goes
-    // first, so a skip must not carry over to a later predictor. The
-    // wide predictor keeps the base family's centres and changes every
-    // radius. The last family grows different trees below the root.
+    // larger, and goes first, so nothing of one predictor's sums may
+    // carry over to a later predictor. The wide predictor keeps the
+    // base family's centres and changes every radius. The last family
+    // grows different trees below the root.
     DesignSpace space = DesignSpace::paper();
     Rng rng(5);
     const auto points = bestLatinHypercube(space, 40, 4, rng);
@@ -565,9 +503,7 @@ TEST(Predictor, EvaluatorSharesUnitsAcrossPredictors)
         space.trainIndicesFromFlat(flat[i], idx.data() + i * dims);
     }
 
-    const char *const names[] = {"predict.rbf_terms",
-                                 "predict.rbf_terms_skipped",
-                                 "predict.rbf_exps"};
+    const char *const names[] = {"predict.rbf_terms", "predict.rbf_rows"};
     std::vector<std::uint64_t> before;
     for (const char *name : names)
         before.push_back(counter(name));
@@ -591,13 +527,8 @@ TEST(Predictor, EvaluatorSharesUnitsAcrossPredictors)
         }
     }
     ws.publish();
-    const std::uint64_t terms = counter(names[0]) - before[0];
-    const std::uint64_t skipped = counter(names[1]) - before[1];
-    const std::uint64_t exps = counter(names[2]) - before[2];
-    EXPECT_EQ(terms + skipped, n * units);
-    EXPECT_GT(skipped, 0u);
-    EXPECT_GT(exps, 0u);
-    EXPECT_LT(exps, terms);
+    EXPECT_EQ(counter(names[0]) - before[0], n * units);
+    EXPECT_EQ(counter(names[1]) - before[1], n);
 }
 
 TEST(Predictor, SegmentsMatchAssembleAndCountClampsAlike)

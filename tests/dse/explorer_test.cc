@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -251,41 +252,36 @@ TEST(Explorer, SweepCountersAreJobsInvariant)
     // stage timers, depend on the chunking, never on which worker
     // scored a chunk.
     auto deltas = [](std::size_t jobs) {
-        const char *names[] = {"predict.rbf_terms",
-                               "predict.rbf_terms_skipped",
-                               "predict.clamped_values",
-                               "predict.rbf_exps",
-                               "predict.rbf_exact_reruns",
-                               "predict.rbf_rows"};
+        const char *counters[] = {"predict.rbf_terms",
+                                  "predict.clamped_values",
+                                  "predict.rbf_rows"};
         const char *timers[] = {"sweep.predict_us", "sweep.score_us"};
         auto read = [&] {
             MetricsSnapshot snap = metricsRegistry().snapshot();
-            std::vector<std::uint64_t> v;
-            for (const char *n : names)
-                v.push_back(snap.counterOr(n));
+            std::map<std::string, std::uint64_t> v;
+            for (const char *n : counters)
+                v[n] = snap.counterOr(n);
             for (const char *n : timers)
-                v.push_back(histogramCount(snap, n));
+                v[n] = histogramCount(snap, n);
             return v;
         };
-        std::vector<std::uint64_t> grown = read();
+        std::map<std::string, std::uint64_t> grown = read();
         renderPinnedCampaign(jobs);
-        std::vector<std::uint64_t> now = read();
-        for (std::size_t i = 0; i < grown.size(); ++i)
-            grown[i] = now[i] - grown[i];
+        for (const auto &[name, now] : read())
+            grown[name] = now - grown[name];
         return grown;
     };
-    std::vector<std::uint64_t> serial = deltas(1);
+    std::map<std::string, std::uint64_t> serial = deltas(1);
     EXPECT_EQ(serial, deltas(8));
-    EXPECT_GT(serial[0], 0u);
-    EXPECT_GT(serial[1], 0u);
-    // Units the scenario x domain predictors share get one exp a row.
-    EXPECT_GT(serial[3], 0u);
-    EXPECT_LT(serial[3], serial[0]);
-    EXPECT_GT(serial[5], 0u);
+    EXPECT_GT(serial["predict.rbf_terms"], 0u);
+    // Every row adds every unit reference of the pool, and the
+    // scenario x domain predictors hold many per row.
+    EXPECT_GT(serial["predict.rbf_rows"], 0u);
+    EXPECT_GT(serial["predict.rbf_terms"], serial["predict.rbf_rows"]);
     // One sample per scored chunk: the held-out scorer and 3 sweeps
     // of 512 points in chunks of 64.
-    EXPECT_EQ(serial[6], 1u + 3u * 512u / 64u);
-    EXPECT_EQ(serial[7], serial[6]);
+    EXPECT_EQ(serial["sweep.predict_us"], 1u + 3u * 512u / 64u);
+    EXPECT_EQ(serial["sweep.score_us"], serial["sweep.predict_us"]);
 }
 
 TEST(Explorer, ChunkSizeDoesNotChangeTheReport)

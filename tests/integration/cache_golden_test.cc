@@ -7,7 +7,8 @@
  * entirely from disk (hit count == run count). A poisoned entry, or
  * entries missing because a run was killed before storing them, must
  * change nothing but the hit/miss split: caching can never move a byte
- * of any report, and rerunning against the cache is the crash-resume.
+ * of any report, and running again against the cache is the
+ * crash-resume.
  */
 
 #include <gtest/gtest.h>
@@ -205,7 +206,7 @@ TEST_F(CacheGoldenTest, PoisonedEntryOnlyShiftsTheHitMissSplit)
     EXPECT_EQ(warm.misses, 0u);
 
     // A killed run leaves only the entries of the runs that finished;
-    // rerunning the same campaign against the cache is the resume. It
+    // running the same campaign again against the cache is the resume. It
     // recomputes exactly the missing runs and reports the same bytes.
     entries = cacheEntries();
     ASSERT_EQ(entries.size(), cold.misses);

@@ -161,16 +161,15 @@ TEST_F(TelemetryGoldenTest, SpanMultisetIsJobsInvariant)
          {"scheduler.runs", "scheduler.computed", "cache.hits",
           "cache.misses", "cache.stores", "sim.cycles",
           "sim.idle_skipped_cycles", "predict.rbf_terms",
-          "predict.rbf_terms_skipped", "predict.clamped_values",
-          "predict.rbf_exps", "predict.rbf_exact_reruns",
-          "predict.rbf_rows", "sim.issue_scans", "sim.issue_idle_scans"})
+          "predict.clamped_values", "predict.rbf_rows", "sim.issue_scans",
+          "sim.issue_idle_scans"})
         EXPECT_EQ(counterOf(m1, name), counterOf(m8, name)) << name;
     EXPECT_GT(counterOf(m1, "sim.cycles"), 0u);
     EXPECT_GT(counterOf(m1, "sim.issue_scans"),
               counterOf(m1, "sim.issue_idle_scans"));
     EXPECT_GT(counterOf(m1, "sim.issue_idle_scans"), 0u);
     EXPECT_GT(counterOf(m1, "predict.rbf_terms"), 0u);
-    EXPECT_GT(counterOf(m1, "predict.rbf_exps"), 0u);
+    EXPECT_GT(counterOf(m1, "predict.rbf_rows"), 0u);
     // The pool's busy time has one sample per outermost parallel
     // index, whichever worker ran it.
     auto samples = [](const JsonValue &m) {

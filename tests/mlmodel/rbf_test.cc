@@ -276,191 +276,39 @@ bitsOf(double v)
     return u;
 }
 
-TEST(RbfSkipRule, SkippedTermsNeverChangeTheSum)
+TEST(RbfUnitResponse, IsProductOfPerDimensionFactors)
 {
-    // Random (acc, w, z2) across every binade of acc, including
-    // subnormals, +-0, +-inf and NaN; every skip must leave acc's bits
-    // exactly as adding the term would. Half of the draws put z2 just
-    // past the skip threshold, where the bound is tightest.
-    Rng rng(2024);
-    std::size_t skips = 0, edgeSkips = 0;
-    for (int i = 0; i < 1000000; ++i) {
-        std::uint64_t exponent = rng.below(2048);
-        std::uint64_t mantissa =
-            rng.chance(0.05) ? 0 : rng.next() & ((1ull << 52) - 1);
-        std::uint64_t sign = rng.next() & (1ull << 63);
-        std::uint64_t accBits = sign | (exponent << 52) | mantissa;
-        double acc = 0.0;
-        std::memcpy(&acc, &accBits, sizeof acc);
-
-        double w = std::pow(10.0, rng.uniform(-300.0, 300.0));
-        if (rng.chance(0.5))
-            w = -w;
-        double logAbsW = std::log(std::fabs(w));
-
-        bool edge = rng.chance(0.5);
-        double z2 = rng.uniform(0.0, 800.0);
-        if (edge) {
-            double threshold =
-                logAbsW + static_cast<double>(1079 - static_cast<int>(
-                                                         exponent)) *
-                              std::log(2.0);
-            z2 = std::min(std::max(threshold + rng.uniform(0.0, 1e-3),
-                                   0.0),
-                          800.0);
+    // responseAt is 1.0 times exp(-z_d * z_d) for each dimension, in
+    // dimension order: the order fixes the rounding, and RbfUnitPool's
+    // shared prefix products depend on it.
+    Rng rng(31);
+    std::size_t orderMatters = 0;
+    for (int i = 0; i < 2000; ++i) {
+        RbfUnit u;
+        std::vector<double> x;
+        const std::size_t dims = 1 + rng.below(9);
+        for (std::size_t d = 0; d < dims; ++d) {
+            u.center.push_back(rng.uniform());
+            u.radius.push_back(rng.uniform(0.05, 2.0));
+            x.push_back(rng.uniform());
         }
-        if (!rbfTermNegligible(acc, logAbsW, z2))
-            continue;
-        ++skips;
-        edgeSkips += edge;
-        ASSERT_EQ(bitsOf(acc + w * std::exp(-z2)), bitsOf(acc))
-            << "acc=" << acc << " w=" << w << " z2=" << z2;
-    }
-    EXPECT_GT(skips, 300000u);
-    EXPECT_GT(edgeSkips, 100000u);
-}
-
-TEST(RbfSkipRule, NeverSkipsOnSpecialValues)
-{
-    const double inf = std::numeric_limits<double>::infinity();
-    const double nan = std::numeric_limits<double>::quiet_NaN();
-    for (double acc : {0.0, -0.0, 1e-310, -1e-310, inf, -inf, nan})
-        EXPECT_FALSE(rbfTermNegligible(acc, 0.0, 800.0)) << acc;
-    EXPECT_FALSE(rbfTermNegligible(1.0, 0.0, nan));
-    EXPECT_FALSE(rbfTermNegligible(1.0, nan, 800.0));
-    EXPECT_FALSE(rbfTermNegligible(1.0, inf, 800.0));
-    EXPECT_TRUE(rbfTermNegligible(1.0, 0.0, 800.0));
-}
-
-/** A double with biased exponent @p e, a random mantissa and sign. */
-double
-withExponent(Rng &rng, std::uint64_t e)
-{
-    std::uint64_t bits = (rng.next() & (1ull << 63)) | (e << 52) |
-                         (rng.next() & ((1ull << 52) - 1));
-    double v = 0.0;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
-TEST(RbfSkipRule, NegligibleAtTheFloorStaysNegligibleAbove)
-{
-    // The lattice kernel leaves out a term negligible at a network's
-    // floor exponent for every exponent the sum reaches above it, so
-    // the bound must not grow with the exponent.
-    for (unsigned e = 1; e < 0x7fe; ++e)
-        ASSERT_LE(rbfNegligibleBound(e + 1), rbfNegligibleBound(e)) << e;
-    EXPECT_EQ(rbfNegligibleBound(0), std::numeric_limits<double>::infinity());
-    EXPECT_EQ(rbfNegligibleBound(0x7ff),
-              std::numeric_limits<double>::infinity());
-
-    // Cases drawn as in SkippedTermsNeverChangeTheSum; every higher
-    // finite exponent must skip the term too, and adding it there must
-    // leave the sum's bits alone.
-    Rng rng(2025);
-    std::size_t negligible = 0;
-    for (int i = 0; i < 4000; ++i) {
-        const std::uint64_t floorExp = 1 + rng.below(0x7fe);
-        double w = std::pow(10.0, rng.uniform(-300.0, 300.0));
-        if (rng.chance(0.5))
-            w = -w;
-        const double logAbsW = std::log(std::fabs(w));
-        double z2 = rng.uniform(0.0, 800.0);
-        if (rng.chance(0.5))
-            z2 = std::min(
-                std::max(logAbsW +
-                             rbfNegligibleBound(
-                                 static_cast<unsigned>(floorExp)) +
-                             rng.uniform(0.0, 1e-3),
-                         0.0),
-                800.0);
-        if (!rbfTermNegligible(withExponent(rng, floorExp), logAbsW, z2))
-            continue;
-        ++negligible;
-        for (std::uint64_t e = floorExp + 1; e < 0x7ff; ++e) {
-            const double acc = withExponent(rng, e);
-            ASSERT_TRUE(rbfTermNegligible(acc, logAbsW, z2))
-                << "floor " << floorExp << " exponent " << e;
-            ASSERT_EQ(bitsOf(acc + w * std::exp(-z2)), bitsOf(acc));
+        std::vector<double> factors;
+        for (std::size_t d = 0; d < dims; ++d) {
+            const double z = (x[d] - u.center[d]) / u.radius[d];
+            factors.push_back(std::exp(-(z * z)));
         }
+        double want = 1.0, reversed = 1.0;
+        for (std::size_t d = 0; d < dims; ++d) {
+            want *= factors[d];
+            reversed *= factors[dims - 1 - d];
+        }
+        ASSERT_EQ(bitsOf(RbfNetwork::responseAt(u, x.data())), bitsOf(want))
+            << "draw " << i;
+        EXPECT_EQ(bitsOf(RbfNetwork::response(u, x)), bitsOf(want));
+        orderMatters += bitsOf(reversed) != bitsOf(want);
     }
-    EXPECT_GT(negligible, 1000u);
-}
-
-TEST(RbfUnitPool, SharedUnitsMatchPredictMany)
-{
-    // Networks grown on one design matrix share units. The offset
-    // target grows the same tree as the plain one (same units, a much
-    // larger running sum, so different skip decisions); the wider
-    // radius scale keeps every centre and changes every radius; the
-    // other target grows a different tree below the shared root.
-    Matrix x;
-    std::vector<double> y;
-    makeData(60, 4, smoothFunc, 9, x, y);
-    std::vector<double> offset = y, other = y;
-    for (std::size_t i = 0; i < y.size(); ++i) {
-        offset[i] += 1e3;
-        other[i] = std::cos(5.0 * x.at(i, 2)) * x.at(i, 3);
-    }
-    RbfOptions wide;
-    wide.radiusScale = 2.0;
-    std::vector<RbfNetwork> nets(4);
-    nets[2] = RbfNetwork(wide);
-    nets[0].fit(x, offset);
-    nets[1].fit(x, y);
-    nets[2].fit(x, y);
-    nets[3].fit(x, other);
-    std::vector<const RbfNetwork *> ptrs;
-    std::size_t total = 0;
-    for (const RbfNetwork &net : nets) {
-        ASSERT_FALSE(net.units().empty());
-        ptrs.push_back(&net);
-        total += net.units().size();
-    }
-
-    // Every row of a 4 x 3 x 5 x 9 lattice, last dimension fastest.
-    // The dimensions differ in level count, so the table's shared
-    // level stride leaves unused rows in all but the widest.
-    std::vector<std::vector<double>> levels = {
-        {0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0}, {0.0, 0.5, 1.0},
-        {0.0, 0.25, 0.5, 0.75, 1.0}, {}};
-    for (std::size_t i = 0; i < 9; ++i)
-        levels[3].push_back(static_cast<double>(i) / 8.0);
-    std::vector<std::size_t> idx;
-    Matrix rows(4 * 3 * 5 * 9, 4);
-    std::size_t r = 0;
-    for (std::size_t a = 0; a < 4; ++a)
-        for (std::size_t b = 0; b < 3; ++b)
-            for (std::size_t c = 0; c < 5; ++c)
-                for (std::size_t e = 0; e < 9; ++e, ++r) {
-                    idx.insert(idx.end(), {a, b, c, e});
-                    rows.at(r, 0) = levels[0][a];
-                    rows.at(r, 1) = levels[1][b];
-                    rows.at(r, 2) = levels[2][c];
-                    rows.at(r, 3) = levels[3][e];
-                }
-
-    RbfUnitPool pool(ptrs, levels);
-    EXPECT_EQ(pool.networks(), nets.size());
-    EXPECT_LT(pool.distinctUnits(), total);
-    // Two calls on one scratch: nothing tabulated for one block may
-    // leak into the next; the split falls inside a run.
-    const std::size_t n = rows.rows(), split = 301;
-    std::vector<double> got(nets.size() * n);
-    RbfUnitPool::Scratch scratch(pool);
-    RbfTermCounts counts;
-    pool.predict(scratch, idx.data(), split, got.data(), n, counts);
-    pool.predict(scratch, idx.data() + split * 4, n - split,
-                 got.data() + split, n, counts);
-    for (std::size_t m = 0; m < nets.size(); ++m)
-        EXPECT_EQ(std::vector<double>(got.begin() + m * n,
-                                      got.begin() + (m + 1) * n),
-                  nets[m].predictMany(rows))
-            << "network " << m;
-    EXPECT_EQ(counts.evaluated + counts.skipped, n * total);
-    EXPECT_GT(counts.skipped, 0u);
-    EXPECT_LT(counts.exps, counts.evaluated);
-    EXPECT_EQ(counts.rows, n);
+    // The draws can tell the dimension order apart.
+    EXPECT_GT(orderMatters, 100u);
 }
 
 /** A lattice and some of its rows, as level indices. */
@@ -479,6 +327,30 @@ struct Lattice
             x.push_back(levels[d][idx[r * levels.size() + d]]);
         return x;
     }
+
+    /** Every listed row's normalised coordinates, one row each. */
+    Matrix
+    points() const
+    {
+        Matrix x(rows(), levels.size());
+        for (std::size_t r = 0; r < rows(); ++r)
+            for (std::size_t d = 0; d < levels.size(); ++d)
+                x.at(r, d) = levels[d][idx[r * levels.size() + d]];
+        return x;
+    }
+
+    /** Append row @p flat of the full lattice, last dimension
+     *  fastest. */
+    void
+    addFlat(std::size_t flat)
+    {
+        const std::size_t at = idx.size();
+        idx.resize(at + levels.size());
+        for (std::size_t d = levels.size(); d-- > 0;) {
+            idx[at + d] = flat % levels[d].size();
+            flat /= levels[d].size();
+        }
+    }
 };
 
 /** Every row of the lattice, last dimension fastest. */
@@ -487,15 +359,12 @@ fullLattice(std::vector<std::vector<double>> levels)
 {
     Lattice lat;
     lat.levels = std::move(levels);
-    std::vector<std::size_t> at(lat.levels.size(), 0);
-    for (;;) {
-        lat.idx.insert(lat.idx.end(), at.begin(), at.end());
-        std::size_t d = at.size();
-        while (d > 0 && ++at[d - 1] == lat.levels[d - 1].size())
-            at[--d] = 0;
-        if (d == 0)
-            return lat;
-    }
+    std::size_t total = 1;
+    for (const std::vector<double> &lv : lat.levels)
+        total *= lv.size();
+    for (std::size_t flat = 0; flat < total; ++flat)
+        lat.addFlat(flat);
+    return lat;
 }
 
 /** n evenly spaced levels in [0, 1]. */
@@ -509,43 +378,112 @@ evenLevels(std::size_t n)
 }
 
 /**
- * The reruns the pool owes: (row, network) pairs whose running sum,
- * added term by term as predict() adds it, dips below the network's
- * floor or ends inf or NaN. A network with a zero, subnormal or
- * non-finite bias has no floor.
+ * Four networks grown on one 60-row design matrix of @p dims inputs
+ * (at least 4), with @p opts: they share units. The offset target
+ * grows the same tree as the plain one (same units, a much larger
+ * running sum); the doubled radius scale keeps every centre and
+ * changes every radius; the other target grows a different tree below
+ * the shared root.
  */
-std::uint64_t
-expectedReruns(const std::vector<RbfNetwork> &nets, const Lattice &lat)
+std::vector<RbfNetwork>
+sharedNetworks(std::size_t dims, RbfOptions opts)
 {
-    std::uint64_t reruns = 0;
-    for (const RbfNetwork &net : nets) {
-        const double b = net.bias();
-        double floor = 0.0;
-        if (std::isnormal(b))
-            floor = std::max(
-                std::numeric_limits<double>::min(),
-                std::ldexp(1.0, std::ilogb(b) -
-                                    static_cast<int>(
-                                        RbfUnitPool::kFloorBinades)));
-        for (std::size_t r = 0; r < lat.rows(); ++r) {
-            const std::vector<double> x = lat.point(r);
-            double acc = b, lo = std::fabs(b);
-            for (const RbfUnit &u : net.units()) {
-                acc += u.weight * RbfNetwork::response(u, x);
-                lo = std::min(lo, std::fabs(acc));
-            }
-            reruns += lo < floor || !std::isfinite(acc);
-        }
+    Matrix x;
+    std::vector<double> y;
+    makeData(60, dims, smoothFunc, 9, x, y);
+    std::vector<double> offset = y, other = y;
+    for (std::size_t i = 0; i < y.size(); ++i) {
+        offset[i] += 1e3;
+        other[i] = std::cos(5.0 * x.at(i, 2)) * x.at(i, 3);
     }
-    return reruns;
+    RbfOptions wide = opts;
+    wide.radiusScale *= 2.0;
+    std::vector<RbfNetwork> nets(4, RbfNetwork(opts));
+    nets[2] = RbfNetwork(wide);
+    nets[0].fit(x, offset);
+    nets[1].fit(x, y);
+    nets[2].fit(x, y);
+    nets[3].fit(x, other);
+    return nets;
+}
+
+/**
+ * Pool @p nets on @p lat and evaluate its rows in two calls on one
+ * scratch, split after row @p split: every network's results must
+ * equal predictMany() at the rows' coordinates.
+ */
+void
+expectPoolMatchesPredictMany(const std::vector<RbfNetwork> &nets,
+                             const Lattice &lat, std::size_t split)
+{
+    std::vector<const RbfNetwork *> ptrs;
+    std::size_t total = 0;
+    for (const RbfNetwork &net : nets) {
+        ASSERT_FALSE(net.units().empty());
+        ptrs.push_back(&net);
+        total += net.units().size();
+    }
+    RbfUnitPool pool(ptrs, lat.levels);
+    EXPECT_EQ(pool.networks(), nets.size());
+    EXPECT_LT(pool.distinctUnits(), total);
+    // Nothing tabulated for one block may leak into the next call.
+    const std::size_t n = lat.rows(), dims = lat.levels.size();
+    std::vector<double> got(nets.size() * n);
+    RbfUnitPool::Scratch scratch(pool);
+    RbfTermCounts counts;
+    pool.predict(scratch, lat.idx.data(), split, got.data(), n, counts);
+    pool.predict(scratch, lat.idx.data() + split * dims, n - split,
+                 got.data() + split, n, counts);
+    const Matrix rows = lat.points();
+    for (std::size_t m = 0; m < nets.size(); ++m)
+        EXPECT_EQ(std::vector<double>(got.begin() + m * n,
+                                      got.begin() + (m + 1) * n),
+                  nets[m].predictMany(rows))
+            << "network " << m;
+    EXPECT_EQ(counts.terms, n * total);
+    EXPECT_EQ(counts.rows, n);
+}
+
+TEST(RbfUnitPool, SharedUnitsMatchPredictMany)
+{
+    // Every row of a 4 x 3 x 5 x 9 lattice, last dimension fastest.
+    // The dimensions differ in level count, so the table's shared
+    // level stride leaves unused rows in all but the widest. The split
+    // falls inside a run.
+    std::vector<std::vector<double>> levels = {
+        {0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0}, {0.0, 0.5, 1.0},
+        {0.0, 0.25, 0.5, 0.75, 1.0}, evenLevels(9)};
+    const Lattice lat = fullLattice(levels);
+    expectPoolMatchesPredictMany(sharedNetworks(4, RbfOptions{}), lat, 301);
+
+    // Wide units, every theta >= 1 as GCV-chosen radius scales give:
+    // no factor is anywhere near 0, so every term counts.
+    RbfOptions wide;
+    wide.radiusScale = 4.0;
+    wide.radiusFloor = 1.0;
+    const std::vector<RbfNetwork> wideNets = sharedNetworks(4, wide);
+    for (const RbfNetwork &net : wideNets)
+        for (const RbfUnit &u : net.units())
+            for (double theta : u.radius)
+                ASSERT_GE(theta, 1.0);
+    expectPoolMatchesPredictMany(wideNets, lat, 301);
+
+    // The paper space's shape, 9 dimensions of 8 levels: runs of 80
+    // consecutive rows at 16 strided starts of its 8^9 rows.
+    Lattice paper;
+    paper.levels.assign(9, evenLevels(8));
+    for (std::size_t c = 0; c < 16; ++c)
+        for (std::size_t r = 0; r < 80; ++r)
+            paper.addFlat(c * 8388593 + r);
+    expectPoolMatchesPredictMany(sharedNetworks(9, RbfOptions{}), paper,
+                                 613);
 }
 
 /**
  * Pool @p nets on @p lat, evaluate its rows in calls of @p block rows
- * and expect every result bit-identical to predict(); returns the
- * counts.
+ * and expect every result bit-identical to predict().
  */
-RbfTermCounts
+void
 expectPoolMatchesPredict(const std::vector<RbfNetwork> &nets,
                          const Lattice &lat, std::size_t block)
 {
@@ -574,9 +512,8 @@ expectPoolMatchesPredict(const std::vector<RbfNetwork> &nets,
                               << got[m * n + r] << ", predict() " << want;
         }
     EXPECT_EQ(mismatches, 0u) << "block of " << block;
-    EXPECT_EQ(counts.evaluated + counts.skipped, n * refs);
+    EXPECT_EQ(counts.terms, n * refs);
     EXPECT_EQ(counts.rows, n);
-    return counts;
 }
 
 /** A unit with the same radius in every dimension. */
@@ -588,39 +525,6 @@ unitAt(std::vector<double> center, double radius, double weight)
     u.center = std::move(center);
     u.weight = weight;
     return u;
-}
-
-TEST(RbfUnitPool, SumsNearZeroRerunExactly)
-{
-    // 64 levels in the last dimension: each block is one run. Every
-    // network has bias 1, so its floor is 2^-4.
-    const Lattice lat = fullLattice({{0.0, 0.5, 1.0}, evenLevels(64)});
-    const double mid = lat.levels[1][31];
-    std::vector<RbfNetwork> nets;
-    // Crosses zero: exactly 0 at (0.5, mid). The second unit is far
-    // from there (z^2 = 52, past its threshold) but near rows of the
-    // same block, so the block tabulates a 0 for it at that row, and
-    // the rerun must call exp() instead: predict() adds the term to 0.
-    RbfUnit narrow = unitAt({0.5, mid}, 0.3, -1.0);
-    narrow.radius[1] = 0.1;
-    RbfUnit far = unitAt({0.5, mid + 0.4}, 0.3, 1.0);
-    far.radius[1] = 0.4 / std::sqrt(52.0);
-    nets.emplace_back(1.0, std::vector<RbfUnit>{narrow, far});
-    // Dips to 0.05, one binade below the floor.
-    RbfUnit dip = narrow;
-    dip.weight = -0.95;
-    nets.emplace_back(1.0, std::vector<RbfUnit>{dip});
-    // Overflows to inf: reruns although no sum is small.
-    nets.emplace_back(1.0, std::vector<RbfUnit>{unitAt({0.5, mid}, 0.5, 1e308),
-                                                unitAt({0.5, mid}, 0.6, 1e308)});
-
-    const RbfTermCounts counts = expectPoolMatchesPredict(nets, lat, 64);
-    EXPECT_GT(counts.reruns, 0u);
-    EXPECT_EQ(counts.reruns, expectedReruns(nets, lat));
-    // The far term is all that is left there.
-    const double left = nets[0].predict(lat.point(64 + 31));
-    EXPECT_GT(left, 0.0);
-    EXPECT_LT(left, 1e-20);
 }
 
 TEST(RbfUnitPool, ExtremeValuesMatchPredict)
@@ -635,7 +539,7 @@ TEST(RbfUnitPool, ExtremeValuesMatchPredict)
     Rng rng(77);
     std::vector<RbfNetwork> nets;
     for (double bias : {0.0, -0.0, 4.9e-324, 1e-310, 2.3e-308, 1e-300,
-                        -3.0, 1.0, 1e300, -1e300, inf, nan}) {
+                        -3.0, 1.0, 1e300, -1e300, inf, -inf, nan}) {
         std::vector<RbfUnit> units;
         for (int i = 0; i < 6; ++i) {
             double w = std::pow(10.0, rng.uniform(-300.0, 300.0));
@@ -663,29 +567,7 @@ TEST(RbfUnitPool, ExtremeValuesMatchPredict)
     }
     for (std::size_t r = 1; r < shuffled.rows(); ++r)
         ASSERT_NE(shuffled.idx[r * dims], shuffled.idx[(r - 1) * dims]);
-    const RbfTermCounts counts = expectPoolMatchesPredict(nets, shuffled, 64);
-    EXPECT_EQ(counts.reruns, expectedReruns(nets, shuffled));
-}
-
-TEST(RbfUnitPool, WellConditionedPoolNeverReruns)
-{
-    // Positive terms on a bias of 10: no sum comes near its floor.
-    const Lattice lat = fullLattice({evenLevels(5), evenLevels(4),
-                                     evenLevels(8)});
-    Rng rng(5);
-    std::vector<RbfNetwork> nets;
-    for (int m = 0; m < 8; ++m) {
-        std::vector<RbfUnit> units;
-        for (int i = 0; i < 12; ++i)
-            units.push_back(unitAt({rng.uniform(), rng.uniform(),
-                                    rng.uniform()},
-                                   rng.uniform(0.05, 0.5),
-                                   rng.uniform(0.1, 1.0)));
-        nets.emplace_back(10.0, std::move(units));
-    }
-    const RbfTermCounts counts = expectPoolMatchesPredict(nets, lat, 64);
-    EXPECT_EQ(counts.reruns, 0u);
-    EXPECT_GT(counts.skipped, 0u);
+    expectPoolMatchesPredict(nets, shuffled, 64);
 }
 
 class RbfFitModes : public ::testing::TestWithParam<RbfFit>

@@ -226,14 +226,12 @@ TEST(TelemetrySummary, SweepSplitsPredictFromScore)
                   .find("-- telemetry: sweep worker time: predict "
                         "3.000 s (75%), score 1.000 s (25%)\n"),
               std::string::npos);
-    // With kernel counters: exp() calls per row and exact reruns.
-    snap.counters = {{"predict.rbf_exact_reruns", 7},
-                     {"predict.rbf_exps", 650},
-                     {"predict.rbf_rows", 4}};
+    // With kernel counters: unit terms per row.
+    snap.counters = {{"predict.rbf_rows", 4}, {"predict.rbf_terms", 3386}};
     EXPECT_NE(renderTelemetrySummary(snap, 1000000, 1)
                   .find("-- telemetry: sweep worker time: predict "
                         "3.000 s (75%), score 1.000 s (25%); kernel "
-                        "162.5 exp/row, 7 reruns\n"),
+                        "846.5 terms/row\n"),
               std::string::npos);
 }
 
