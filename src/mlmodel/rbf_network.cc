@@ -42,16 +42,48 @@ RbfNetwork::responseAt(const RbfUnit &unit, const double *input)
 namespace
 {
 
-/** Build the n x m response matrix of candidate units. */
+/**
+ * Build the n x m response matrix of candidate units: responseAt()
+ * for every (row, unit), with its factors multiplied in dimension
+ * order. Each factor exp(-z²) is computed once per (dimension,
+ * distinct column value, unit) — training rows repeat few values per
+ * dimension — and distinct values are found by their bits, so the
+ * table holds exactly the factors responseAt() would compute.
+ */
 Matrix
 responseMatrix(const Matrix &x, const std::vector<RbfUnit> &units)
 {
     assert(units.empty() || units.front().center.size() == x.cols());
-    Matrix phi(x.rows(), units.size());
-    for (std::size_t r = 0; r < x.rows(); ++r) {
-        const double *row = x.rowPtr(r);
-        for (std::size_t j = 0; j < units.size(); ++j)
-            phi.at(r, j) = RbfNetwork::responseAt(units[j], row);
+    const std::size_t n = x.rows(), m = units.size();
+    Matrix phi(n, m, 1.0);
+    std::vector<std::uint64_t> bits(n), values;
+    std::vector<double> factor;
+    for (std::size_t d = 0; d < x.cols(); ++d) {
+        for (std::size_t r = 0; r < n; ++r)
+            std::memcpy(&bits[r], x.rowPtr(r) + d, sizeof(double));
+        values = bits;
+        std::sort(values.begin(), values.end());
+        values.erase(std::unique(values.begin(), values.end()),
+                     values.end());
+        factor.resize(values.size() * m);
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            double v;
+            std::memcpy(&v, &values[i], sizeof v);
+            for (std::size_t j = 0; j < m; ++j) {
+                // responseAt's per-dimension factor, verbatim.
+                double z = (v - units[j].center[d]) / units[j].radius[d];
+                factor[i * m + j] = std::exp(-(z * z));
+            }
+        }
+        for (std::size_t r = 0; r < n; ++r) {
+            std::size_t i = static_cast<std::size_t>(
+                std::lower_bound(values.begin(), values.end(), bits[r]) -
+                values.begin());
+            const double *f = factor.data() + i * m;
+            double *row = phi.rowPtr(r);
+            for (std::size_t j = 0; j < m; ++j)
+                row[j] *= f[j];
+        }
     }
     return phi;
 }

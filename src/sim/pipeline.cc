@@ -44,9 +44,9 @@ Pipeline::Pipeline(SharedOpWindow &ops, const SimConfig &cfg,
       ops(&ops)
 {
     scanSlotMask = window.capacity() - 1;
-    notReadyA.assign(scanSlotMask + 1, 0);
+    readyAtA.assign(scanSlotMask + 1, 0);
+    waitA.assign(scanSlotMask + 1, Waiter{});
     iqSeqA.reserve(256 + cfg.iqSize);
-    iqNrbA.reserve(256 + cfg.iqSize);
     auto shift_of = [](unsigned v, unsigned &shift, bool &pow2) {
         if (v == 0 || (v & (v - 1)) != 0)
             return;
@@ -70,66 +70,57 @@ Pipeline::entryFor(std::uint64_t seq)
     return &window[idx];
 }
 
-bool
-Pipeline::depsReady(InFlight &e, std::uint64_t &scanMemo)
-{
-    bool ready = true;
-    std::uint64_t not_before = cycle + 1;
-    for (std::uint32_t dep : {e.op.dep1, e.op.dep2}) {
-        if (dep == 0)
-            continue;
-        std::uint64_t pseq = e.seq - dep;
-        if (pseq < frontSeq)
-            continue; // producer committed long ago
-        std::uint64_t idx = pseq - frontSeq;
-        if (idx >= window.size())
-            continue;
-        const InFlight &p = window[idx];
-        if (!p.issued) {
-            ready = false;
-            // The producer itself cannot issue before its own memo
-            // bound, so this entry cannot be ready before one cycle
-            // later. Bounds only ever hold cycles that were sound
-            // when written, and readiness is monotone in time, so a
-            // stale producer bound is still a valid lower bound —
-            // and the oldest-first scan refreshes producers before
-            // their consumers, collapsing whole dependence chains to
-            // near-exact bounds in a single pass.
-            std::uint64_t pn = notReadyA[pseq & scanSlotMask];
-            if (pn + 1 > not_before)
-                not_before = pn + 1;
-        } else if (p.completeCycle > cycle) {
-            ready = false;
-            if (p.completeCycle > not_before)
-                not_before = p.completeCycle;
-        }
-    }
-    if (!ready) {
-        // Dual write: the scan lane copy drives the skip loop, the
-        // seq-indexed copy serves producer reads above.
-        notReadyA[e.seq & scanSlotMask] = not_before;
-        scanMemo = not_before;
-    }
-    return ready;
-}
-
 void
 Pipeline::iqListAppend(InFlight &e)
 {
-    notReadyA[e.seq & scanSlotMask] = 0; // readiness unknown
-    // Reclaim the dead prefix before the vectors grow past a couple
+    // Resolve the producers once: committed means ready, issued means
+    // ready at its completeCycle, unissued means pending until it
+    // issues (and then wakeConsumers() folds its completeCycle in).
+    const std::size_t slot = e.seq & scanSlotMask;
+    Waiter &w = waitA[slot];
+    w = Waiter{};
+    const std::uint32_t deps[2] = {e.op.dep1, e.op.dep2};
+    for (unsigned k = 0; k < 2; ++k) {
+        if (deps[k] == 0)
+            continue;
+        std::uint64_t pseq = e.seq - deps[k];
+        if (pseq < frontSeq || pseq - frontSeq >= window.size())
+            continue; // committed, or before the first instruction
+        const InFlight &p = liveEntry(pseq);
+        if (p.issued) {
+            w.operandsAt = std::max(w.operandsAt, p.completeCycle);
+            continue;
+        }
+        ++w.pending;
+        Waiter &pw = waitA[pseq & scanSlotMask];
+        w.next[k] = pw.consumers;
+        pw.consumers = (e.seq << 1) | k;
+    }
+    readyAtA[slot] = w.pending > 0 ? kNever : w.operandsAt;
+
+    // Reclaim the dead prefix before the vector grows past a couple
     // of cache lines of garbage; the live span is at most iqSize.
     if (iqStart >= 256) {
         iqSeqA.erase(iqSeqA.begin(),
                      iqSeqA.begin() +
                          static_cast<std::ptrdiff_t>(iqStart));
-        iqNrbA.erase(iqNrbA.begin(),
-                     iqNrbA.begin() +
-                         static_cast<std::ptrdiff_t>(iqStart));
         iqStart = 0;
     }
     iqSeqA.push_back(e.seq);
-    iqNrbA.push_back(0);
+}
+
+void
+Pipeline::wakeConsumers(const InFlight &e)
+{
+    for (std::uint64_t l = waitA[e.seq & scanSlotMask].consumers;
+         l != kNoLink;) {
+        const std::size_t cslot = (l >> 1) & scanSlotMask;
+        Waiter &c = waitA[cslot];
+        l = c.next[l & 1];
+        c.operandsAt = std::max(c.operandsAt, e.completeCycle);
+        if (--c.pending == 0)
+            readyAtA[cslot] = c.operandsAt;
+    }
 }
 
 unsigned
@@ -243,26 +234,29 @@ Pipeline::doIssue()
     unsigned fu_mem = 0;
     unsigned issued = 0, scanned = 0;
     std::uint64_t ready_seen = 0, waiting_seen = 0;
-    std::uint64_t wake = ~0ull; //!< earliest bound among the unready
+    std::uint64_t wake = kNever; //!< earliest memo among the unready
 
-    // Walk the unissued IQ residents oldest first. The dense arrays
-    // hold exactly the entries the historical full-window walk
+    // Walk the unissued IQ residents oldest first. The dense array
+    // holds exactly the entries the historical full-window walk
     // considered (inIq && !issued), in the same seq order, so the
     // scan cap, FU arbitration and DVM observations are unchanged.
+    // An entry is ready exactly when its wakeup memo has passed.
     // Issued entries are removed by compacting in place: survivors
     // are written back through `wr`, and the unvisited tail (early
     // break on the cap or the issue width) is shifted down after the
     // loop.
     std::size_t rd = iqStart, wr = iqStart, len = iqSeqA.size();
     for (; rd < len && issued < issue_width; ++rd) {
-        // Fast-forward over runs of memo-waiting entries — the bulk
-        // of every scan — four at a time with a single branch. Each
-        // quad contributes exactly what four scalar iterations would:
-        // four scan slots, four waiting observations, and its minimum
-        // memo bound into the wakeup.
+        // Fast-forward over runs of waiting entries — the bulk of
+        // every scan — four at a time with a single branch. Each quad
+        // contributes exactly what four scalar iterations would: four
+        // scan slots, four waiting observations, and its earliest
+        // memo into the wakeup.
         while (rd + 4 <= len && scanned + 4 <= scan_cap) {
-            std::uint64_t n0 = iqNrbA[rd], n1 = iqNrbA[rd + 1];
-            std::uint64_t n2 = iqNrbA[rd + 2], n3 = iqNrbA[rd + 3];
+            std::uint64_t n0 = readyAtA[iqSeqA[rd] & scanSlotMask];
+            std::uint64_t n1 = readyAtA[iqSeqA[rd + 1] & scanSlotMask];
+            std::uint64_t n2 = readyAtA[iqSeqA[rd + 2] & scanSlotMask];
+            std::uint64_t n3 = readyAtA[iqSeqA[rd + 3] & scanSlotMask];
             if (!((n0 > cycle) & (n1 > cycle) & (n2 > cycle) &
                   (n3 > cycle)))
                 break;
@@ -274,10 +268,8 @@ Pipeline::doIssue()
             if (m < wake)
                 wake = m;
             if (wr != rd)
-                for (int i = 0; i < 4; ++i) {
+                for (int i = 0; i < 4; ++i)
                     iqSeqA[wr + i] = iqSeqA[rd + i];
-                    iqNrbA[wr + i] = iqNrbA[rd + i];
-                }
             wr += 4;
             rd += 4;
         }
@@ -288,29 +280,15 @@ Pipeline::doIssue()
         if (++scanned > scan_cap)
             break;
 
-        // The memo short-circuits everything for entries known to
-        // still be waiting, touching only the scan lanes — never the
-        // window entry.
-        std::uint64_t nrb = iqNrbA[rd];
-        if (nrb > cycle) {
+        std::uint64_t ready_at = readyAtA[cur & scanSlotMask];
+        if (ready_at > cycle) {
             ++waiting_seen;
-            if (nrb < wake)
-                wake = nrb;
-            iqSeqA[wr] = cur;
-            iqNrbA[wr] = nrb;
-            ++wr;
+            if (ready_at < wake)
+                wake = ready_at;
+            iqSeqA[wr++] = cur;
             continue;
         }
         InFlight &e = liveEntry(cur);
-        if (!depsReady(e, nrb)) {
-            ++waiting_seen;
-            if (nrb < wake) // depsReady refreshed the memo
-                wake = nrb;
-            iqSeqA[wr] = cur;
-            iqNrbA[wr] = nrb;
-            ++wr;
-            continue;
-        }
         ++ready_seen;
 
         // Per-class functional unit limits.
@@ -347,9 +325,7 @@ Pipeline::doIssue()
             break;
         }
         if (!fu_ok) {
-            iqSeqA[wr] = cur;
-            iqNrbA[wr] = nrb; // expired memo: re-check next cycle
-            ++wr;
+            iqSeqA[wr++] = cur;
             continue;
         }
 
@@ -392,6 +368,7 @@ Pipeline::doIssue()
         e.issued = true;
         e.completeCycle = cycle + lat;
         completions.schedule(cycle, e.completeCycle, e.seq);
+        wakeConsumers(e);
 
         // Operand reads / result write accounting.
         if (e.op.dep1)
@@ -426,10 +403,7 @@ Pipeline::doIssue()
             // left to move, and operator[] may not index there.
             std::memmove(iqSeqA.data() + wr, iqSeqA.data() + rd,
                          (len - rd) * sizeof(iqSeqA[0]));
-            std::memmove(iqNrbA.data() + wr, iqNrbA.data() + rd,
-                         (len - rd) * sizeof(iqNrbA[0]));
             iqSeqA.resize(len - (rd - wr));
-            iqNrbA.resize(len - (rd - wr));
         }
     }
 
@@ -442,9 +416,13 @@ Pipeline::doIssue()
         waiting_seen + (in_iq > scanned ? in_iq - scanned : 0);
 
     // Nothing ready anywhere in the scan: sleep until the earliest
-    // bound (entries past the scan cap cannot issue or change the
-    // observations while the population is frozen).
-    if (issued == 0 && ready_seen == 0 && wake != ~0ull)
+    // memo, the first cycle a scanned entry can issue. An entry with
+    // a pending producer wakes only when that producer issues, and
+    // the oldest resident's producers have all issued, so its memo is
+    // finite. Entries past the scan cap are not visited while the
+    // population is frozen, so they cannot issue or change the
+    // observations before then.
+    if (issued == 0 && ready_seen == 0 && wake != kNever)
         issueSleepUntil = wake;
 }
 

@@ -28,16 +28,25 @@
  *
  *  - The ROB and the fetch queue are fixed-capacity power-of-two
  *    RingBuffers (ring_buffer.hh) sized from SimConfig at
- *    construction: no per-push allocation, and depsReady()'s
- *    producer lookups and the commit walk touch contiguous memory.
- *  - Unissued IQ residents are additionally tracked in dense
- *    seq-ordered parallel arrays (iqSeqA/iqNrbA, compacted in place
- *    by the scan itself), so the issue scan visits exactly the
- *    candidates the historical whole-window walk would have
- *    considered — in the same oldest-first order, with the same scan
- *    cap — as a prefetchable sequential read whose common
- *    waiting-entry case never touches the window entries at all and
- *    fast-forwards over waiting runs four entries per branch.
+ *    construction: no per-push allocation, and the commit walk
+ *    touches contiguous memory.
+ *  - Unissued IQ residents are additionally tracked in a dense
+ *    seq-ordered array (iqSeqA, compacted in place by the scan
+ *    itself), so the issue scan visits exactly the candidates the
+ *    historical whole-window walk would have considered — in the
+ *    same oldest-first order, with the same scan cap — as a
+ *    sequential read whose common waiting-entry case never touches
+ *    the window entries and fast-forwards over waiting runs four
+ *    entries per branch.
+ *  - Operand wakeup is exact and event driven. Dispatch resolves an
+ *    entry's producers once and links it into each unissued
+ *    producer's consumer list; issuing a producer folds its
+ *    completeCycle into those consumers. Each resident's wakeup memo
+ *    (readyAtA) is therefore the exact cycle its operands are ready,
+ *    or kNever while a producer is unissued, and the scan tests
+ *    memo <= cycle with no producer walk. A scan that finds nothing
+ *    ready puts the issue stage to sleep until the earliest memo,
+ *    which is exactly the first cycle a scanned entry can issue.
  *  - Completion events live in a CalendarQueue (calendar_queue.hh):
  *    execution latencies are bounded by l2Lat + memLat + tlbMissLat,
  *    so per-cycle buckets replace the former std::priority_queue and
@@ -178,8 +187,10 @@ class Pipeline
     const BpredStats &bpredStats() const { return bpStats; }
 
   private:
-    /** Sentinel for the intrusive IQ list links. */
-    static constexpr std::uint64_t kNoSeq = ~0ull;
+    /** Wakeup memo of an entry with a producer still unissued. */
+    static constexpr std::uint64_t kNever = ~0ull;
+    /** End of a producer's consumer list. */
+    static constexpr std::uint64_t kNoLink = ~0ull;
 
     struct InFlight
     {
@@ -221,14 +232,13 @@ class Pipeline
     }
 
     /**
-     * Operand readiness; on false, refreshes the entry's wakeup memo
-     * (both the seq-indexed copy in notReadyA and the caller's scan
-     * lane copy) so later cycles skip the producer walk.
+     * Append a dispatched entry to the unissued-IQ scan array and
+     * resolve its producers into its wakeup memo and consumer links.
      */
-    bool depsReady(InFlight &e, std::uint64_t &scanMemo);
-
-    /** Append a dispatched entry to the unissued-IQ scan array. */
     void iqListAppend(InFlight &e);
+
+    /** Fold a just-issued entry's completeCycle into its consumers. */
+    void wakeConsumers(const InFlight &e);
 
     /** Load latency through DTLB/DL1/L2/memory; updates stats. */
     unsigned loadLatency(std::uint64_t addr);
@@ -258,39 +268,48 @@ class Pipeline
     std::uint64_t idleIssueScans = 0; //!< see idleIssueScanCount()
 
     /**
-     * Unissued IQ residents in dispatch (= seq) order as parallel
-     * scan lanes: the live span is [iqStart, iqSeqA.size()) of
-     * iqSeqA (entry seq) and iqNrbA (that entry's wakeup memo).
-     * Dispatch appends at the back; the issue scan removes by
-     * compacting in place as it walks (it touches every live element
-     * anyway), so iteration is a dense sequential read the hardware
-     * prefetcher can stream, and runs of memo-waiting entries — the
-     * bulk of every scan — fast-forward four at a time off the
-     * iqNrbA lane alone.
-     *
-     * The wakeup memo means: the entry cannot have ready operands
-     * before the recorded cycle, so the scan skips the producer walk
-     * until then. Producers' completeCycle is immutable once issued,
-     * making the bound exact when every producer has issued; with an
-     * unissued producer it degrades to "recheck next cycle".
-     * notReadyA duplicates the memo keyed by seq & scanSlotMask
-     * (live seqs span less than the window capacity, so slots are
-     * unique among residents) for depsReady's producer reads, which
-     * know the producer's seq but not its scan position.
+     * Unissued IQ residents in dispatch (= seq) order: the live span
+     * is [iqStart, iqSeqA.size()). Dispatch appends at the back; the
+     * issue scan removes by compacting in place as it walks (it
+     * touches every live element anyway), so iteration is a dense
+     * sequential read, and runs of waiting entries — the bulk of
+     * every scan — fast-forward four at a time.
      */
     std::vector<std::uint64_t> iqSeqA;
-    std::vector<std::uint64_t> iqNrbA;
     std::size_t iqStart = 0;
-    std::vector<std::uint64_t> notReadyA; //!< seq-keyed memo copy
+
+    /**
+     * Exact operand wakeup, keyed by seq & scanSlotMask (live seqs
+     * span less than the window capacity, so slots are unique among
+     * residents). readyAtA holds each resident's wakeup memo: the
+     * cycle its last operand completes, or kNever while a producer
+     * has not issued; the entry is ready exactly when memo <= cycle.
+     * Dispatch resolves the producers once: committed ones are
+     * ready, issued ones contribute their completeCycle, and the
+     * entry links itself into each unissued producer's consumer list
+     * (a head per producer, a link per operand slot: nothing is
+     * allocated). When a producer issues, wakeConsumers() folds its
+     * completeCycle in and, on the last pending producer, writes the
+     * memo.
+     */
+    std::vector<std::uint64_t> readyAtA;
+    struct Waiter
+    {
+        std::uint64_t operandsAt = 0; //!< latest known completeCycle
+        std::uint64_t consumers = kNoLink; //!< (seq << 1) | operand
+        std::uint64_t next[2] = {kNoLink, kNoLink}; //!< per operand
+        unsigned pending = 0; //!< producers not yet issued
+    };
+    std::vector<Waiter> waitA;
     std::uint64_t scanSlotMask = 0;
 
     /**
      * Issue-stage sleep: when a scan finds every candidate unready,
-     * the earliest memo bound tells the first cycle anything can
-     * change, and the scan until then is pure overhead — its DVM
-     * observations are reproduced in closed form (the IQ population
-     * is frozen while asleep: only issue removes list entries and
-     * any dispatch cancels the sleep).
+     * the earliest memo is the first cycle a scanned entry can issue,
+     * and the scan until then is pure overhead — its DVM observations
+     * are reproduced in closed form (the IQ population is frozen
+     * while asleep: only issue removes list entries and any dispatch
+     * cancels the sleep).
      */
     std::uint64_t issueSleepUntil = 0;
 
