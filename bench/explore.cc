@@ -7,11 +7,13 @@
  * orders of magnitude cheaper to make sweeping 10^5-10^6
  * configurations routine).
  *
- * Reports the batched hot path (predictTraces, the lattice RBF kernel
- * on sweep points) and a small end-to-end adaptive exploration.
- * `--json <path>` additionally records the numbers machine-readably
- * (core/report JSON conventions) so BENCH_explore.json perf
- * trajectories can accumulate.
+ * Reports the "batched+parallel" row — predictTraces over 1,024-point
+ * chunks, one predictor, full traces returned — and a small end-to-end
+ * adaptive exploration. The row times trace prediction, not the
+ * product sweep: runExplore scores its blocks in place (scoreRows,
+ * dse/explorer.cc) without building traces, so sweep throughput is
+ * perfbench's sweep_mpoints_per_s. `--json <path>` additionally writes
+ * the numbers machine-readably (core/report JSON conventions).
  */
 
 #include <chrono>

@@ -53,14 +53,6 @@ WaveletNeuralPredictor::toCoefficients(
     return WaveletTransform(opts.mother).forward(trace);
 }
 
-std::vector<double>
-WaveletNeuralPredictor::fromCoefficients(std::vector<double> coeffs) const
-{
-    if (opts.paperHaar)
-        return haarInverse(coeffs);
-    return WaveletTransform(opts.mother).inverse(coeffs);
-}
-
 std::unique_ptr<RegressionModel>
 WaveletNeuralPredictor::makeModel() const
 {
@@ -233,14 +225,10 @@ TraceEvaluator::TraceEvaluator(
 
 TraceEvaluator::Workspace::Workspace(const TraceEvaluator &evaluator)
     : ev(evaluator), scratch(evaluator.pool),
-      columns(evaluator.columnOf.size() * kBlock), zeros(kBlock, 0.0),
+      columns(evaluator.columnOf.size() * kBlock),
       registers(evaluator.registerCount * kBlock),
       segs(evaluator.preds.size())
 {
-    std::size_t length = 0;
-    for (const WaveletNeuralPredictor *p : ev.preds)
-        length = std::max(length, p->length);
-    coeffRows.resize(length);
     for (std::size_t p = 0; p < ev.plans.size(); ++p) {
         const SegmentPlan &plan = ev.plans[p];
         for (const HaarSegmentPlan::Segment &seg : plan.haar.segments)
@@ -274,20 +262,6 @@ TraceEvaluator::Workspace::predict(const std::size_t *levelIdx,
 }
 
 void
-TraceEvaluator::Workspace::bindCoefficients(std::size_t p)
-{
-    const WaveletNeuralPredictor &pred = *ev.preds[p];
-    const std::vector<std::size_t> &selected = pred.selected;
-    const std::size_t *column = ev.columnOf.data() + ev.firstModel[p];
-    // Coefficient i of every row: a model's column, or zeros when no
-    // model predicts it.
-    std::fill(coeffRows.begin(), coeffRows.begin() + pred.length,
-              zeros.data());
-    for (std::size_t s = 0; s < selected.size(); ++s)
-        coeffRows[selected[s]] = columns.data() + column[s] * kBlock;
-}
-
-void
 TraceEvaluator::Workspace::clamp(std::size_t p, double *values,
                                  std::size_t n, std::uint64_t weight)
 {
@@ -314,31 +288,20 @@ TraceEvaluator::Workspace::clamp(std::size_t p, double *values,
 }
 
 void
-TraceEvaluator::Workspace::assemble(std::size_t p, double *out)
+TraceEvaluator::Workspace::inverseRows(std::size_t p, double *out)
 {
     const WaveletNeuralPredictor &pred = *ev.preds[p];
-    const std::size_t length = pred.length;
-    bindCoefficients(p);
-    if (pred.opts.paperHaar)
-        haarInverseColumns(coeffRows.data(), length, rows, out);
-    else
-        inverseRows(p, out, rows);
-    if (pred.opts.clampToTrainingRange)
-        clamp(p, out, length * rows, 1);
-}
-
-void
-TraceEvaluator::Workspace::inverseRows(std::size_t p, double *out,
-                                       std::size_t stride)
-{
-    const WaveletNeuralPredictor &pred = *ev.preds[p];
-    std::vector<double> coeffs(pred.length);
+    const std::size_t *column = ev.columnOf.data() + ev.firstModel[p];
+    const WaveletTransform transform(pred.opts.mother);
+    // Unmodelled coefficients stay zero; the selected ones are
+    // overwritten row by row.
+    std::vector<double> coeffs(pred.length, 0.0);
     for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t i = 0; i < pred.length; ++i)
-            coeffs[i] = coeffRows[i][r];
-        std::vector<double> trace = pred.fromCoefficients(coeffs);
+        for (std::size_t s = 0; s < pred.selected.size(); ++s)
+            coeffs[pred.selected[s]] = columns[column[s] * kBlock + r];
+        std::vector<double> trace = transform.inverse(coeffs);
         for (std::size_t t = 0; t < pred.length; ++t)
-            out[t * stride + r] = trace[t];
+            out[t * kBlock + r] = trace[t];
     }
 }
 
@@ -370,8 +333,7 @@ TraceEvaluator::Workspace::segments(std::size_t p)
                     o[r] = a[r] - d[r];
         }
     } else {
-        bindCoefficients(p);
-        inverseRows(p, reg, kBlock);
+        inverseRows(p, reg);
     }
     // After every op: a register can be both a segment and the source
     // of a deeper split.
@@ -394,40 +356,30 @@ TraceEvaluator::Workspace::publish()
     clamped = 0;
 }
 
-void
-WaveletNeuralPredictor::predictLatticeTraces(const std::size_t *levelIdx,
-                                             std::size_t n,
-                                             double *out) const
-{
-    assert(trained());
-    TraceEvaluator ev({this});
-    TraceEvaluator::Workspace ws(ev);
-    const std::size_t dims = space.dimensions();
-    std::vector<double> block(TraceEvaluator::kBlock * length);
-    for (std::size_t b0 = 0; b0 < n; b0 += TraceEvaluator::kBlock) {
-        std::size_t m = std::min(TraceEvaluator::kBlock, n - b0);
-        ws.predict(levelIdx + b0 * dims, m);
-        ws.assemble(0, block.data());
-        for (std::size_t r = 0; r < m; ++r)
-            for (std::size_t t = 0; t < length; ++t)
-                out[(b0 + r) * length + t] = block[t * m + r];
-    }
-    ws.publish();
-}
-
 std::vector<std::vector<double>>
 WaveletNeuralPredictor::predictTraces(
     const std::vector<DesignPoint> &points) const
 {
     assert(trained());
-    std::vector<std::size_t> levelIdx = space.trainIndicesOf(points);
-    std::vector<double> traces(points.size() * length);
-    predictLatticeTraces(levelIdx.data(), points.size(), traces.data());
-    std::vector<std::vector<double>> out;
-    out.reserve(points.size());
-    for (std::size_t r = 0; r < points.size(); ++r)
-        out.emplace_back(traces.begin() + r * length,
-                         traces.begin() + (r + 1) * length);
+    const std::vector<std::size_t> levelIdx = space.trainIndicesOf(points);
+    const std::size_t dims = space.dimensions();
+    std::vector<std::vector<double>> out(points.size(),
+                                         std::vector<double>(length));
+    TraceEvaluator ev({this});
+    TraceEvaluator::Workspace ws(ev);
+    for (std::size_t b0 = 0; b0 < points.size();
+         b0 += TraceEvaluator::kBlock) {
+        const std::size_t m =
+            std::min(TraceEvaluator::kBlock, points.size() - b0);
+        ws.predict(levelIdx.data() + b0 * dims, m);
+        const std::vector<TraceSegment> &segs = ws.segments(0);
+        for (std::size_t r = 0; r < m; ++r) {
+            double *sample = out[b0 + r].data();
+            for (const TraceSegment &seg : segs)
+                sample = std::fill_n(sample, seg.samples, seg.values[r]);
+        }
+    }
+    ws.publish();
     return out;
 }
 

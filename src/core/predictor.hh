@@ -110,24 +110,14 @@ class WaveletNeuralPredictor
 
     /**
      * Predict the traces at @p points: decode them with
-     * DesignSpace::trainIndicesOf and make one predictLatticeTraces
-     * call.
+     * DesignSpace::trainIndicesOf, then expand the TraceEvaluator
+     * segments of each 64-row block into the traces. Publishes the
+     * predict.* counters once per call.
      * @throws std::invalid_argument as DesignSpace::trainIndicesOf,
      *         before anything is predicted.
      */
     std::vector<std::vector<double>>
     predictTraces(const std::vector<DesignPoint> &points) const;
-
-    /**
-     * The traces of @p n lattice points named by their training level
-     * indices — n x designSpace().dimensions(), row-major, as
-     * DesignSpace::trainIndicesFromFlat writes them — into @p out,
-     * n x traceLength() row-major: the one-predictor case of
-     * TraceEvaluator. Publishes the predict.* counters once per call.
-     * @pre each index is below its dimension's level count.
-     */
-    void predictLatticeTraces(const std::size_t *levelIdx, std::size_t n,
-                              double *out) const;
 
     /** Indices of the modelled coefficients (selection order). */
     const std::vector<std::size_t> &selectedCoefficients() const
@@ -183,8 +173,6 @@ class WaveletNeuralPredictor
 
     std::vector<double> toCoefficients(
         const std::vector<double> &trace) const;
-    std::vector<double> fromCoefficients(
-        std::vector<double> coeffs) const;
 
     std::unique_ptr<RegressionModel> makeModel() const;
 
@@ -207,16 +195,17 @@ class WaveletNeuralPredictor
  * predictor goes into one RbfUnitPool, so a unit that several models
  * share has its response computed once per row. Any other model runs
  * predictMany on normalised rows read from a per-(dimension, level)
- * table. A block's coefficient columns then
- * become one predictor's traces at a time, either as full traces
- * (assemble) or as runs of equal samples (segments), so a caller can
- * reduce each (predictor, block) while it is cache resident.
+ * table. A block's coefficient columns then become one predictor's
+ * traces at a time as runs of equal samples (segments), so a caller
+ * can reduce each (predictor, block) while it is cache resident, or
+ * expand the runs into full traces (predictTraces).
  *
  * Immutable after construction and safe to share between threads;
- * each thread evaluates through its own Workspace. Every result is
- * bit-identical to the predictor's definition: each coefficient
- * model's predict() on the normalised point, inverse-transformed and
- * clamped to the training range plus a 10% margin.
+ * each thread evaluates through its own Workspace. Every value is the
+ * predictor's definition: each coefficient model's predict() on the
+ * normalised point, inverse-transformed and clamped to the training
+ * range plus a 10% margin. Expanded segments are bit-identical to it
+ * unless the predicted coefficient 0 is -0.0 (see HaarSegmentPlan).
  */
 class TraceEvaluator
 {
@@ -248,24 +237,14 @@ class TraceEvaluator
         void predict(const std::size_t *levelIdx, std::size_t n);
 
         /**
-         * Predictor @p p's traces at the n rows of the last predict(),
-         * stored sample by sample: sample t of row r at out[t * n + r],
-         * n x traceLength() doubles in all. Bit-identical to
-         * haarInverse, so predictLatticeTraces assembles: segments()
-         * can differ in the sign of a zero, which a trace would show.
-         */
-        void assemble(std::size_t p, double *out);
-
-        /**
          * Predictor @p p's traces at the n rows of the last predict()
          * as segments in sample order, covering its trace length:
          * a paper-Haar predictor runs its HaarSegmentPlan
          * across the rows, any other transform is n one-sample
          * segments of its full inverse. Each segment's value is
-         * clamped once and counted once per sample it covers, so
-         * every value, clamp decision and count matches assemble()
-         * up to the sign of a zero. The segments stay valid until the
-         * next predict().
+         * clamped once and counted once per sample it covers, so the
+         * predict.clamped_values count is that of the expanded traces.
+         * The segments stay valid until the next predict().
          */
         const std::vector<TraceSegment> &segments(std::size_t p);
 
@@ -277,11 +256,10 @@ class TraceEvaluator
         void publish();
 
       private:
-        /** Point coeffRows at predictor @p p's coefficient columns. */
-        void bindCoefficients(std::size_t p);
-        /** The full inverse of every row's bound coefficients (any
-         *  transform): sample t of row r at out[t * stride + r]. */
-        void inverseRows(std::size_t p, double *out, std::size_t stride);
+        /** The full orthonormal inverse of every row's coefficients
+         *  for non-paper-Haar predictor @p p: sample t of row r at
+         *  out[t * kBlock + r]. */
+        void inverseRows(std::size_t p, double *out);
         /** Clamp @p n values of predictor @p p in place; count them. */
         void clamp(std::size_t p, double *values, std::size_t n,
                    std::uint64_t weight);
@@ -290,8 +268,6 @@ class TraceEvaluator
         RbfUnitPool::Scratch scratch;
         std::vector<double> columns; //!< [column][kBlock]
         std::size_t rows = 0;        //!< rows of the last predict()
-        std::vector<double> zeros;   //!< an unmodelled coefficient
-        std::vector<const double *> coeffRows; //!< [coefficient][row]
         std::vector<double> registers; //!< [register][kBlock]
         /** Each predictor's segments, pointing into registers. */
         std::vector<std::vector<TraceSegment>> segs;

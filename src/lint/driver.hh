@@ -2,9 +2,8 @@
  * @file
  * wavedyn-lint driver: walk the tree, lex, run rules, report.
  *
- * The same entry points back the standalone `wavedyn_lint` binary,
- * the `wavedyn_cli lint` subcommand and the tests/lint/ CTest entry,
- * so "what CI enforces" and "what a developer runs locally" cannot
+ * The same entry points back the standalone `wavedyn_lint` binary
+ * and the tests/lint/ CTest entry, so "what CI enforces" and "what a developer runs locally" cannot
  * drift apart. Output is deterministic: files are scanned in sorted
  * repo-relative order and violations print sorted by
  * (file, line, rule-id) as `file:line: rule-id: message`.

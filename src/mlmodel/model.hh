@@ -46,7 +46,7 @@ class RegressionModel
     /**
      * Predict every row of a matrix in one call: the prediction
      * driver's evaluator for models without a lattice form
-     * (WaveletNeuralPredictor::predictLatticeTraces). The default
+     * (TraceEvaluator::Workspace::predict). The default
      * loops over predict() with a reused row buffer; overrides must
      * return values bit-identical to predict() on each row.
      */

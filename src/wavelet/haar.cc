@@ -88,31 +88,6 @@ haarInverseInto(const double *coeffs, std::size_t n, double *out,
     assert(a == out);
 }
 
-void
-haarInverseColumns(const double *const *rows, std::size_t n,
-                   std::size_t width, double *out)
-{
-    assert(isPowerOfTwo(n));
-    // In place: level len reads sample rows 0..len-1 and writes rows
-    // 0..2len-1. Going down from the last row, rows 2i and 2i+1 hold
-    // nothing still to be read, and row i (the average) is read before
-    // row 2i overwrites it when i == 0.
-    std::copy(rows[0], rows[0] + width, out);
-    for (std::size_t len = 1; len < n; len *= 2) {
-        for (std::size_t i = len; i-- > 0;) {
-            const double *avg = out + i * width;
-            const double *det = rows[len + i];
-            double *even = out + 2 * i * width;
-            double *odd = even + width;
-            for (std::size_t c = 0; c < width; ++c) {
-                const double a = avg[c];
-                odd[c] = a - det[c];
-                even[c] = a + det[c];
-            }
-        }
-    }
-}
-
 HaarSegmentPlan
 haarSegmentPlan(std::size_t n, const std::vector<std::size_t> &selected)
 {

@@ -46,29 +46,16 @@ std::vector<double> haarForward(const std::vector<double> &x);
 std::vector<double> haarInverse(const std::vector<double> &coeffs);
 
 /**
- * Allocation-free haarInverse for hot loops (the exploration sweep
- * inverts one coefficient vector per swept design point): writes the
- * reconstruction into @p out using @p scratch as the ping-pong
- * buffer. Bit-identical to haarInverse — same operations in the same
- * order.
+ * Allocation-free haarInverse: writes the reconstruction into @p out
+ * using @p scratch as the ping-pong buffer. Bit-identical to
+ * haarInverse — same operations in the same order. Predictions do not
+ * use it (they expand a HaarSegmentPlan); it serves per-row replays of
+ * the sweep that invert one coefficient vector at a time.
  * @pre isPowerOfTwo(n); out and scratch hold n doubles each and do
  *      not alias coeffs or each other.
  */
 void haarInverseInto(const double *coeffs, std::size_t n, double *out,
                      double *scratch);
-
-/**
- * haarInverse of @p width coefficient vectors at once, stored by
- * position: rows[i] points at coefficient i of every vector, width
- * doubles. Writes the reconstructions sample by sample, sample t of
- * vector c at out[t * width + c], so every step runs across the
- * vectors, in place in @p out. Column c is bit-identical to
- * haarInverse of vector c: same operations in the same order.
- * @pre isPowerOfTwo(n); out holds n * width doubles and does not
- *      alias any row.
- */
-void haarInverseColumns(const double *const *rows, std::size_t n,
-                        std::size_t width, double *out);
 
 /**
  * haarInverse of a vector whose only nonzero coefficients are a
@@ -81,10 +68,13 @@ void haarInverseColumns(const double *const *rows, std::size_t n,
  * it is not selected), and every op writes one new register, so s
  * selected details make at most 1 + 2s registers.
  *
- * By value every sample equals haarInverse of the masked vector.
- * haarInverse also adds each unselected detail as +-0.0, which can
- * flip the sign of a zero sample and nothing else; a clamp and a sum
- * from +0.0 cannot tell the two apart.
+ * Every sample is bit-identical to haarInverse of the masked vector
+ * unless coefficient 0 is -0.0. haarInverse also adds each unselected
+ * detail as +0.0, which changes only a -0.0 average (to +0.0), and a
+ * register is -0.0 only when coefficient 0 is: x + d and x - d give
+ * -0.0 only from x = -0.0. So the one difference is the sign of a zero
+ * sample under a -0.0 root; a clamp, a count and a sum from +0.0
+ * cannot tell the two apart.
  */
 struct HaarSegmentPlan
 {

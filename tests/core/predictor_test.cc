@@ -102,12 +102,14 @@ naiveCoefficients(const WaveletNeuralPredictor &pred,
 }
 
 /**
- * The bit-identity oracle for every prediction entry point: the
- * coefficients of naiveCoefficients, inverse-transformed point by
- * point, clamped to the training range plus a 10% margin.
+ * The oracle for every prediction entry point: the coefficients of
+ * naiveCoefficients, inverse-transformed point by point, clamped to
+ * the training range plus a 10% margin. Adds the number of samples
+ * the clamp moved to @p clamped when given.
  */
 std::vector<double>
-naiveTrace(const WaveletNeuralPredictor &pred, const DesignPoint &point)
+naiveTrace(const WaveletNeuralPredictor &pred, const DesignPoint &point,
+           std::uint64_t *clamped = nullptr)
 {
     auto coeffs = naiveCoefficients(pred, point);
     const PredictorOptions &opts = pred.options();
@@ -117,10 +119,23 @@ naiveTrace(const WaveletNeuralPredictor &pred, const DesignPoint &point)
     if (opts.clampToTrainingRange) {
         auto [lo, hi] = pred.trainingRange();
         double margin = 0.1 * (hi - lo);
-        for (double &v : trace)
+        for (double &v : trace) {
+            if (clamped)
+                *clamped += v < lo - margin || v > hi + margin;
             v = std::min(std::max(v, lo - margin), hi + margin);
+        }
     }
     return trace;
+}
+
+/** Row @p r of @p segs, expanded into its samples. */
+std::vector<double>
+expandRow(const std::vector<TraceSegment> &segs, std::size_t r)
+{
+    std::vector<double> row;
+    for (const TraceSegment &seg : segs)
+        row.insert(row.end(), seg.samples, seg.values[r]);
+    return row;
 }
 
 TEST(Predictor, UntrainedReportsUntrained)
@@ -325,27 +340,21 @@ TEST(Predictor, PredictTracesPublishesSweepCounters)
 }
 
 /**
- * predictLatticeTraces at the flat indices @p flat of the predictor's
- * space, row by row against naiveTrace at the same points.
+ * predictTraces at the flat indices @p flat of the predictor's space,
+ * row by row against naiveTrace at the same points.
  */
 void
 expectLatticeTracesMatchScalar(const WaveletNeuralPredictor &p,
                                const std::vector<std::size_t> &flat)
 {
-    const DesignSpace &space = p.designSpace();
-    const std::size_t dims = space.dimensions();
-    const std::size_t len = p.traceLength();
-    std::vector<std::size_t> idx(flat.size() * dims);
-    for (std::size_t i = 0; i < flat.size(); ++i)
-        space.trainIndicesFromFlat(flat[i], idx.data() + i * dims);
-    std::vector<double> out(flat.size() * len);
-    p.predictLatticeTraces(idx.data(), flat.size(), out.data());
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-        std::vector<double> row(out.begin() + i * len,
-                                out.begin() + (i + 1) * len);
-        EXPECT_EQ(row, naiveTrace(p, space.pointFromFlatTrainIndex(flat[i])))
-            << "flat index " << flat[i];
-    }
+    std::vector<DesignPoint> pts;
+    for (std::size_t i : flat)
+        pts.push_back(p.designSpace().pointFromFlatTrainIndex(i));
+    auto traces = p.predictTraces(pts);
+    ASSERT_EQ(traces.size(), pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i)
+        EXPECT_EQ(traces[i], naiveTrace(p, pts[i])) << "flat index "
+                                                    << flat[i];
 }
 
 std::vector<std::size_t>
@@ -355,19 +364,6 @@ flatWalk(const DesignSpace &space, std::size_t step)
     for (std::size_t i = 0; i < space.trainSpaceSize(); i += step)
         flat.push_back(i);
     return flat;
-}
-
-TEST(Predictor, LatticeTracesMatchScalarOnFullCrossProduct)
-{
-    DesignSpace space;
-    space.addParameter({"a", {1, 2, 4}, {}});
-    space.addParameter({"b", {10, 20, 30, 40}, {}});
-    space.addParameter({"c", {0, 1}, {}});
-    space.addParameter({"d", {3, 5, 7, 9, 11}, {}});
-    Rng rng(11);
-    auto p = trainLattice(space, randomSample(space, 40, rng));
-    ASSERT_GT(rbfUnits(p), 0u);
-    expectLatticeTracesMatchScalar(p, flatWalk(space, 1));
 }
 
 TEST(Predictor, LatticeTracesMatchScalarOnPaperSpaceWalk)
@@ -411,39 +407,6 @@ TEST(Predictor, LatticeTracesNineLevelDimension)
     const std::uint64_t evaluated = counter("predict.rbf_terms");
     expectLatticeTracesMatchScalar(p, flatWalk(space, 1));
     EXPECT_GT(counter("predict.rbf_terms"), evaluated);
-}
-
-TEST(Predictor, LatticeTracesPublishTheSameCounters)
-{
-    auto d = makeData(40, 8, 64);
-    WaveletNeuralPredictor p;
-    p.train(d.space, d.train, d.trainTraces);
-    std::vector<std::size_t> walk = flatWalk(d.space, 131);
-    std::vector<DesignPoint> pts;
-    std::vector<std::size_t> idx(walk.size() * d.space.dimensions());
-    for (std::size_t i = 0; i < walk.size(); ++i) {
-        pts.push_back(d.space.pointFromFlatTrainIndex(walk[i]));
-        d.space.trainIndicesFromFlat(
-            walk[i], idx.data() + i * d.space.dimensions());
-    }
-    const char *const names[] = {"predict.rbf_terms",
-                                 "predict.clamped_values",
-                                 "predict.rbf_rows"};
-    auto deltas = [&](auto run) {
-        std::vector<std::uint64_t> d;
-        for (const char *name : names)
-            d.push_back(counter(name));
-        run();
-        for (std::size_t i = 0; i < d.size(); ++i)
-            d[i] = counter(names[i]) - d[i];
-        return d;
-    };
-    std::vector<double> out(walk.size() * p.traceLength());
-    EXPECT_EQ(deltas([&] { p.predictTraces(pts); }),
-              deltas([&] {
-                  p.predictLatticeTraces(idx.data(), walk.size(),
-                                         out.data());
-              }));
 }
 
 TEST(Predictor, EvaluatorSharesUnitsAcrossPredictors)
@@ -509,21 +472,16 @@ TEST(Predictor, EvaluatorSharesUnitsAcrossPredictors)
         before.push_back(counter(name));
     TraceEvaluator ev(ptrs);
     TraceEvaluator::Workspace ws(ev);
-    std::vector<double> traces(block * len);
     for (std::size_t b0 = 0; b0 < n; b0 += block) {
         const std::size_t m = std::min(block, n - b0);
         ws.predict(idx.data() + b0 * dims, m);
         for (std::size_t p = 0; p < preds.size(); ++p) {
-            ws.assemble(p, traces.data());
-            for (std::size_t r = 0; r < m; ++r) {
-                std::vector<double> row(len);
-                for (std::size_t t = 0; t < len; ++t)
-                    row[t] = traces[t * m + r];
-                EXPECT_EQ(row, naiveTrace(preds[p],
-                                          space.pointFromFlatTrainIndex(
-                                              flat[b0 + r])))
+            const std::vector<TraceSegment> &segs = ws.segments(p);
+            for (std::size_t r = 0; r < m; ++r)
+                EXPECT_EQ(expandRow(segs, r),
+                          naiveTrace(preds[p], space.pointFromFlatTrainIndex(
+                                                   flat[b0 + r])))
                     << "predictor " << p << " flat index " << flat[b0 + r];
-            }
         }
     }
     ws.publish();
@@ -531,11 +489,13 @@ TEST(Predictor, EvaluatorSharesUnitsAcrossPredictors)
     EXPECT_EQ(counter(names[1]) - before[1], n);
 }
 
-TEST(Predictor, SegmentsMatchAssembleAndCountClampsAlike)
+TEST(Predictor, SegmentsMatchOracleAndCountClampsAlike)
 {
     // Every predictor the sweep can meet: sparse paper-Haar with the
     // clamp on and off, all coefficients, a non-RBF model, and the
     // orthonormal transforms, whose segments are one sample each.
+    // Segments and predictTraces match naiveTrace by value, and count
+    // the samples its clamp moves.
     auto d = makeData(24, 4, 64, 11);
     std::vector<PredictorOptions> variants(7);
     variants[0].coefficients = 8;
@@ -556,45 +516,43 @@ TEST(Predictor, SegmentsMatchAssembleAndCountClampsAlike)
     const std::size_t block = TraceEvaluator::kBlock;
     std::vector<std::size_t> walk = flatWalk(d.space, 997);
     std::vector<std::size_t> idx(walk.size() * dims);
-    for (std::size_t i = 0; i < walk.size(); ++i)
+    std::vector<DesignPoint> pts;
+    for (std::size_t i = 0; i < walk.size(); ++i) {
         d.space.trainIndicesFromFlat(walk[i], idx.data() + i * dims);
+        pts.push_back(d.space.pointFromFlatTrainIndex(walk[i]));
+    }
     std::uint64_t clampedSomewhere = 0;
     for (std::size_t v = 0; v < variants.size(); ++v) {
         WaveletNeuralPredictor pred(variants[v]);
         pred.train(d.space, d.train, d.trainTraces);
-        const std::size_t len = pred.traceLength();
+        std::uint64_t oracleCount = 0;
+        std::vector<std::vector<double>> oracle;
+        for (const DesignPoint &pt : pts)
+            oracle.push_back(naiveTrace(pred, pt, &oracleCount));
+
         TraceEvaluator ev({&pred});
-        TraceEvaluator::Workspace assembled(ev), segmented(ev);
-        std::vector<double> traces(block * len);
-        std::uint64_t assembledCount = 0, segmentCount = 0;
+        TraceEvaluator::Workspace ws(ev);
+        std::uint64_t before = counter("predict.clamped_values");
         for (std::size_t b0 = 0; b0 < walk.size(); b0 += block) {
             const std::size_t m = std::min(block, walk.size() - b0);
-            std::uint64_t before = counter("predict.clamped_values");
-            assembled.predict(idx.data() + b0 * dims, m);
-            assembled.assemble(0, traces.data());
-            assembled.publish();
-            assembledCount += counter("predict.clamped_values") - before;
+            ws.predict(idx.data() + b0 * dims, m);
+            const std::vector<TraceSegment> &segs = ws.segments(0);
+            for (std::size_t r = 0; r < m; ++r)
+                ASSERT_EQ(expandRow(segs, r), oracle[b0 + r])
+                    << "variant " << v << " row " << b0 + r;
+        }
+        ws.publish();
+        EXPECT_EQ(counter("predict.clamped_values") - before, oracleCount)
+            << "variant " << v;
 
-            before = counter("predict.clamped_values");
-            segmented.predict(idx.data() + b0 * dims, m);
-            const std::vector<TraceSegment> &segs = segmented.segments(0);
-            segmented.publish();
-            segmentCount += counter("predict.clamped_values") - before;
-            for (std::size_t r = 0; r < m; ++r) {
-                std::size_t t = 0;
-                for (const TraceSegment &seg : segs)
-                    for (std::size_t i = 0; i < seg.samples; ++i, ++t)
-                        ASSERT_EQ(seg.values[r], traces[t * m + r])
-                            << "variant " << v << " row " << b0 + r
-                            << " sample " << t;
-                ASSERT_EQ(t, len) << "variant " << v;
-            }
-        }
-        EXPECT_EQ(segmentCount, assembledCount) << "variant " << v;
+        before = counter("predict.clamped_values");
+        EXPECT_EQ(pred.predictTraces(pts), oracle) << "variant " << v;
+        EXPECT_EQ(counter("predict.clamped_values") - before, oracleCount)
+            << "variant " << v;
         if (!variants[v].clampToTrainingRange) {
-            EXPECT_EQ(segmentCount, 0u);
+            EXPECT_EQ(oracleCount, 0u);
         }
-        clampedSomewhere += segmentCount;
+        clampedSomewhere += oracleCount;
     }
     // The walk reaches design-space corners the training set does not.
     EXPECT_GT(clampedSomewhere, 0u);

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -225,9 +226,8 @@ INSTANTIATE_TEST_SUITE_P(Sizes, HaarRoundTrip,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128,
                                            256, 512, 1024));
 
-// The allocation-free inverse (the exploration sweep hot path) must be
-// bit-identical to haarInverse for every size and signal — the
-// explorer's golden test depends on batched == scalar prediction.
+// The allocation-free inverse must be bit-identical to haarInverse for
+// every size and signal.
 class HaarInverseInto : public ::testing::TestWithParam<std::size_t>
 {
 };
@@ -252,35 +252,6 @@ TEST_P(HaarInverseInto, BitIdenticalToHaarInverse)
 INSTANTIATE_TEST_SUITE_P(Sizes, HaarInverseInto,
                          ::testing::Values(1, 2, 4, 8, 16, 32, 64, 128,
                                            256, 512, 1024));
-
-TEST_P(HaarInverseInto, ColumnsBitIdenticalToHaarInverse)
-{
-    // The sweep inverts a block of rows at once, coefficient by
-    // coefficient; unmodelled coefficients share one row of zeros.
-    const std::size_t n = GetParam();
-    for (std::size_t width : {1u, 3u, 64u}) {
-        Rng rng(n * 17 + width);
-        std::vector<std::vector<double>> vectors(
-            width, std::vector<double>(n, 0.0));
-        std::vector<std::vector<double>> byPosition(
-            n, std::vector<double>(width, 0.0));
-        const std::vector<double> zeros(width, 0.0);
-        std::vector<const double *> rows(n, zeros.data());
-        for (std::size_t i = 0; i < n; i += 1 + i % 3) {
-            for (std::size_t c = 0; c < width; ++c)
-                byPosition[i][c] = vectors[c][i] = rng.gaussian() * 3.0;
-            rows[i] = byPosition[i].data();
-        }
-        std::vector<double> out(n * width, -1.0);
-        haarInverseColumns(rows.data(), n, width, out.data());
-        for (std::size_t c = 0; c < width; ++c) {
-            auto reference = haarInverse(vectors[c]);
-            for (std::size_t t = 0; t < n; ++t)
-                ASSERT_EQ(out[t * width + c], reference[t])
-                    << "sample " << t << " column " << c << " n " << n;
-        }
-    }
-}
 
 /**
  * The samples a segment plan describes at coefficients @p bySlot
@@ -316,8 +287,16 @@ expandPlan(const HaarSegmentPlan &plan, std::size_t n,
     return out;
 }
 
+/** True when @p a and @p b hold the same bits. */
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
 /** Plan @p selected, expand it at random coefficients, and compare
- *  by value with haarInverse of the masked vector. */
+ *  bit for bit with haarInverse of the masked vector: the root is
+ *  never -0.0 here. */
 void
 checkPlan(std::size_t n, const std::vector<std::size_t> &selected,
           Rng &rng)
@@ -340,9 +319,9 @@ checkPlan(std::size_t n, const std::vector<std::size_t> &selected,
     std::vector<double> reference = haarInverse(masked);
     ASSERT_EQ(expanded.size(), n);
     for (std::size_t t = 0; t < n; ++t)
-        ASSERT_EQ(expanded[t], reference[t])
-            << "sample " << t << " n " << n << " selected "
-            << selected.size();
+        ASSERT_TRUE(sameBits(expanded[t], reference[t]))
+            << expanded[t] << " vs " << reference[t] << " sample " << t
+            << " n " << n << " selected " << selected.size();
 }
 
 TEST(HaarSegmentPlan, MatchesMaskedInverse)
@@ -372,6 +351,24 @@ TEST(HaarSegmentPlan, MatchesMaskedInverse)
             checkPlan(n, {order.begin(), order.begin() + k}, rng);
         }
     }
+}
+
+TEST(HaarSegmentPlan, NegativeZeroRootFlipsOnlyZeroSigns)
+{
+    // haarInverse adds the unselected details 1 and 2 as +0.0, which
+    // turns the -0.0 average into +0.0 over samples 0..1; the plan
+    // keeps -0.0 there. Samples 2..3 come from selected detail 3 and
+    // keep their bits.
+    HaarSegmentPlan plan = haarSegmentPlan(4, {0, 3});
+    std::vector<double> expanded = expandPlan(plan, 4, {-0.0, 1.5});
+    std::vector<double> reference = haarInverse({-0.0, 0.0, 0.0, 1.5});
+    ASSERT_EQ(expanded, reference); // by value
+    for (std::size_t t = 0; t < 2; ++t) {
+        EXPECT_TRUE(std::signbit(expanded[t])) << "sample " << t;
+        EXPECT_FALSE(std::signbit(reference[t])) << "sample " << t;
+    }
+    for (std::size_t t = 2; t < 4; ++t)
+        EXPECT_TRUE(sameBits(expanded[t], reference[t])) << "sample " << t;
 }
 
 TEST(HaarSegmentPlan, SixteenOfOneTwentyEight)

@@ -113,7 +113,6 @@
 #include "campaign/campaign.hh"
 #include "campaign/report.hh"
 #include "core/serialize.hh"
-#include "lint/driver.hh"
 #include "telemetry/logsink.hh"
 #include "telemetry/telemetry.hh"
 #include "util/atomic_file.hh"
@@ -157,7 +156,6 @@ usage()
         "  wavedyn_cli cache stats|gc|verify [--cache-dir D]\n"
         "              [--max-age-days N] [--max-bytes N]\n"
         "  wavedyn_cli trace <file> [--summarize]\n"
-        "  wavedyn_cli lint [paths...] [--root DIR]\n"
         "  wavedyn_cli info <model.txt>\n"
         "\n"
         "declarative campaigns:\n"
@@ -1323,47 +1321,6 @@ cmdTrace(int argc, char **argv)
     return 1;
 }
 
-/**
- * `wavedyn_cli lint [paths...]` — run the repo's static-analysis
- * pass (src/lint/) from wherever the CLI is invoked: the repo root is
- * found by walking up to the nearest lint.toml. Same rules, config
- * and output as the standalone wavedyn_lint binary and the
- * tests/lint/ CTest entry.
- */
-int
-cmdLint(int argc, char **argv)
-{
-    std::vector<std::string> paths;
-    std::string root;
-    for (int i = 2; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == "--root") {
-            if (++i >= argc)
-                return usage();
-            root = argv[i];
-        } else if (!arg.empty() && arg[0] == '-') {
-            throw std::invalid_argument("lint: unknown flag " + arg);
-        } else {
-            paths.push_back(arg);
-        }
-    }
-    if (root.empty())
-        root = lint::findRepoRoot(".");
-    if (root.empty())
-        throw std::invalid_argument(
-            "lint: no lint.toml found above the current directory "
-            "(use --root DIR)");
-    lint::LintConfig cfg = lint::loadRepoConfig(root);
-    lint::LintResult result = paths.empty()
-                                  ? lint::lintTree(cfg, root)
-                                  : lint::lintPaths(cfg, root, paths);
-    for (const lint::Violation &v : result.violations)
-        std::cout << lint::formatViolation(v) << "\n";
-    std::cerr << "wavedyn-lint: " << result.filesScanned << " files, "
-              << result.violations.size() << " violation(s)\n";
-    return result.violations.empty() ? 0 : 1;
-}
-
 int
 cmdInfo(int argc, char **argv)
 {
@@ -1428,8 +1385,6 @@ main(int argc, char **argv)
             return cmdCache(argc, argv);
         if (cmd == "trace")
             return cmdTrace(argc, argv);
-        if (cmd == "lint")
-            return cmdLint(argc, argv);
         if (cmd == "info")
             return cmdInfo(argc, argv);
         // Bare generation flags ("wavedyn_cli --generate 8 --family
