@@ -172,7 +172,8 @@ aggregatePoints(const std::vector<Objective> &objectives,
  * One TraceEvaluator serves every chunk; a chunk decodes its level
  * indices once for every predictor, and only the survivors of its
  * non-dominated filter become FrontPoints; mergeFronts puts the union
- * in canonical order.
+ * in canonical order. Records one sweep.filter_us sample (filter and
+ * FrontPoints) per chunk.
  */
 std::vector<FrontPoint>
 sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
@@ -198,6 +199,7 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
                 ChunkScores scores =
                     scoreRows(ev, bank.size(), domains, spec.objectives,
                               levelIdx.data(), dims, n);
+                const std::uint64_t filterStart = telemetryNowUs();
                 std::vector<std::size_t> survivors = nonDominated(
                     scores.means.data(), n, spec.objectives.size());
                 std::vector<DesignPoint> pts;
@@ -207,6 +209,10 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
                         space.pointFromFlatTrainIndex((begin + i) * stride));
                 shards[c] = aggregatePoints(spec.objectives, scores,
                                             survivors, std::move(pts));
+                static const MetricId filterTimer =
+                    metricsRegistry().histogram("sweep.filter_us");
+                metricsRegistry().observe(filterTimer,
+                                          telemetryNowUs() - filterStart);
             });
     }
     ScopedPhase phase("pareto");

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <utility>
 
 namespace wavedyn
@@ -42,21 +41,36 @@ nonDominated(const double *scores, std::size_t n, std::size_t k)
     // A dominating row is lexicographically smaller, so in sorted order
     // only earlier rows can dominate a row; and whenever one does, some
     // earlier survivor does too (dominance is transitive). One pass
-    // against the survivors so far decides every row.
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
+    // against the survivors so far decides every row. The sort key is
+    // (first score, index), with ties on the first score broken by the
+    // remaining scores; the order among equal rows cannot matter, as
+    // equal rows dominate neither way.
+    std::vector<std::pair<double, std::size_t>> order(n);
+    for (std::size_t i = 0; i < n; ++i)
+        order[i] = {scores[i * k], i};
     std::sort(order.begin(), order.end(),
-              [&](std::size_t a, std::size_t b) {
+              [&](const auto &a, const auto &b) {
+                  if (a.first < b.first)
+                      return true;
+                  if (b.first < a.first)
+                      return false;
                   return std::lexicographical_compare(
-                      row(a), row(a) + k, row(b), row(b) + k);
+                      row(a.second) + 1, row(a.second) + k,
+                      row(b.second) + 1, row(b.second) + k);
               });
+    // The scan tests the most recent dominator first: neighbours in
+    // sorted order tend to fall to the same survivor.
     std::vector<std::size_t> front;
-    for (std::size_t i : order) {
-        bool dominated = false;
-        for (std::size_t j = 0; j < front.size() && !dominated; ++j)
-            dominated = dominatesRow(row(front[j]), row(i), k);
-        if (!dominated)
+    for (const auto &key : order) {
+        const std::size_t i = key.second;
+        std::size_t j = 0;
+        while (j < front.size() && !dominatesRow(row(front[j]), row(i), k))
+            ++j;
+        if (j == front.size())
             front.push_back(i);
+        else
+            std::rotate(front.begin(), front.begin() + j,
+                        front.begin() + j + 1);
     }
     std::sort(front.begin(), front.end());
     return front;

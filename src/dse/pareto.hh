@@ -7,7 +7,8 @@
  * maximised figures by negation before they reach this layer). The
  * frontier of a point set is its non-dominated subset, found by one
  * routine (nonDominated): a lexicographic sort, then one scan that
- * tests each row against the survivors so far — O(n log n + n * f)
+ * tests each row against the survivors so far, the most recent
+ * dominator first — O(n log n + n * f)
  * for a front of f points, tiny against n for the spaces explored
  * here.
  *

@@ -346,15 +346,11 @@ RbfUnitPool::RbfUnitPool(const std::vector<const RbfNetwork *> &nets,
             }
         }
     }
-    lastTable.resize(units * levelRows);
-    for (std::size_t i = 0; i < levelRows; ++i)
-        for (std::size_t u = 0; u < units; ++u)
-            lastTable[u * levelRows + i] =
-                table[((dims - 1) * levelRows + i) * units + u];
 }
 
 RbfUnitPool::Scratch::Scratch(const RbfUnitPool &pool)
-    : partial(pool.dims * pool.units, 1.0), block(pool.units * kBlock)
+    : partial((pool.dims + 1) * pool.units, 1.0),
+      block(pool.units * kBlock)
 {
 }
 
@@ -378,50 +374,83 @@ RbfUnitPool::predictBlock(Scratch &s, const std::size_t *levelIdx,
 {
     const std::size_t n = std::min(avail, kBlock);
     const std::size_t last = dims - 1;
-    const double *prefix = s.partial.data() + last * units;
-    // Run by run: rows that share dims 0..D-2 share each unit's prefix
-    // product over them. The sweep varies the last parameter fastest,
-    // so a run is mostly every level of it. A run recomputes only the
-    // products after the first dimension where it differs from the
-    // previous run, and a block's first run recomputes them all.
-    // partial[d] is responseAt's running product before dimension d,
-    // so each column entry, the prefix times the last factor, is the
-    // very product responseAt() returns.
-    for (std::size_t r0 = 0, r1 = 0; r0 < n; r0 = r1) {
-        const std::size_t *idx = levelIdx + r0 * dims;
-        std::size_t keep = 0;
-        if (r0 > 0)
-            while (keep < last && idx[keep] == idx[keep - dims])
-                ++keep;
-        r1 = r0 + 1;
-        while (r1 < n && std::equal(idx, idx + last, levelIdx + r1 * dims))
-            ++r1;
-        for (std::size_t d = keep; d < last; ++d) {
-            const double *f = table.data() + (d * levelRows + idx[d]) * units;
-            const double *p = s.partial.data() + d * units;
-            double *next = s.partial.data() + (d + 1) * units;
-            for (std::size_t u = 0; u < units; ++u)
-                next[u] = p[u] * f[u];
+    double *partial = s.partial.data();
+    // Pair by pair: a row pair's responses interleave in one pass over
+    // the units, each the row's prefix over dims 0..D-2 times its
+    // last-dimension factor. Rows that share dims 0..D-2 (a run) share
+    // the prefix; the sweep varies the last parameter fastest, so a
+    // run is mostly every level of it. A row that starts a run
+    // recomputes only the products after the first dimension where it
+    // differs from the row before, and a block's first row recomputes
+    // them all. partial[d] is responseAt's running product before
+    // dimension d, and runs alternate between two prefix slots, so a
+    // pair that straddles a run boundary still has both prefixes: each
+    // entry is the very product responseAt() returns. An odd last row
+    // is paired with itself.
+    std::size_t slot = 0;
+    const double *pre[2] = {partial, partial};
+    const double *fac[2] = {partial, partial};
+    for (std::size_t r0 = 0; r0 < n; r0 += 2) {
+        for (std::size_t h = 0; h < 2 && r0 + h < n; ++h) {
+            const std::size_t *idx = levelIdx + (r0 + h) * dims;
+            std::size_t keep = 0;
+            if (r0 + h > 0)
+                while (keep < last && idx[keep] == (idx - dims)[keep])
+                    ++keep;
+            if (keep < last)
+                slot ^= 1;
+            for (std::size_t d = keep; d < last; ++d) {
+                const double *f =
+                    table.data() + (d * levelRows + idx[d]) * units;
+                const double *p = partial + d * units;
+                double *next =
+                    partial + (d + 1 < last ? d + 1 : last + slot) * units;
+                for (std::size_t u = 0; u < units; ++u)
+                    next[u] = p[u] * f[u];
+            }
+            pre[h] = partial + (last + slot) * units;
+            fac[h] = table.data() + (last * levelRows + idx[last]) * units;
         }
+        if (r0 + 1 == n) {
+            pre[1] = pre[0];
+            fac[1] = fac[0];
+        }
+        double *o = s.block.data() + r0 * units;
         for (std::size_t u = 0; u < units; ++u) {
-            const double *f = lastTable.data() + u * levelRows;
-            double *col = s.block.data() + u * kBlock;
-            for (std::size_t r = r0; r < r1; ++r)
-                col[r] = prefix[u] * f[levelIdx[r * dims + last]];
+            o[2 * u] = pre[0][u] * fac[0][u];
+            o[2 * u + 1] = pre[1][u] * fac[1][u];
         }
     }
 
-    // Network by network, predict()'s sum across the block's rows.
-    double acc[kBlock];
-    for (std::size_t m = 0; m < bias.size(); ++m) {
-        std::fill(acc, acc + n, bias[m]);
-        for (std::size_t j = first[m]; j < first[m + 1]; ++j) {
-            const double w = refs[j].weight;
-            const double *col = s.block.data() + refs[j].unit * kBlock;
-            for (std::size_t r = 0; r < n; ++r)
-                acc[r] += w * col[r];
+    // Tile by tile, network by network, predict()'s sum: bias first,
+    // then weight x response ref by ref, for kTile rows held in
+    // registers. A block's last tile may run past row n into stale
+    // pairs; those lanes are never stored.
+    constexpr std::size_t kTile = 16;
+    static_assert(kBlock % kTile == 0, "tiles must tile the block");
+    const std::size_t pairStride = 2 * units;
+    for (std::size_t t0 = 0; t0 < n; t0 += kTile) {
+        const double *tile = s.block.data() + t0 * units;
+        const std::size_t rows = std::min(kTile, n - t0);
+        for (std::size_t m = 0; m < bias.size(); ++m) {
+            double acc[kTile];
+            std::fill(acc, acc + kTile, bias[m]);
+            for (std::size_t j = first[m]; j < first[m + 1]; ++j) {
+                const double w = refs[j].weight;
+                const double *col = tile + 2 * refs[j].unit;
+                for (std::size_t q = 0; q < kTile / 2; ++q) {
+                    acc[2 * q] += w * col[q * pairStride];
+                    acc[2 * q + 1] += w * col[q * pairStride + 1];
+                }
+            }
+            // A full tile's fixed-size copy compiles to vector stores;
+            // a variable-length one to a string move that cost more
+            // than the sums themselves.
+            if (rows == kTile)
+                std::copy(acc, acc + kTile, out + m * stride + t0);
+            else
+                std::copy(acc, acc + rows, out + m * stride + t0);
         }
-        std::copy(acc, acc + n, out + m * stride);
     }
     return n;
 }

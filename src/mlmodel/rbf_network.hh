@@ -135,12 +135,15 @@ struct RbfTermCounts
  * own list of unit references (refs), in its own order, with its own
  * weights and bias.
  *
- * Rows are evaluated in blocks of up to kBlock. A unit's response at a
- * row is the product of its prefix over dims 0..D-2, shared by the
- * rows of a run, and its last-dimension factor; each network's sum is
- * its bias plus weight x response, ref by ref, across the block's rows.
- * Every multiply and add is the one RbfNetwork::predict() does, in the
- * same order, so the results are bit-identical by construction.
+ * Rows are evaluated in blocks of up to kBlock, stored as row pairs:
+ * [pair][distinct unit][2]. A unit's response at a row is the product
+ * of its prefix over dims 0..D-2, shared by the rows of a run, and its
+ * last-dimension factor, read from the table's last-dimension rows; a
+ * pair's two rows fill in one pass over the units. Each network's sum
+ * is its bias plus weight x response, ref by ref, over 16-row tiles
+ * (8 pairs) held in registers. Every multiply and add is the one
+ * RbfNetwork::predict() does, in the same order, so the results are
+ * bit-identical by construction.
  *
  * Immutable after construction and safe to share between threads;
  * each thread evaluates through its own Scratch.
@@ -171,10 +174,13 @@ class RbfUnitPool
     {
         explicit Scratch(const RbfUnitPool &pool);
 
-        /** [dim][unit] prefix products over dims 0..dim-1; row 0 is
-         *  1.0. */
+        /** [row][unit] prefix products: rows 0..D-2 hold the
+         *  products over dims 0..d-1 (row 0 is 1.0), and rows D-1 and
+         *  D are the prefixes of the last two runs, whose rows a pair
+         *  may straddle. */
         std::vector<double> partial;
-        /** [unit][kBlock] each distinct unit's response per row. */
+        /** [pair][unit][2] each distinct unit's response per row of
+         *  the block, the rows of a pair interleaved. */
         std::vector<double> block;
     };
 
@@ -211,9 +217,6 @@ class RbfUnitPool
     std::size_t levelRows = 0; //!< table rows per dimension
     std::size_t units = 0;
     std::vector<double> table;      //!< exp(-z^2), [dim][level][unit]
-    /** The last dim's factors, [unit][level]: a unit's column fills
-     *  from one short row. */
-    std::vector<double> lastTable;
     std::vector<double> bias;       //!< w0 per network
     std::vector<std::size_t> first; //!< network m's refs start here
     std::vector<UnitRef> refs;      //!< every network's, in order

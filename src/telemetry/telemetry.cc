@@ -164,17 +164,25 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
         out += '\n';
     }
 
-    // The sweep's stage split, in worker time summed over chunks.
+    // The sweep's stage split, in worker time summed over chunks; the
+    // chunk filter only when a sweep recorded it.
     std::uint64_t predictUs = 0;
     std::uint64_t scoreUs = 0;
+    std::uint64_t filterUs = 0;
+    std::uint64_t filters = 0;
     for (const auto &h : snap.histograms) {
         if (h.name == "sweep.predict_us")
             predictUs = h.sumUs;
         else if (h.name == "sweep.score_us")
             scoreUs = h.sumUs;
+        else if (h.name == "sweep.filter_us") {
+            filterUs = h.sumUs;
+            filters = h.count;
+        }
     }
-    if (predictUs + scoreUs > 0) {
-        const double total = static_cast<double>(predictUs + scoreUs);
+    if (predictUs + scoreUs + filterUs > 0) {
+        const double total =
+            static_cast<double>(predictUs + scoreUs + filterUs);
         std::snprintf(line, sizeof(line),
                       "-- telemetry: sweep worker time: predict %s "
                       "(%.0f%%), score %s (%.0f%%)",
@@ -183,6 +191,12 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
                       formatSeconds(scoreUs).c_str(),
                       100.0 * static_cast<double>(scoreUs) / total);
         out += line;
+        if (filters > 0) {
+            std::snprintf(line, sizeof(line), ", filter %s (%.0f%%)",
+                          formatSeconds(filterUs).c_str(),
+                          100.0 * static_cast<double>(filterUs) / total);
+            out += line;
+        }
         // The RBF kernel's unit terms per lattice row, over every
         // prediction of the run.
         const std::uint64_t rows = snap.counterOr("predict.rbf_rows");

@@ -70,8 +70,10 @@ void writeMetricsFile(const std::string &path);
  * Render the `-- telemetry:` stderr summary from a snapshot: top
  * phases by wall-clock, cache hit rate, pool utilization (the
  * pool.task_us busy time over wall * jobs, clamped to 100%) and the
- * sweep's split of worker time between prediction (sweep.predict_us)
- * and scoring (sweep.score_us).
+ * sweep's split of worker time between prediction (sweep.predict_us),
+ * scoring (sweep.score_us) and, when a sweep recorded it, the chunk
+ * filter (sweep.filter_us: one sample per sweep chunk, covering its
+ * non-dominated filter and the FrontPoints built for the survivors).
  * Returns complete lines, each starting with "-- ".
  */
 std::string renderTelemetrySummary(const MetricsSnapshot &snap,

@@ -255,7 +255,8 @@ TEST(Explorer, SweepCountersAreJobsInvariant)
         const char *counters[] = {"predict.rbf_terms",
                                   "predict.clamped_values",
                                   "predict.rbf_rows"};
-        const char *timers[] = {"sweep.predict_us", "sweep.score_us"};
+        const char *timers[] = {"sweep.predict_us", "sweep.score_us",
+                                "sweep.filter_us"};
         auto read = [&] {
             MetricsSnapshot snap = metricsRegistry().snapshot();
             std::map<std::string, std::uint64_t> v;
@@ -282,6 +283,9 @@ TEST(Explorer, SweepCountersAreJobsInvariant)
     // of 512 points in chunks of 64.
     EXPECT_EQ(serial["sweep.predict_us"], 1u + 3u * 512u / 64u);
     EXPECT_EQ(serial["sweep.score_us"], serial["sweep.predict_us"]);
+    // One filter sample per sweep chunk; the held-out scorer filters
+    // nothing.
+    EXPECT_EQ(serial["sweep.filter_us"], 3u * 512u / 64u);
 }
 
 TEST(Explorer, ChunkSizeDoesNotChangeTheReport)

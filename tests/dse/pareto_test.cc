@@ -261,5 +261,64 @@ TEST(NonDominated, PrefilterKeepsTheFront)
     EXPECT_TRUE(nonDominated(nullptr, 0, 3).empty());
 }
 
+TEST(NonDominated, HeavyTiesMatchBruteForceUnderPermutation)
+{
+    // Up to 2,000 rows: the first score takes at most three values, so
+    // nearly every comparison of the sort falls to the remaining
+    // scores, and up to half the rows copy an earlier row exactly. The
+    // rest of a row is either small integers (ties everywhere) or
+    // continuous draws (ties on the first score only). The filter must
+    // keep exactly the rows nothing dominates, and a permuted input
+    // must keep the same rows, mapped through the permutation.
+    Rng rng(0x71e5);
+    for (std::size_t k = 1; k <= 5; ++k) {
+        for (std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{37}, std::size_t{500},
+                              std::size_t{2000}}) {
+            const bool continuous = rng.chance(0.5);
+            const double copies = rng.uniform(0.0, 0.5);
+            std::vector<double> flat;
+            for (std::size_t i = 0; i < n; ++i) {
+                const std::size_t src =
+                    i > 0 && rng.chance(copies) ? rng.below(i) : i;
+                for (std::size_t d = 0; d < k; ++d) {
+                    double v = d == 0 ? static_cast<double>(rng.below(3))
+                               : continuous ? rng.uniform()
+                                            : static_cast<double>(
+                                                  rng.below(4));
+                    flat.push_back(src == i ? v : flat[src * k + d]);
+                }
+            }
+            std::vector<std::size_t> brute;
+            for (std::size_t i = 0; i < n; ++i) {
+                bool dominated = false;
+                for (std::size_t j = 0; j < n && !dominated; ++j)
+                    dominated = dominates(
+                        {flat.begin() + j * k, flat.begin() + (j + 1) * k},
+                        {flat.begin() + i * k, flat.begin() + (i + 1) * k});
+                if (!dominated)
+                    brute.push_back(i);
+            }
+            const std::vector<std::size_t> kept =
+                nonDominated(flat.data(), n, k);
+            ASSERT_EQ(kept, brute) << "k=" << k << " n=" << n;
+
+            std::vector<std::size_t> perm(n);
+            for (std::size_t i = 0; i < n; ++i)
+                perm[i] = i;
+            rng.shuffle(perm);
+            std::vector<double> permuted;
+            for (std::size_t i : perm)
+                permuted.insert(permuted.end(), flat.begin() + i * k,
+                                flat.begin() + (i + 1) * k);
+            std::vector<std::size_t> mapped;
+            for (std::size_t i : nonDominated(permuted.data(), n, k))
+                mapped.push_back(perm[i]);
+            std::sort(mapped.begin(), mapped.end());
+            EXPECT_EQ(mapped, kept) << "k=" << k << " n=" << n;
+        }
+    }
+}
+
 } // anonymous namespace
 } // namespace wavedyn

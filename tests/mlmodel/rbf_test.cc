@@ -570,6 +570,61 @@ TEST(RbfUnitPool, ExtremeValuesMatchPredict)
     expectPoolMatchesPredict(nets, shuffled, 64);
 }
 
+TEST(RbfUnitPool, PartialTilesWriteNothingPastN)
+{
+    // A block's rows sum in 16-row tiles, and its last tile runs past
+    // row n: every out[m * stride + r] with r >= n must keep its
+    // sentinel, and every r < n must match predictMany() bit for bit.
+    // Two row orders: the lattice's own (runs of every last-dimension
+    // level), and one where no row shares its prefix with the row
+    // before (runs of one row, as in a strided sweep).
+    std::vector<std::vector<double>> levels = {
+        evenLevels(4), evenLevels(3), evenLevels(5), evenLevels(9)};
+    const std::vector<RbfNetwork> nets = sharedNetworks(4, RbfOptions{});
+    std::vector<const RbfNetwork *> ptrs;
+    std::size_t refs = 0;
+    for (const RbfNetwork &net : nets) {
+        ptrs.push_back(&net);
+        refs += net.units().size();
+    }
+    const RbfUnitPool pool(ptrs, levels);
+    Lattice runs = fullLattice(levels);
+    Lattice single;
+    single.levels = levels;
+    for (std::size_t r = 0; r < 96; ++r)
+        single.addFlat(r * 10 % runs.rows());
+    const std::size_t dims = levels.size();
+    for (std::size_t r = 1; r < single.rows(); ++r)
+        ASSERT_FALSE(std::equal(single.idx.begin() + r * dims,
+                                single.idx.begin() + r * dims + dims - 1,
+                                single.idx.begin() + (r - 1) * dims));
+
+    const double sentinel = -7.25e77;
+    for (const Lattice *lat : {&runs, &single}) {
+        for (std::size_t n : {1, 15, 17, 63, 64, 81}) {
+            const std::size_t stride = n + 5;
+            std::vector<double> out(nets.size() * stride, sentinel);
+            RbfUnitPool::Scratch scratch(pool);
+            RbfTermCounts counts;
+            pool.predict(scratch, lat->idx.data(), n, out.data(), stride,
+                         counts);
+            Lattice head;
+            head.levels = levels;
+            head.idx.assign(lat->idx.begin(), lat->idx.begin() + n * dims);
+            const Matrix rows = head.points();
+            for (std::size_t m = 0; m < nets.size(); ++m) {
+                const std::vector<double> want = nets[m].predictMany(rows);
+                for (std::size_t r = 0; r < stride; ++r)
+                    ASSERT_EQ(bitsOf(out[m * stride + r]),
+                              bitsOf(r < n ? want[r] : sentinel))
+                        << "n " << n << " network " << m << " row " << r;
+            }
+            EXPECT_EQ(counts.terms, n * refs);
+            EXPECT_EQ(counts.rows, n);
+        }
+    }
+}
+
 class RbfFitModes : public ::testing::TestWithParam<RbfFit>
 {
 };

@@ -233,6 +233,17 @@ TEST(TelemetrySummary, SweepSplitsPredictFromScore)
                         "3.000 s (75%), score 1.000 s (25%); kernel "
                         "846.5 terms/row\n"),
               std::string::npos);
+    // With the chunk filter: a third share of the same total.
+    MetricsSnapshot::Histogram filter;
+    filter.name = "sweep.filter_us";
+    filter.count = 2;
+    filter.sumUs = 4000000;
+    snap.histograms.push_back(filter);
+    EXPECT_NE(renderTelemetrySummary(snap, 1000000, 1)
+                  .find("-- telemetry: sweep worker time: predict "
+                        "3.000 s (38%), score 1.000 s (12%), filter "
+                        "4.000 s (50%); kernel 846.5 terms/row\n"),
+              std::string::npos);
 }
 
 } // namespace
