@@ -2,9 +2,10 @@
  * @file
  * Simulator hot-path throughput: simulated instructions per second of
  * the end-to-end simulate() loop across the six workload families
- * (profile 0 of seed 1) plus a paper profile, the config-batched
- * simulateBatch() kernel at batch widths 1/4/16/64 on the same
- * workloads, and raw instruction-decode throughput with the
+ * (profile 0 of seed 1) plus a paper profile, simulateBatch() — N
+ * configs sharing one decode, simulated one after another — at
+ * N = 1/4/16/64 on the same workloads, and raw instruction-decode
+ * throughput with the
  * random-access reference path (at(i)) versus the streaming Cursor.
  *
  * This is the perf trajectory anchor for the cycle loop: `--json
@@ -57,7 +58,7 @@ struct Row
 {
     std::string workload;
     std::string kind; //!< "simulate", "simulate-batched", "decode-*"
-    unsigned batchWidth = 0; //!< lanes per simulateBatch() call, or 0
+    unsigned batchWidth = 0; //!< configs per simulateBatch() decode, or 0
     std::uint64_t instructions = 0;
     double seconds = 0.0;
 
@@ -101,12 +102,12 @@ simulateRow(const BenchmarkProfile &profile, const std::string &label,
 }
 
 /**
- * Config-batched throughput of one profile at one batch width: the
- * aggregate simulated-instruction rate of a simulateBatch() call with
- * @p width baseline lanes. Against the one-lane "simulate" row this
- * is the per-lane speedup of batching — every lane does exactly that
- * row's work (bit-identical results, pinned by tests), so rate ratios
- * compare like for like.
+ * Shared-decode throughput of one profile: the aggregate
+ * simulated-instruction rate of a simulateBatch() call over @p width
+ * baseline configs sharing one decode. Against the one-run "simulate"
+ * row this is the per-run gain of decoding once — every run does
+ * exactly that row's work (bit-identical results, pinned by tests),
+ * so rate ratios compare like for like.
  */
 Row
 batchedRow(const BenchmarkProfile &profile, const std::string &label,
@@ -149,9 +150,8 @@ main(int argc, char **argv)
     }
     rows.push_back(simulateRow(benchmarkByName("gcc"), "gcc", ctx));
 
-    // ---- Config-batched kernel (sim/batch.hh) across batch widths:
-    // per-lane speedup over the one-lane rows above, from shared
-    // decode and cross-lane op-window reuse.
+    // ---- N configs sharing one decode (sim/batch.hh): per-run
+    // speedup over the one-run rows above, from decoding once.
     {
         const unsigned widths[] = {1, 4, 16, 64};
         for (WorkloadFamily f : allFamilies()) {
@@ -164,8 +164,8 @@ main(int argc, char **argv)
         for (unsigned w : widths)
             rows.push_back(batchedRow(gcc, "gcc", w, ctx));
 
-        // Per-workload speedup summary: batched aggregate rate over
-        // the one-lane rate, at the widest batch.
+        // Per-workload speedup summary: shared-decode aggregate rate
+        // over the one-run rate, at the most configs per decode.
         for (const Row &s : rows) {
             if (s.kind != "simulate")
                 continue;

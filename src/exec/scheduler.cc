@@ -1,15 +1,15 @@
 #include "exec/scheduler.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <exception>
 #include <string>
 #include <utility>
 
 #include "cache/key.hh"
-#include "dvm/controller.hh"
 #include "sim/batch.hh"
 #include "telemetry/telemetry.hh"
-#include "util/json.hh"
 
 namespace
 {
@@ -24,6 +24,7 @@ struct SchedulerMetrics
     wavedyn::MetricId stores;
     wavedyn::MetricId storeFailures;
     wavedyn::MetricId runUs;   //!< per-run simulate duration
+    wavedyn::MetricId decodeUs; //!< per-shape decode duration
     wavedyn::MetricId probeUs; //!< whole probe phase duration
     wavedyn::MetricId storeUs; //!< per-store publish duration
     std::size_t hitRate;       //!< gauge index
@@ -41,6 +42,7 @@ struct SchedulerMetrics
             s.stores = reg.counter("cache.stores");
             s.storeFailures = reg.counter("cache.store_failures");
             s.runUs = reg.histogram("sim.run_us");
+            s.decodeUs = reg.histogram("sim.decode_us");
             s.probeUs = reg.histogram("cache.probe_us");
             s.storeUs = reg.histogram("cache.store_us");
             s.hitRate = reg.gauge("cache.hit_rate");
@@ -141,64 +143,46 @@ RunScheduler::run(ThreadPool &pool)
                 pending.push_back(i);
     }
 
-    // Batch grouping: missing tasks that share a run shape
-    // (benchmark, samples, intervalInstrs, DVM policy) fold into one
-    // simulateBatch() call of at most globalBatchWidth() lanes —
-    // decode once, simulate many. Chunks are formed in task order
-    // from the task list and the width alone, never from --jobs, and
-    // every simulateBatch() lane is bit-identical to the same run
-    // simulated alone (sim/batch.hh), so results — and therefore
-    // reports — are byte-identical however tasks were batched. A
-    // custom task runner computes per task by contract, so it gets
-    // one-task chunks.
-    const std::size_t width = runner ? 1 : globalBatchWidth();
-    // DVM policies compare by their canonical JSON — the form the
-    // cache key hashes — so a new DvmConfig field separates shapes
-    // without a hand-kept field list here.
-    std::vector<std::string> dvmKeys;
-    dvmKeys.reserve(pending.size());
-    for (std::size_t i : pending)
-        dvmKeys.push_back(writeJson(toJson(tasks[i].dvm), 0));
-    auto sameShape = [&](std::size_t a, std::size_t b) {
-        const RunTask &ta = tasks[pending[a]];
-        const RunTask &tb = tasks[pending[b]];
-        return ta.benchmark == tb.benchmark && ta.samples == tb.samples &&
-               ta.intervalInstrs == tb.intervalInstrs &&
-               dvmKeys[a] == dvmKeys[b];
+    // Run shapes: missing tasks that share (benchmark, samples,
+    // intervalInstrs) read one decode, made once per run() and covering
+    // the largest fetch-ahead among them. The decode does not depend on
+    // the DVM policy, which each run applies in its own pipeline, so
+    // runs under different policies share it too. Shapes are numbered
+    // in first-task order.
+    struct Shape
+    {
+        std::size_t task; //!< first task of the shape
+        std::uint64_t ahead = 0;
+        std::vector<MicroOp> ops;
+        std::exception_ptr decodeError;
     };
-    // One open (not yet full) chunk per distinct run shape; chunks
-    // appear in first-task order and fill in task order.
-    std::vector<std::vector<std::size_t>> chunks; // indices into pending
-    std::vector<std::size_t> open;
+    std::vector<Shape> shapes;
+    std::vector<std::size_t> shapeOf(pending.size());
     for (std::size_t k = 0; k < pending.size(); ++k) {
-        std::size_t c = open.size();
-        for (std::size_t o = 0; o < open.size(); ++o)
-            if (sameShape(chunks[open[o]][0], k)) {
-                c = o;
+        const RunTask &t = tasks[pending[k]];
+        std::size_t s = 0;
+        for (; s < shapes.size(); ++s) {
+            const RunTask &f = tasks[shapes[s].task];
+            if (f.benchmark == t.benchmark && f.samples == t.samples &&
+                f.intervalInstrs == t.intervalInstrs)
                 break;
-            }
-        if (c == open.size()) {
-            open.push_back(chunks.size());
-            chunks.push_back({});
         }
-        std::vector<std::size_t> &chunk = chunks[open[c]];
-        chunk.push_back(k);
-        if (chunk.size() >= width)
-            open.erase(open.begin() + static_cast<std::ptrdiff_t>(c));
+        if (s == shapes.size())
+            shapes.push_back(Shape{pending[k], 0, {}, nullptr});
+        shapes[s].ahead = std::max(shapes[s].ahead, fetchAhead(t.config));
+        shapeOf[k] = s;
     }
 
     // Publish one computed task: store to cache, mark resolved, fire
-    // telemetry and progress. spanStart/spanUs are the task's share of
-    // its chunk's wall time — one "run" span and one sim.run_us sample
-    // per logical run, whatever the batch width or --jobs setting: the
-    // trace's span multiset is pinned jobs- and batch-invariant by
-    // tests.
-    auto publish = [&](std::size_t k, std::uint64_t spanStart,
-                       std::uint64_t spanUs) {
+    // telemetry and progress. One "run" span and one sim.run_us sample
+    // per computed run, timed over its own simulation: the trace's
+    // span multiset is pinned jobs-invariant by tests.
+    auto publish = [&](std::size_t k, std::uint64_t runStart,
+                       std::uint64_t runUs) {
         std::size_t i = pending[k];
-        reg.observe(tm.runUs, spanUs);
+        reg.observe(tm.runUs, runUs);
         reg.add(tm.computed, 1);
-        tracer.complete("run", "sim", spanStart, spanUs, "task",
+        tracer.complete("run", "sim", runStart, runUs, "task",
                         std::to_string(i));
         if (cache) {
             std::uint64_t storeStart = telemetryNowUs();
@@ -225,39 +209,68 @@ RunScheduler::run(ThreadPool &pool)
                      total);
     };
 
-    // parallelFor rethrows the lowest-index exception only after every
-    // index ran, so each non-throwing chunk below commits (result
-    // slots filled, resolved flags set, events fired) no matter what
-    // its siblings did — the exception just propagates past the final
-    // commit of `completed`, leaving the per-task flags as the record
-    // of what a retry may skip. A chunk is all-or-nothing: a throwing
-    // batch commits none of its tasks, and a retry re-groups and
-    // re-runs exactly the tasks that never resolved.
-    parallelFor(pool, chunks.size(), [&](std::size_t ci) {
-        const std::vector<std::size_t> &chunk = chunks[ci];
-        if (runner) {
-            std::size_t i = pending[chunk[0]];
-            std::uint64_t runStart = telemetryNowUs();
-            results[i] = runner(tasks[i]);
-            publish(chunk[0], runStart, telemetryNowUs() - runStart);
-            return;
-        }
-        const RunTask &t0 = tasks[pending[chunk[0]]];
-        std::vector<SimConfig> cfgs;
-        cfgs.reserve(chunk.size());
-        for (std::size_t k : chunk)
-            cfgs.push_back(tasks[pending[k]].config);
-        std::uint64_t batchStart = telemetryNowUs();
-        std::vector<SimResult> rs =
-            simulateBatch(*t0.benchmark, cfgs, t0.samples,
-                          t0.intervalInstrs, t0.dvm);
-        std::uint64_t share =
-            (telemetryNowUs() - batchStart) / chunk.size();
-        for (std::size_t l = 0; l < chunk.size(); ++l) {
-            results[pending[chunk[l]]] = std::move(rs[l]);
-            publish(chunk[l], batchStart + l * share, share);
-        }
-    });
+    // Waves of at most one shape per worker, in shape order: decode the
+    // wave's shapes in parallel, run each of its tasks as its own pool
+    // task over its shape's decode, then free the decodes — so no more
+    // than pool.size() decodes are ever live, however many shapes a
+    // batch spans. Every run is bit-identical to the same run simulated
+    // alone (sim/batch.hh), so results, and therefore reports, do not
+    // depend on the waves or on --jobs. A custom task runner computes
+    // per task by contract and needs no decode.
+    //
+    // Each run commits alone: a throwing run (or its shape's decode)
+    // records its exception and every other run still commits (result
+    // slot filled, resolved flag set, events fired); after the last
+    // wave the lowest-index exception propagates past the final commit
+    // of `completed`, leaving the per-task flags as the record of what
+    // a retry may skip.
+    const std::size_t waveShapes = std::max<std::size_t>(1, pool.size());
+    std::vector<std::exception_ptr> errors(pending.size());
+    std::vector<std::size_t> wave;
+    for (std::size_t s0 = 0; s0 < shapes.size(); s0 += waveShapes) {
+        const std::size_t s1 = std::min(shapes.size(), s0 + waveShapes);
+        if (!runner)
+            parallelFor(pool, s1 - s0, [&](std::size_t j) {
+                Shape &sh = shapes[s0 + j];
+                const RunTask &t = tasks[sh.task];
+                std::uint64_t start = telemetryNowUs();
+                try {
+                    sh.ops = decodeRunShape(*t.benchmark, t.samples,
+                                            t.intervalInstrs, sh.ahead);
+                } catch (...) {
+                    sh.decodeError = std::current_exception();
+                }
+                reg.observe(tm.decodeUs, telemetryNowUs() - start);
+            });
+        wave.clear();
+        for (std::size_t k = 0; k < pending.size(); ++k)
+            if (shapeOf[k] >= s0 && shapeOf[k] < s1)
+                wave.push_back(k);
+        parallelFor(pool, wave.size(), [&](std::size_t w) {
+            const std::size_t k = wave[w];
+            const std::size_t i = pending[k];
+            const RunTask &t = tasks[i];
+            const Shape &sh = shapes[shapeOf[k]];
+            try {
+                std::uint64_t start = telemetryNowUs();
+                if (runner)
+                    results[i] = runner(t);
+                else if (sh.decodeError)
+                    std::rethrow_exception(sh.decodeError);
+                else
+                    results[i] = simulateDecoded(sh.ops, t.config, t.samples,
+                                                 t.intervalInstrs, t.dvm);
+                publish(k, start, telemetryNowUs() - start);
+            } catch (...) {
+                errors[k] = std::current_exception();
+            }
+        });
+        for (std::size_t s = s0; s < s1; ++s)
+            shapes[s].ops = std::vector<MicroOp>();
+    }
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
     completed = tasks.size();
 
     // The hit-rate gauge tracks the cache's own lifetime counters —

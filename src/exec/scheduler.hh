@@ -25,15 +25,18 @@
  * byte-exact stored results, a campaign's output is identical whether
  * any given run was computed or replayed.
  *
- * Missing tasks run through simulateBatch() (sim/batch.hh): tasks
- * that share a run shape — same benchmark, samples, intervalInstrs,
- * and DVM policy, differing only in machine config — fold into
- * chunks of at most globalBatchWidth() lanes, so the decode is paid
- * once per chunk instead of once per run. Chunking is derived from
- * the task list and the width alone, and every lane is bit-identical
- * to the same run simulated alone, so every report stays
- * byte-identical for any --jobs and any width. Progress, cache, and
- * telemetry events still fire once per logical run.
+ * Every missing task is its own pool task. Tasks that share a run
+ * shape — same benchmark, samples and intervalInstrs, differing only
+ * in machine config or DVM policy — read one decode of that shape
+ * (sim/batch.hh), made once per run() in parallel with the other
+ * shapes' decodes. Shapes go through in waves of at most one shape per
+ * pool worker, and a wave's decodes are freed before the next wave
+ * decodes, so live decodes never outnumber the workers. Every run is
+ * bit-identical to the same run simulated alone, so every report
+ * stays byte-identical for any --jobs. Progress, cache, and telemetry
+ * events fire once per logical run: `sim.run_us` holds each computed
+ * run's own simulation time and `sim.decode_us` one sample per decoded
+ * shape.
  */
 
 #ifndef WAVEDYN_EXEC_SCHEDULER_HH
@@ -124,11 +127,12 @@ class RunScheduler
      * done.
      *
      * Exception safety — commit what succeeded: if a task throws
-     * (simulate() on a defective input, or an injected task runner),
-     * the lowest-index exception propagates after every other pending
-     * chunk has run, and all work that completed stays committed. A
-     * batched chunk is all-or-nothing: a throw commits none of its
-     * tasks. A later run() on the same scheduler retries only the
+     * (simulate() on a defective input, a failed decode of its shape,
+     * or an injected task runner), the lowest-index exception
+     * propagates after every other pending task has run, and all work
+     * that completed stays committed. Each run commits alone: a throw
+     * leaves only its own task unresolved, even when other runs share
+     * its decode. A later run() on the same scheduler retries only the
      * tasks that never resolved: resolved tasks keep their results
      * and never re-fire their progress or cache hit/store events (an
      * unresolved task is re-probed, so its cache miss event may fire
@@ -192,14 +196,14 @@ class RunScheduler
     }
 
     /**
-     * How run() computes one task's result; by default tasks run in
-     * simulateBatch() chunks.
+     * How run() computes one task's result; by default a task
+     * simulates its config over its shape's shared decode.
      */
     using TaskRunner = std::function<SimResult(const RunTask &)>;
 
     /**
      * Replace the task computation, one call per task (empty
-     * restores batched simulation). This is a deliberate
+     * restores simulation). This is a deliberate
      * fault-injection seam: simulate() is pure and asserts on bad
      * input rather than throwing, so the exception-safety contract of
      * run() is only testable with a runner that throws on demand. The
@@ -226,7 +230,7 @@ class RunScheduler
     RunProgress progress; //!< optional worker-side completion hook
     CacheRunEvents events;
     std::shared_ptr<ResultCache> cache; //!< nullptr = caching off
-    TaskRunner runner;        //!< empty = simulateBatch() chunks
+    TaskRunner runner;        //!< empty = simulateDecoded()
     std::size_t completed = 0; //!< tasks below this all resolved
     std::size_t released = 0; //!< results below this index were freed
 };

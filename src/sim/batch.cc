@@ -1,25 +1,20 @@
 #include "sim/batch.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <cassert>
-#include <cstdint>
 
 #include "power/model.hh"
 #include "sim/pipeline.hh"
 #include "telemetry/telemetry.hh"
-#include "workload/shared_decode.hh"
 #include "workload/stream.hh"
 
 namespace
 {
 
-/** 0 = unset: kDefaultBatchWidth. */
-std::atomic<unsigned> gBatchWidth{0};
-
 /** The driver's counters, interned once. */
 struct SimCounters
 {
-    wavedyn::MetricId cycles;            //!< lane cycles, warmup included
+    wavedyn::MetricId cycles;            //!< run cycles, warmup included
     wavedyn::MetricId idleSkippedCycles; //!< of which fast-forwarded
     wavedyn::MetricId issueScans;        //!< issue stages that scanned
     wavedyn::MetricId idleIssueScans;    //!< of which found none ready
@@ -40,6 +35,17 @@ struct SimCounters
     }
 };
 
+/**
+ * An eighth of the run warms caches, TLBs and predictor tables before
+ * sampling begins (the paper fast-forwards to a SimPoint, which
+ * arrives with warm state).
+ */
+std::uint64_t
+warmupOf(std::uint64_t body)
+{
+    return body / 8;
+}
+
 } // namespace
 
 namespace wavedyn
@@ -48,14 +54,72 @@ namespace wavedyn
 unsigned
 globalBatchWidth()
 {
-    unsigned w = gBatchWidth.load(std::memory_order_relaxed);
-    return w != 0 ? w : kDefaultBatchWidth;
+    return 1;
 }
 
 void
-setGlobalBatchWidth(unsigned width)
+setGlobalBatchWidth(unsigned)
 {
-    gBatchWidth.store(width, std::memory_order_relaxed);
+}
+
+std::uint64_t
+fetchAhead(const SimConfig &cfg)
+{
+    return std::uint64_t{cfg.robSize} + 2 * std::uint64_t{cfg.fetchWidth};
+}
+
+std::vector<MicroOp>
+decodeRunShape(const BenchmarkProfile &bench, std::size_t numIntervals,
+               std::size_t intervalInstrs, std::uint64_t ahead)
+{
+    std::uint64_t body =
+        static_cast<std::uint64_t>(numIntervals) * intervalInstrs;
+    std::uint64_t run = warmupOf(body) + body;
+    return decodeOps(InstructionStream(bench, run), run + ahead);
+}
+
+SimResult
+simulateDecoded(const std::vector<MicroOp> &ops, const SimConfig &cfg,
+                std::size_t numIntervals, std::size_t intervalInstrs,
+                const DvmConfig &dvm)
+{
+    assert(numIntervals > 0 && intervalInstrs > 0);
+    std::uint64_t body =
+        static_cast<std::uint64_t>(numIntervals) * intervalInstrs;
+    std::uint64_t warmup = warmupOf(body);
+    assert(ops.size() >= warmup + body + fetchAhead(cfg));
+
+    Pipeline pipe(ops, cfg, dvm);
+    PowerModel power(cfg);
+    SimResult out;
+    out.intervals.reserve(numIntervals);
+
+    // Exactly one runInstructions() call for the warmup and one per
+    // interval — never a finer quantum: doCommit() caps commits at the
+    // call target, so an extra boundary would change machine state.
+    if (warmup > 0) {
+        pipe.runInstructions(warmup);
+        pipe.resetInterval();
+    }
+    for (std::size_t i = 0; i < numIntervals; ++i) {
+        pipe.resetInterval();
+        std::uint64_t start = pipe.now();
+        pipe.runInstructions(intervalInstrs);
+        out.intervals.push_back(
+            assembleIntervalSample(pipe, power, cfg, start));
+    }
+    out.totalCycles = pipe.now();
+    out.totalInstructions = pipe.committed() - warmup;
+    out.dvmStats = pipe.dvm().stats();
+    out.dvmFinalWqRatio = pipe.dvm().wqRatio();
+
+    const SimCounters &sc = SimCounters::get();
+    MetricsRegistry &reg = metricsRegistry();
+    reg.add(sc.cycles, pipe.now());
+    reg.add(sc.idleSkippedCycles, pipe.idleSkippedCycles());
+    reg.add(sc.issueScans, pipe.issueScanCount());
+    reg.add(sc.idleIssueScans, pipe.idleIssueScanCount());
+    return out;
 }
 
 std::vector<SimResult>
@@ -64,97 +128,18 @@ simulateBatch(const BenchmarkProfile &bench,
               std::size_t numIntervals, std::size_t intervalInstrs,
               const DvmConfig &dvm)
 {
-    assert(numIntervals > 0 && intervalInstrs > 0);
-    const std::size_t n = configs.size();
-    std::vector<SimResult> out(n);
-    if (n == 0)
+    std::vector<SimResult> out;
+    if (configs.empty())
         return out;
-
-    // An eighth of the run warms caches, TLBs and predictor tables
-    // before sampling begins (the paper fast-forwards to a SimPoint,
-    // which arrives with warm state).
-    std::uint64_t body =
-        static_cast<std::uint64_t>(numIntervals) * intervalInstrs;
-    std::uint64_t warmup = body / 8;
-
-    InstructionStream stream(bench, warmup + body);
-    SharedOpWindow ops(stream);
-
-    // Lane-major (SoA) driver state: pipelines, power models, and the
-    // per-interval bookkeeping all sit in parallel arrays indexed by
-    // lane.
-    std::vector<Pipeline> pipes;
-    std::vector<PowerModel> powers;
-    std::vector<std::uint64_t> startCycles(n, 0);
-    pipes.reserve(n);
-    powers.reserve(n);
-    for (std::size_t l = 0; l < n; ++l) {
-        pipes.emplace_back(ops, configs[l], dvm);
-        powers.emplace_back(configs[l]);
-        out[l].intervals.reserve(numIntervals);
-    }
-
-    // Interval-grained lockstep: every lane makes exactly the
-    // sequence of runInstructions() calls a lone run would make, one
-    // step at a time across all lanes, so the shared window's live
-    // span stays bounded by one step plus the in-flight fetch skew. After each step the
-    // window drops everything below the slowest lane.
-    //
-    // The fine interleave is deliberate, and measurably better than
-    // coarser schedules (several intervals — or the whole run — per
-    // lane before switching): within one step all N lanes read the
-    // *same* few hundred decoded ops while they are L1-resident, so
-    // the op-stream traffic is paid roughly once per step instead of
-    // once per lane. A lane-major schedule keeps one lane's tables
-    // hot but streams the full decoded body past every lane from L2+,
-    // which costs far more than the lane-switch misses it avoids
-    // (sweeping the quantum from 1 to all-intervals-per-switch showed
-    // monotonically worse throughput at every coarser setting).
-    auto step = [&](std::uint64_t count) {
-        std::uint64_t minPos = ~0ull;
-        for (std::size_t l = 0; l < n; ++l) {
-            pipes[l].runInstructions(count);
-            std::uint64_t pos = pipes[l].fetchPosition();
-            if (pos < minPos)
-                minPos = pos;
-        }
-        ops.trim(minPos);
-    };
-
-    if (warmup > 0) {
-        step(warmup);
-        for (std::size_t l = 0; l < n; ++l)
-            pipes[l].resetInterval();
-    }
-
-    for (std::size_t i = 0; i < numIntervals; ++i) {
-        for (std::size_t l = 0; l < n; ++l) {
-            pipes[l].resetInterval();
-            startCycles[l] = pipes[l].now();
-        }
-        step(intervalInstrs);
-        for (std::size_t l = 0; l < n; ++l)
-            out[l].intervals.push_back(
-                assembleIntervalSample(pipes[l], powers[l], configs[l],
-                                       startCycles[l]));
-    }
-
-    std::uint64_t cycles = 0, skipped = 0, scans = 0, idleScans = 0;
-    for (std::size_t l = 0; l < n; ++l) {
-        cycles += pipes[l].now();
-        skipped += pipes[l].idleSkippedCycles();
-        scans += pipes[l].issueScanCount();
-        idleScans += pipes[l].idleIssueScanCount();
-        out[l].totalCycles = pipes[l].now();
-        out[l].totalInstructions = pipes[l].committed() - warmup;
-        out[l].dvmStats = pipes[l].dvm().stats();
-        out[l].dvmFinalWqRatio = pipes[l].dvm().wqRatio();
-    }
-    const SimCounters &sc = SimCounters::get();
-    metricsRegistry().add(sc.cycles, cycles);
-    metricsRegistry().add(sc.idleSkippedCycles, skipped);
-    metricsRegistry().add(sc.issueScans, scans);
-    metricsRegistry().add(sc.idleIssueScans, idleScans);
+    std::uint64_t ahead = 0;
+    for (const SimConfig &cfg : configs)
+        ahead = std::max(ahead, fetchAhead(cfg));
+    const std::vector<MicroOp> ops =
+        decodeRunShape(bench, numIntervals, intervalInstrs, ahead);
+    out.reserve(configs.size());
+    for (const SimConfig &cfg : configs)
+        out.push_back(
+            simulateDecoded(ops, cfg, numIntervals, intervalInstrs, dvm));
     return out;
 }
 

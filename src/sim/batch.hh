@@ -2,50 +2,75 @@
  * @file
  * The simulation driver: decode once, simulate many.
  *
- * A design-space sweep simulates the *same* (benchmark, samples,
- * intervalInstrs, dvm) run under many machine configurations.
- * simulateBatch() runs N such configurations as N pipeline lanes in
- * interval-grained lockstep; simulate() is its one-lane case.
+ * A design-space sweep simulates the *same* run shape — (benchmark,
+ * samples, intervalInstrs) — under many machine configurations and
+ * DVM policies. decodeRunShape() decodes that shape's instruction
+ * stream once into an immutable MicroOp array; simulateDecoded() runs
+ * one configuration over it, and any number of them may read one
+ * array at the same time from any threads. The scheduler makes each
+ * run its own pool task over its shape's decode (exec/scheduler.hh);
+ * simulate() decodes and runs one configuration; simulateBatch() runs
+ * several in turn over one decode.
  *
- *  - one SharedOpWindow decodes the instruction stream once and feeds
- *    every lane (workload/shared_decode.hh);
- *  - each lane arms the pipeline's idle-cycle fast-forward, which
- *    jumps over provably inert cycles with exact accounting (see the
- *    hot-path notes in sim/pipeline.hh);
- *  - the driver's per-lane bookkeeping (interval start cycles, power
- *    models, result assembly) is laid out in lane-major arrays.
+ * Each run arms the pipeline's idle-cycle fast-forward, which jumps
+ * over provably inert cycles with exact accounting (see the hot-path
+ * notes in sim/pipeline.hh).
  *
- * Bit-identity contract: for every lane, at every batch width,
- * simulateBatch() returns byte-for-byte the SimResult that lane's
- * configuration produces when simulated alone, cycle by cycle. The
- * lockstep step is exactly one runInstructions() call per lane (the
- * warmup, then each interval) — never a finer quantum, because
- * doCommit() caps commits at the call target, so an artificial
- * sub-interval boundary would change machine state. Pinned against a
- * naive oracle by tests/sim/batch_test.cc and by the golden report
- * tests.
+ * Bit-identity contract: a run's SimResult is byte-for-byte the one
+ * its configuration produces when simulated alone, cycle by cycle,
+ * however many runs share its decode and whichever thread runs it —
+ * runs share nothing but the read-only ops. Pinned against a naive
+ * oracle by tests/sim/batch_test.cc and by the golden report tests.
  */
 
 #ifndef WAVEDYN_SIM_BATCH_HH
 #define WAVEDYN_SIM_BATCH_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "dvm/controller.hh"
 #include "sim/config.hh"
 #include "sim/simulator.hh"
+#include "workload/instruction.hh"
 #include "workload/profile.hh"
 
 namespace wavedyn
 {
 
 /**
- * Simulate every configuration in @p configs over the same run shape,
- * sharing one decode; results are indexed like @p configs. Publishes
- * the lanes' summed cycles, idle-skipped cycles, issue scans and idle
- * issue scans to the `sim.cycles`, `sim.idle_skipped_cycles`,
- * `sim.issue_scans` and `sim.issue_idle_scans` counters (observe-only).
+ * Ops a pipeline of @p cfg may fetch past its last commit: a full ROB
+ * plus a full fetch queue.
+ */
+std::uint64_t fetchAhead(const SimConfig &cfg);
+
+/**
+ * Decode one run shape: the warmup, the numIntervals x intervalInstrs
+ * body and @p ahead more ops, which must be at least the largest
+ * fetchAhead() among the configurations that will read it.
+ */
+std::vector<MicroOp> decodeRunShape(const BenchmarkProfile &bench,
+                                    std::size_t numIntervals,
+                                    std::size_t intervalInstrs,
+                                    std::uint64_t ahead);
+
+/**
+ * Simulate @p cfg over @p ops, a decodeRunShape() of the same
+ * (bench, numIntervals, intervalInstrs) with ahead >= fetchAhead(cfg).
+ * Publishes the run's cycles, idle-skipped cycles, issue scans and
+ * idle issue scans to the `sim.cycles`, `sim.idle_skipped_cycles`,
+ * `sim.issue_scans` and `sim.issue_idle_scans` counters
+ * (observe-only).
+ */
+SimResult simulateDecoded(const std::vector<MicroOp> &ops,
+                          const SimConfig &cfg, std::size_t numIntervals,
+                          std::size_t intervalInstrs,
+                          const DvmConfig &dvm = {});
+
+/**
+ * Simulate every configuration in @p configs, one after another, over
+ * one decode of the run shape; results are indexed like @p configs.
  */
 std::vector<SimResult>
 simulateBatch(const BenchmarkProfile &bench,
@@ -54,17 +79,13 @@ simulateBatch(const BenchmarkProfile &bench,
               const DvmConfig &dvm = {});
 
 /**
- * Process-global batch width: how many cache-missing tasks sharing a
- * run key the RunScheduler folds into one simulateBatch() call.
- * Mirrors the currentJobs()/setJobs() pattern; unset (0) means
- * kDefaultBatchWidth. Results are byte-identical at every width —
- * the knob only moves throughput.
+ * No effect: every cache-missing run is its own one-run task, so
+ * globalBatchWidth() is always 1 and setGlobalBatchWidth() ignores its
+ * argument. Kept only so callers written against the former lockstep
+ * batch width still build.
  */
 unsigned globalBatchWidth();
 void setGlobalBatchWidth(unsigned width);
-
-/** Built-in batch width, used while none is set. */
-inline constexpr unsigned kDefaultBatchWidth = 16;
 
 } // namespace wavedyn
 

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "workload/shared_decode.hh"
-
 namespace wavedyn
 {
 
@@ -20,7 +18,7 @@ AvfSample::combined(const SimConfig &cfg) const
            bits;
 }
 
-Pipeline::Pipeline(SharedOpWindow &ops, const SimConfig &cfg,
+Pipeline::Pipeline(const std::vector<MicroOp> &ops, const SimConfig &cfg,
                    DvmConfig dvm)
     : cfg(cfg),
       il1Cache(cfg.il1SizeKb, cfg.il1Assoc, cfg.il1LineBytes, "il1"),
@@ -477,7 +475,8 @@ Pipeline::doFetch()
     unsigned fetched = 0;
     while (fetched < cfg.fetchWidth && fetchQueue.size() < fq_cap) {
         InFlight e;
-        e.op = ops->opAt(fetchPos);
+        assert(fetchPos < ops->size());
+        e.op = (*ops)[fetchPos];
         ++fetchPos;
 
         // Instruction cache: one access per new line.

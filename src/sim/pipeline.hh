@@ -53,11 +53,10 @@
  *    schedule/drain are O(1) amortised. Buckets are sorted before
  *    draining because within-cycle completion order feeds
  *    floating-point AVF accumulation and is therefore bit-significant.
- *  - Fetch reads decoded ops by absolute dynamic index from a
- *    SharedOpWindow (workload/shared_decode.hh): one streaming
- *    InstructionStream::Cursor per run (workload/stream.hh) feeds
- *    every lane of a simulateBatch() call, and fetchPosition() lets
- *    the driver trim the window to the slowest lane.
+ *  - Fetch reads decoded ops by dynamic index from an immutable
+ *    array decoded once per run shape (decodeOps, workload/stream.hh):
+ *    every run of that shape, on any thread, reads the same array, so
+ *    a pipeline never decodes and the array needs no lock.
  *  - Idle-cycle fast-forward: runInstructions() jumps over provably
  *    inert cycles — every stage blocked, with the earliest possible
  *    state change bounded by the next completion event / issue-sleep
@@ -70,18 +69,18 @@
  *    High-CPI (memory-bound) configurations spend most cycles
  *    waiting on memory, which is where the skip pays most.
  *
- * Per-cycle machine state stays laid out per lane (an AoS of
- * pipelines): each lane's control flow diverges after the first
- * config-dependent stall, so there is no cross-lane per-cycle loop to
- * vectorise. The struct-of-arrays layout lives one level up, in the
- * driver's per-lane bookkeeping and interval-sample assembly arrays
- * (sim/batch.cc), where iteration really is lane-major.
+ * A pipeline is one run's whole machine state, and runs share
+ * nothing but the decoded ops: each run's control flow diverges after
+ * the first config-dependent stall, so there is no cross-run
+ * per-cycle loop to vectorise, and the scheduler simulates every run
+ * as its own pool task (exec/scheduler.hh).
  *
  * The bit-identity reference is a deliberately naive driver in
  * tests/sim/batch_test.cc: the same warmup and interval loop over a
  * pipeline with the fast-forward switched off (setIdleSkip(false)),
- * so every cycle runs through cycleOnce(). simulate() and every
- * simulateBatch() width must reproduce its results byte for byte.
+ * so every cycle runs through cycleOnce(). simulate(), and any number
+ * of runs sharing one decode, must reproduce its results byte for
+ * byte.
  *
  * bench/sim_throughput.cc measures the resulting simulate()
  * instructions/second and records them in BENCH_sim.json.
@@ -106,8 +105,6 @@
 namespace wavedyn
 {
 
-class SharedOpWindow;
-
 /** AVF values of the tracked structures over a window. */
 struct AvfSample
 {
@@ -127,19 +124,16 @@ class Pipeline
 {
   public:
     /**
-     * Fetch reads @p ops by absolute dynamic index; the window must
-     * outlive the pipeline and retain every index from
-     * fetchPosition() on. The idle-cycle fast-forward is armed unless
-     * @p dvm is enabled.
+     * Fetch reads @p ops by dynamic index; the array must outlive the
+     * pipeline and hold every op fetched: the ops committed plus
+     * fetchAhead(cfg) (sim/batch.hh). The idle-cycle fast-forward is
+     * armed unless @p dvm is enabled.
      */
-    Pipeline(SharedOpWindow &ops, const SimConfig &cfg,
+    Pipeline(const std::vector<MicroOp> &ops, const SimConfig &cfg,
              DvmConfig dvm = {});
 
     /** Simulate until `count` more instructions commit. */
     void runInstructions(std::uint64_t count);
-
-    /** Dynamic index the next fetched op will have. */
-    std::uint64_t fetchPosition() const { return fetchPos; }
 
     /**
      * Switch the idle-cycle fast-forward. Only the test oracle turns
@@ -260,7 +254,7 @@ class Pipeline
     std::uint64_t frontSeq = 0;  //!< seq of window.front()
     RingBuffer<InFlight> fetchQueue;
     CalendarQueue completions;
-    SharedOpWindow *ops;        //!< decoded op source
+    const std::vector<MicroOp> *ops; //!< the run shape's decode
     std::uint64_t fetchPos = 0; //!< ops fetched so far
     bool idleSkip = false;      //!< fast-forward armed
     std::uint64_t idleSkipped = 0; //!< cycles fast-forwarded over

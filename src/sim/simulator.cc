@@ -168,8 +168,9 @@ simulate(const BenchmarkProfile &bench, const SimConfig &cfg,
          std::size_t numIntervals, std::size_t intervalInstrs,
          const DvmConfig &dvm)
 {
-    return simulateBatch(bench, {cfg}, numIntervals, intervalInstrs, dvm)
-        .front();
+    return simulateDecoded(
+        decodeRunShape(bench, numIntervals, intervalInstrs, fetchAhead(cfg)),
+        cfg, numIntervals, intervalInstrs, dvm);
 }
 
 } // namespace wavedyn

@@ -112,8 +112,8 @@ struct SimResult
 /**
  * Simulation front door: one run = one (benchmark, config, DVM policy)
  * triple sampled into numIntervals intervals of intervalInstrs
- * committed instructions each. It is the one-lane case of
- * simulateBatch() (sim/batch.hh).
+ * committed instructions each: decodeRunShape() then
+ * simulateDecoded() (sim/batch.hh).
  */
 SimResult simulate(const BenchmarkProfile &bench, const SimConfig &cfg,
                    std::size_t numIntervals, std::size_t intervalInstrs,

@@ -10,6 +10,13 @@
  * files the user asked for with --trace-out / --metrics-out. Metrics
  * are always on (the cost is a few relaxed atomic adds per simulated
  * run); span recording is off unless a trace was requested.
+ *
+ * Simulation timings (exec/scheduler.hh): `sim.run_us` holds one
+ * sample per computed run — its own simulation wall time on its
+ * worker, cache store excluded — and `sim.decode_us` one sample per
+ * run shape decoded, i.e. per distinct (benchmark, samples,
+ * intervalInstrs) among the cache-missing tasks of one
+ * RunScheduler::run().
  */
 
 #ifndef WAVEDYN_TELEMETRY_TELEMETRY_HH

@@ -104,7 +104,7 @@ class SpanTracer
     /**
      * Record a complete event with explicit timestamps — used where a
      * span is not a scope of the recording thread (the scheduler's
-     * per-run share of a batched chunk).
+     * run spans, recorded when each run commits).
      */
     void complete(const std::string &name, const std::string &cat,
                   std::uint64_t ts, std::uint64_t dur,

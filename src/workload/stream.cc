@@ -457,4 +457,15 @@ InstructionStream::Cursor::next()
     return op;
 }
 
+std::vector<MicroOp>
+decodeOps(const InstructionStream &stream, std::uint64_t count)
+{
+    std::vector<MicroOp> ops;
+    ops.reserve(count);
+    InstructionStream::Cursor cursor(stream);
+    for (std::uint64_t i = 0; i < count; ++i)
+        ops.push_back(cursor.next());
+    return ops;
+}
+
 } // namespace wavedyn

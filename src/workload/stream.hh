@@ -36,6 +36,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "util/rng.hh"
 #include "workload/instruction.hh"
@@ -177,6 +178,15 @@ class InstructionStream
     std::uint64_t total;
     CounterRng rng;
 };
+
+/**
+ * The first @p count micro-ops of @p stream, decoded by one Cursor:
+ * element i is exactly at(i). A run shape is decoded once into such an
+ * array, which every pipeline simulating that shape then reads at the
+ * same time (sim/batch.hh); nothing writes it after this returns.
+ */
+std::vector<MicroOp> decodeOps(const InstructionStream &stream,
+                               std::uint64_t count);
 
 } // namespace wavedyn
 

@@ -19,7 +19,6 @@
 #include "dvm/controller.hh"
 #include "exec/scheduler.hh"
 #include "exec/thread_pool.hh"
-#include "sim/batch.hh"
 #include "telemetry/telemetry.hh"
 #include "util/json.hh"
 #include "util/options.hh"
@@ -291,12 +290,11 @@ TEST(RunScheduler, IncrementalEnqueueRunsOnlyNewTasks)
         EXPECT_FALSE(sched.result(i).intervals.empty());
 }
 
-TEST(RunScheduler, BatchesOnlyTasksWithTheSameDvmPolicy)
+TEST(RunScheduler, EachTaskRunsUnderItsOwnDvmPolicy)
 {
     // For every member of the canonical DvmConfig document, tasks that
-    // differ only in that member must each run under their own policy
-    // at batch width 16: folded into one chunk, the second would run
-    // under the first one's. The members come from toJson, so a new
+    // differ only in that member share one decode but must each run
+    // under their own policy. The members come from toJson, so a new
     // DvmConfig field is covered without editing this test. Two base
     // policies (short and long adaptation windows) between them make
     // every member's change visible in the simulated result.
@@ -311,7 +309,6 @@ TEST(RunScheduler, BatchesOnlyTasksWithTheSameDvmPolicy)
     const DvmConfig bases[] = {shortWindow, longWindow};
 
     const JsonValue doc = toJson(shortWindow);
-    setGlobalBatchWidth(16);
     ThreadPool pool(2);
     for (const auto &member : doc.members()) {
         SCOPED_TRACE(member.first);
@@ -348,7 +345,6 @@ TEST(RunScheduler, BatchesOnlyTasksWithTheSameDvmPolicy)
                                       "x"))
                 << "task " << i;
     }
-    setGlobalBatchWidth(0);
 }
 
 TEST(RunScheduler, TaskRngIsStableAndPerTask)

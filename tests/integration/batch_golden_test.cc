@@ -1,13 +1,12 @@
 /**
  * @file
- * Batch-width golden test: every campaign report must be
- * byte-identical whether the scheduler folds cache-missing runs into
- * wide simulateBatch() chunks or runs each task as a one-lane chunk
- * (setGlobalBatchWidth(1)), at any jobs count. The suite run is
- * additionally pinned against the checked-in golden
- * (tests/data/golden_generated_suite.txt), which predates the
- * batched kernel — so batching is also proven not to have moved a
- * byte relative to the pre-batching simulator.
+ * Shared-decode golden test: every campaign report must reproduce its
+ * checked-in golden byte for byte at --jobs 1 and --jobs 4, now that
+ * each cache-missing run is its own pool task over its run shape's
+ * one decode. Both goldens (tests/data/golden_generated_suite.txt and
+ * golden_explore_report.txt) predate the shared decode, so it is also
+ * proven not to have moved a byte relative to the simulator that
+ * decoded privately per run.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +18,6 @@
 
 #include "campaign/campaign.hh"
 #include "campaign/report.hh"
-#include "sim/batch.hh"
 #include "util/options.hh"
 
 #ifndef WAVEDYN_TEST_DATA_DIR
@@ -86,48 +84,37 @@ renderAllFormats(const CampaignResult &result)
     return os.str();
 }
 
-/** Run @p json at a pinned (jobs, batch width), restoring both. */
+/** Run @p json at a pinned jobs count, restoring it. */
 CampaignResult
-runAt(const char *json, std::size_t jobs, unsigned batchWidth)
+runAt(const char *json, std::size_t jobs)
 {
     CampaignSpec spec = parseCampaignSpec(json);
     setJobs(jobs);
-    setGlobalBatchWidth(batchWidth);
     CampaignResult result = runCampaign(spec);
-    setGlobalBatchWidth(0);
     setJobs(0);
     return result;
 }
 
-TEST(BatchGolden, SuiteReportInvariantAcrossWidthsAndJobs)
-{
-    const std::string oneLane =
-        renderAllFormats(runAt(kSuiteSpecJson, 1, 1));
-    for (std::size_t jobs : {std::size_t(1), std::size_t(8)})
-        for (unsigned width : {16u, 64u})
-            EXPECT_EQ(oneLane,
-                      renderAllFormats(
-                          runAt(kSuiteSpecJson, jobs, width)))
-                << "jobs=" << jobs << " width=" << width;
-}
-
-TEST(BatchGolden, BatchedSuiteReproducesPreBatchingGolden)
+TEST(BatchGolden, SuiteReproducesGoldenAtOneAndFourJobs)
 {
     std::string golden =
         readFile(WAVEDYN_TEST_DATA_DIR "/golden_generated_suite.txt");
     ASSERT_FALSE(golden.empty());
-    EXPECT_EQ(renderAllFormats(runAt(kSuiteSpecJson, 8, 64)), golden)
-        << "a batched campaign no longer reproduces the pre-batching "
-           "golden suite report";
+    for (std::size_t jobs : {std::size_t(1), std::size_t(4)})
+        EXPECT_EQ(renderAllFormats(runAt(kSuiteSpecJson, jobs)), golden)
+            << "jobs=" << jobs;
 }
 
-TEST(BatchGolden, ExploreReportInvariantAcrossWidths)
+TEST(BatchGolden, ExploreReproducesGoldenAtOneAndFourJobs)
 {
-    const std::string oneLane = renderReport(
-        runAt(kExploreSpecJson, 1, 1), ReportFormat::Text);
-    EXPECT_EQ(oneLane,
-              renderReport(runAt(kExploreSpecJson, 8, 64),
-                           ReportFormat::Text));
+    std::string golden =
+        readFile(WAVEDYN_TEST_DATA_DIR "/golden_explore_report.txt");
+    ASSERT_FALSE(golden.empty());
+    for (std::size_t jobs : {std::size_t(1), std::size_t(4)})
+        EXPECT_EQ(renderReport(runAt(kExploreSpecJson, jobs),
+                               ReportFormat::Text),
+                  golden)
+            << "jobs=" << jobs;
 }
 
 } // namespace

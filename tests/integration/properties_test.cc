@@ -11,8 +11,8 @@
 #include <cmath>
 
 #include "power/model.hh"
+#include "sim/batch.hh"
 #include "sim/simulator.hh"
-#include "workload/shared_decode.hh"
 #include "workload/stream.hh"
 
 namespace wavedyn
@@ -75,8 +75,8 @@ class PipelineInvariants : public ::testing::TestWithParam<Combo>
 
 TEST_P(PipelineInvariants, ConservationOfInstructions)
 {
-    InstructionStream stream(bench(), 6000);
-    SharedOpWindow ops(stream);
+    const std::vector<MicroOp> ops = decodeOps(
+        InstructionStream(bench(), 6000), 6000 + fetchAhead(config()));
     Pipeline pipe(ops, config());
     pipe.runInstructions(6000);
     const auto &a = pipe.intervalActivity();
@@ -96,8 +96,8 @@ TEST_P(PipelineInvariants, ConservationOfInstructions)
 TEST_P(PipelineInvariants, OccupancyWithinCapacity)
 {
     SimConfig cfg = config();
-    InstructionStream stream(bench(), 4000);
-    SharedOpWindow ops(stream);
+    const std::vector<MicroOp> ops = decodeOps(
+        InstructionStream(bench(), 4000), 4000 + fetchAhead(cfg));
     Pipeline pipe(ops, cfg);
     pipe.runInstructions(4000);
     const auto &a = pipe.intervalActivity();
@@ -110,8 +110,8 @@ TEST_P(PipelineInvariants, OccupancyWithinCapacity)
 
 TEST_P(PipelineInvariants, MissesNeverExceedAccesses)
 {
-    InstructionStream stream(bench(), 4000);
-    SharedOpWindow ops(stream);
+    const std::vector<MicroOp> ops = decodeOps(
+        InstructionStream(bench(), 4000), 4000 + fetchAhead(config()));
     Pipeline pipe(ops, config());
     pipe.runInstructions(4000);
     const auto &a = pipe.intervalActivity();
@@ -128,8 +128,8 @@ TEST_P(PipelineInvariants, MissesNeverExceedAccesses)
 TEST_P(PipelineInvariants, CyclesLowerBound)
 {
     SimConfig cfg = config();
-    InstructionStream stream(bench(), 4000);
-    SharedOpWindow ops(stream);
+    const std::vector<MicroOp> ops = decodeOps(
+        InstructionStream(bench(), 4000), 4000 + fetchAhead(cfg));
     Pipeline pipe(ops, cfg);
     pipe.runInstructions(4000);
     // Can't commit more than width per cycle.
@@ -163,8 +163,8 @@ TEST(PowerIdentity, WattsEqualsBreakdownSumOnRealActivity)
 {
     const auto &bench = benchmarkByName("vortex");
     SimConfig cfg = SimConfig::baseline();
-    InstructionStream stream(bench, 4000);
-    SharedOpWindow ops(stream);
+    const std::vector<MicroOp> ops = decodeOps(
+        InstructionStream(bench, 4000), 4000 + fetchAhead(cfg));
     Pipeline pipe(ops, cfg);
     pipe.runInstructions(4000);
     PowerModel pm(cfg);

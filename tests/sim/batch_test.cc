@@ -1,21 +1,23 @@
 /**
  * @file
  * Bit-identity tests of the simulation driver. A deliberately naive
- * oracle below — one pipeline per run, idle-cycle fast-forward off,
- * so every cycle goes through the plain per-cycle loop — is the
- * reference: simulate() and every lane of simulateBatch(), at every
- * batch width, must return byte-for-byte the SimResult the oracle
- * returns for that lane's configuration. Byte-identity is checked
- * through the cache record encoding (encodeSimResult), which
- * serialises doubles by bit pattern — the strictest comparison the
- * repo has.
+ * oracle below — one pipeline per run over its own decode, idle-cycle
+ * fast-forward off, so every cycle goes through the plain per-cycle
+ * loop — is the reference: simulate(), and any number of runs sharing
+ * one decode (simulateBatch(), or pipelines on several threads), must
+ * return byte-for-byte the SimResult the oracle returns for that
+ * run's configuration. Byte-identity is checked through the cache
+ * record encoding (encodeSimResult), which serialises doubles by bit
+ * pattern — the strictest comparison the repo has.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/store.hh"
@@ -26,7 +28,6 @@
 #include "telemetry/telemetry.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
-#include "workload/shared_decode.hh"
 #include "workload/stream.hh"
 
 namespace wavedyn
@@ -60,8 +61,8 @@ laneConfig(std::size_t lane)
 
 /**
  * The reference driver: the driver's warmup (body / 8) and interval
- * loop over one pipeline with its own decode window, which it never
- * trims, and the idle-cycle fast-forward switched off.
+ * loop over one pipeline with its own decode, the idle-cycle
+ * fast-forward switched off.
  */
 SimResult
 oracleSimulate(const BenchmarkProfile &bench, const SimConfig &cfg,
@@ -73,7 +74,8 @@ oracleSimulate(const BenchmarkProfile &bench, const SimConfig &cfg,
     std::uint64_t warmup = body / 8;
 
     InstructionStream stream(bench, warmup + body);
-    SharedOpWindow ops(stream);
+    const std::vector<MicroOp> ops =
+        decodeOps(stream, warmup + body + fetchAhead(cfg));
     Pipeline pipe(ops, cfg, dvm);
     pipe.setIdleSkip(false);
     PowerModel power(cfg);
@@ -108,7 +110,7 @@ generatedProfiles()
     return out;
 }
 
-/** simulate() and simulateBatch() at widths 1/2/7/64 vs the oracle. */
+/** simulate() and 1/2/7/64 runs sharing one decode vs the oracle. */
 void
 expectDriversMatchOracle(const BenchmarkProfile &bench,
                          const DvmConfig &dvm)
@@ -133,7 +135,7 @@ expectDriversMatchOracle(const BenchmarkProfile &bench,
         for (std::size_t l = 0; l < width; ++l)
             EXPECT_TRUE(bytesOf(batched[l]) ==
                         oracle[l % kDistinctLanes])
-                << tag << " width=" << width << " lane=" << l;
+                << tag << " runs=" << width << " run=" << l;
     }
 }
 
@@ -234,16 +236,48 @@ TEST(SimulateBatch, EmptyBatchReturnsNothing)
                     .empty());
 }
 
-TEST(SimulateBatch, GlobalWidthKnobRoundTrips)
+TEST(SimulateDecoded, OneDecodeReadByPipelinesOnSeveralThreads)
 {
-    setGlobalBatchWidth(0); // unset
-    EXPECT_EQ(globalBatchWidth(), kDefaultBatchWidth);
-    setGlobalBatchWidth(5);
-    EXPECT_EQ(globalBatchWidth(), 5u);
-    setGlobalBatchWidth(1);
-    EXPECT_EQ(globalBatchWidth(), 1u);
-    setGlobalBatchWidth(0);
-    EXPECT_EQ(globalBatchWidth(), kDefaultBatchWidth);
+    // One decode, sized for the largest fetch-ahead, read at the same
+    // time by pipelines on four threads — three runs each, DVM off and
+    // on — must give every run the oracle's bytes.
+    const BenchmarkProfile &gcc = benchmarkByName("gcc");
+    std::uint64_t ahead = 0;
+    for (std::size_t l = 0; l < kDistinctLanes; ++l)
+        ahead = std::max(ahead, fetchAhead(laneConfig(l)));
+    const std::vector<MicroOp> ops =
+        decodeRunShape(gcc, kSamples, kPerInterval, ahead);
+    for (const DvmConfig &dvm : {DvmConfig{}, dvmOn()}) {
+        std::vector<std::string> got(kDistinctLanes);
+        std::vector<std::thread> threads;
+        for (std::size_t w = 0; w < 4; ++w)
+            threads.emplace_back([&, w] {
+                for (std::size_t l = w; l < kDistinctLanes; l += 4)
+                    got[l] = bytesOf(simulateDecoded(
+                        ops, laneConfig(l), kSamples, kPerInterval, dvm));
+            });
+        for (std::thread &t : threads)
+            t.join();
+        for (std::size_t l = 0; l < kDistinctLanes; ++l)
+            EXPECT_TRUE(got[l] == bytesOf(oracleSimulate(
+                                      gcc, laneConfig(l), kSamples,
+                                      kPerInterval, dvm)))
+                << "dvm=" << dvm.enabled << " run=" << l;
+    }
+}
+
+TEST(SimulateDecoded, WideMachineFetchesInsideTheDecode)
+{
+    // A wide machine's fetch runs furthest ahead of its commits, yet
+    // stays inside fetchAhead() (fetch asserts so in Debug builds).
+    const BenchmarkProfile &gcc = benchmarkByName("gcc");
+    SimConfig wide = SimConfig::baseline();
+    wide.robSize = 256;
+    wide.fetchWidth = 16;
+    EXPECT_EQ(fetchAhead(wide), 256u + 32u);
+    EXPECT_TRUE(bytesOf(simulate(gcc, wide, kSamples, kPerInterval)) ==
+                bytesOf(oracleSimulate(gcc, wide, kSamples, kPerInterval,
+                                       DvmConfig{})));
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
- * Bit-identity of the shared decode window: SharedOpWindow::opAt(i)
- * must return exactly the i-th Cursor::next() op — every field — no
- * matter how reads, trims and ring growth interleave. Every pipeline
- * fetches through the window, so any divergence here would silently
- * change simulated results.
+ * Bit-identity of the shared decode: element i of decodeOps() must be
+ * exactly the i-th Cursor::next() op — every field — and
+ * decodeRunShape() must be that decode over the run's stream. Every
+ * pipeline fetches from such an array, shared by all runs of a shape,
+ * so any divergence here would silently change simulated results.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "sim/batch.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
-#include "workload/shared_decode.hh"
 #include "workload/stream.hh"
 
 namespace wavedyn
@@ -38,62 +38,48 @@ expectSameOp(const MicroOp &a, const MicroOp &b, std::uint64_t i,
 }
 
 /**
- * Drive a window the way lockstep lanes do — a leading reader runs
- * ahead in bursts, a trailing reader re-reads retained ops, and the
- * window is trimmed to the trailing reader at irregular positions —
- * and check every read against a private cursor's sequence. The ring
- * starts at 4 ops, so it grows repeatedly while ops below the trim
- * point are already gone (tail > 0).
+ * Decode a stream of 2^13 ops plus 300 past its nominal end (where
+ * indices wrap, as a pipeline's fetch-ahead reads them) and check
+ * every element against a private cursor's sequence.
  */
 void
-expectWindowMatchesCursor(const BenchmarkProfile &profile,
+expectDecodeMatchesCursor(const BenchmarkProfile &profile,
                           const std::string &who)
 {
     const std::uint64_t total = 1 << 13;
+    const std::uint64_t count = total + 300;
     InstructionStream stream(profile, total);
-    std::vector<MicroOp> ref;
+    const std::vector<MicroOp> ops = decodeOps(stream, count);
+    ASSERT_EQ(ops.size(), count) << who;
     InstructionStream::Cursor cursor(stream);
-    for (std::uint64_t i = 0; i < total; ++i)
-        ref.push_back(cursor.next());
-
-    SharedOpWindow window(stream, 4);
-    std::uint64_t lead = 0, lag = 0, trims = 0;
-    bool grewAfterTrim = false;
-    for (std::uint64_t k = 0; lead < total; ++k) {
-        std::size_t capBefore = window.capacity();
-        std::uint64_t burst = 1 + (k * 5) % 17;
-        for (std::uint64_t b = 0; b < burst && lead < total; ++b, ++lead)
-            expectSameOp(window.opAt(lead), ref[lead], lead, who);
-        if (window.capacity() > capBefore && lag > 0)
-            grewAfterTrim = true;
-
-        // Trail the leader by an irregular span (0..48 ops).
-        std::uint64_t span = (k * 13) % 49;
-        std::uint64_t target = lead > span ? lead - span : 0;
-        for (; lag < target; ++lag)
-            expectSameOp(window.opAt(lag), ref[lag], lag, who);
-        if (k % 3 != 2) {
-            window.trim(lag);
-            ++trims;
-        }
-        ASSERT_LE(window.liveSpan(), window.capacity()) << who;
-    }
-    EXPECT_EQ(window.decoded(), total) << who;
-    EXPECT_GT(trims, 0u) << who;
-    EXPECT_TRUE(grewAfterTrim) << who;
+    for (std::uint64_t i = 0; i < count; ++i)
+        expectSameOp(ops[i], cursor.next(), i, who);
 }
 
-TEST(SharedOpWindow, MatchesCursorOnEveryFamily)
+TEST(SharedDecode, MatchesCursorOnEveryFamily)
 {
     for (WorkloadFamily f : allFamilies())
-        expectWindowMatchesCursor(ScenarioGenerator(f, 7).generate(0),
+        expectDecodeMatchesCursor(ScenarioGenerator(f, 7).generate(0),
                                   familyName(f));
 }
 
-TEST(SharedOpWindow, MatchesCursorOnPaperProfiles)
+TEST(SharedDecode, MatchesCursorOnPaperProfiles)
 {
     for (const char *name : {"gcc", "mcf"})
-        expectWindowMatchesCursor(benchmarkByName(name), name);
+        expectDecodeMatchesCursor(benchmarkByName(name), name);
+}
+
+TEST(SharedDecode, RunShapeDecodesTheRunStream)
+{
+    // 16 intervals of 120: a 1920-op body, a 240-op warmup, and the
+    // stream's time base is warmup + body.
+    const BenchmarkProfile &gcc = benchmarkByName("gcc");
+    const std::vector<MicroOp> ops = decodeRunShape(gcc, 16, 120, 64);
+    ASSERT_EQ(ops.size(), 240u + 1920u + 64u);
+    InstructionStream stream(gcc, 240 + 1920);
+    InstructionStream::Cursor cursor(stream);
+    for (std::uint64_t i = 0; i < ops.size(); ++i)
+        expectSameOp(ops[i], cursor.next(), i, "gcc");
 }
 
 } // namespace
