@@ -3,8 +3,9 @@
  * Simulator hot-path throughput: simulated instructions per second of
  * the end-to-end simulate() loop across the six workload families
  * (profile 0 of seed 1) plus a paper profile, simulateBatch() — N
- * configs sharing one decode, simulated one after another — at
- * N = 1/4/16/64 on the same workloads, and raw instruction-decode
+ * distinct lattice configs sharing one decode, simulated one after
+ * another — at N = 1/4/16/64 on the same workloads, and raw
+ * instruction-decode
  * throughput with the
  * random-access reference path (at(i)) versus the streaming Cursor.
  *
@@ -26,6 +27,7 @@
 #include "cache/store.hh"
 #include "exec/scheduler.hh"
 #include "sim/batch.hh"
+#include "sim/design_space.hh"
 #include "sim/simulator.hh"
 #include "workload/generator.hh"
 #include "workload/stream.hh"
@@ -102,18 +104,36 @@ simulateRow(const BenchmarkProfile &profile, const std::string &label,
 }
 
 /**
+ * The first @p width configs of a fixed prime stride through the
+ * paper design space's training lattice: distinct and deterministic,
+ * spread over the whole space, as a campaign's runs are.
+ */
+std::vector<SimConfig>
+latticeConfigs(unsigned width)
+{
+    const DesignSpace space = DesignSpace::paper();
+    const std::size_t stride = 3833;
+    std::vector<SimConfig> cfgs;
+    for (unsigned i = 0; i < width; ++i)
+        cfgs.push_back(SimConfig::fromDesignPoint(
+            space, space.pointFromFlatTrainIndex(
+                       (i * stride) % space.trainSpaceSize())));
+    return cfgs;
+}
+
+/**
  * Shared-decode throughput of one profile: the aggregate
  * simulated-instruction rate of a simulateBatch() call over @p width
- * baseline configs sharing one decode. Against the one-run "simulate"
- * row this is the per-run gain of decoding once — every run does
- * exactly that row's work (bit-identical results, pinned by tests),
- * so rate ratios compare like for like.
+ * distinct lattice configs (latticeConfigs) sharing one decode. Every
+ * run simulates the one-run "simulate" row's instruction count, so
+ * against that row this is the per-run gain of decoding once, over a
+ * mix of machines rather than the baseline alone.
  */
 Row
 batchedRow(const BenchmarkProfile &profile, const std::string &label,
            unsigned width, const BenchContext &ctx)
 {
-    std::vector<SimConfig> cfgs(width, SimConfig::baseline());
+    const std::vector<SimConfig> cfgs = latticeConfigs(width);
     auto runBatch = [&] {
         return simulateBatch(profile, cfgs, ctx.sizes.samplesPerTrace,
                              ctx.sizes.intervalInstrs);

@@ -333,50 +333,90 @@ struct CacheIoMetrics
 } // namespace
 
 std::optional<SimResult>
+ResultCache::memoryGet(const std::string &keyHex)
+{
+    std::lock_guard<std::mutex> lock(memMu);
+    if (memCap == 0)
+        return std::nullopt;
+    auto it = memIndex.find(keyHex);
+    if (it == memIndex.end())
+        return std::nullopt;
+    memList.splice(memList.begin(), memList, it->second);
+    nHits.fetch_add(1, std::memory_order_relaxed);
+    nMemHits.fetch_add(1, std::memory_order_relaxed);
+    metricsRegistry().add(CacheIoMetrics::get().memHits, 1);
+    return it->second->second;
+}
+
+CacheRecordRead
+ResultCache::readAhead(const CacheKey &key) const
+{
+    const CacheIoMetrics &tm = CacheIoMetrics::get();
+    std::uint64_t start = telemetryNowUs();
+    CacheRecordRead out;
+    out.read = true;
+    std::string bytes;
+    if (readFile(entryPath(key), bytes)) {
+        out.found = true;
+        std::uint64_t decodeStart = telemetryNowUs();
+        out.result = decodeSimResult(bytes, version);
+        metricsRegistry().observe(tm.decodeUs,
+                                  telemetryNowUs() - decodeStart);
+    }
+    out.us = telemetryNowUs() - start;
+    return out;
+}
+
+std::optional<SimResult>
 ResultCache::load(const CacheKey &key)
+{
+    return load(key, CacheRecordRead{});
+}
+
+std::optional<SimResult>
+ResultCache::load(const CacheKey &key, CacheRecordRead ahead)
 {
     const CacheIoMetrics &tm = CacheIoMetrics::get();
     std::uint64_t loadStart = telemetryNowUs();
-    {
-        std::lock_guard<std::mutex> lock(memMu);
-        if (memCap != 0) {
-            auto it = memIndex.find(key.hex());
-            if (it != memIndex.end()) {
-                memList.splice(memList.begin(), memList, it->second);
-                SimResult result = it->second->second;
-                nHits.fetch_add(1, std::memory_order_relaxed);
-                nMemHits.fetch_add(1, std::memory_order_relaxed);
-                metricsRegistry().add(tm.memHits, 1);
-                metricsRegistry().observe(tm.loadUs,
-                                          telemetryNowUs() - loadStart);
-                return result;
-            }
+    // A read made ahead of this call counts toward the load's time.
+    const std::uint64_t aheadUs = ahead.read ? ahead.us : 0;
+    std::optional<SimResult> result = memoryGet(key.hex());
+    if (!result) {
+        if (!ahead.read)
+            ahead = readAhead(key);
+        if (!ahead.found) {
+            nMisses.fetch_add(1, std::memory_order_relaxed);
+        } else if (!ahead.result) {
+            nBad.fetch_add(1, std::memory_order_relaxed);
+            nMisses.fetch_add(1, std::memory_order_relaxed);
+        } else {
+            nHits.fetch_add(1, std::memory_order_relaxed);
+            memoryPut(key.hex(), *ahead.result);
+            result = std::move(ahead.result);
         }
     }
-    std::string bytes;
-    if (!readFile(entryPath(key), bytes)) {
-        nMisses.fetch_add(1, std::memory_order_relaxed);
-        metricsRegistry().observe(tm.loadUs,
-                                  telemetryNowUs() - loadStart);
-        return std::nullopt;
-    }
-    std::uint64_t decodeStart = telemetryNowUs();
-    std::optional<SimResult> result = decodeSimResult(bytes, version);
-    std::uint64_t decodeEnd = telemetryNowUs();
-    metricsRegistry().observe(tm.decodeUs, decodeEnd - decodeStart);
-    metricsRegistry().observe(tm.loadUs, decodeEnd - loadStart);
-    if (!result) {
-        nBad.fetch_add(1, std::memory_order_relaxed);
-        nMisses.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
-    }
-    nHits.fetch_add(1, std::memory_order_relaxed);
-    memoryPut(key.hex(), *result);
+    metricsRegistry().observe(tm.loadUs,
+                              aheadUs + telemetryNowUs() - loadStart);
     return result;
 }
 
 bool
 ResultCache::store(const CacheKey &key, const SimResult &result)
+{
+    if (!storeRecord(key, result))
+        return false;
+    remember(key, result);
+    return true;
+}
+
+void
+ResultCache::remember(const CacheKey &key, const SimResult &result)
+{
+    memoryPut(key.hex(), result);
+}
+
+bool
+ResultCache::storeRecord(const CacheKey &key, const SimResult &result)
 {
     const CacheIoMetrics &tm = CacheIoMetrics::get();
     std::uint64_t storeStart = telemetryNowUs();
@@ -396,7 +436,6 @@ ResultCache::store(const CacheKey &key, const SimResult &result)
     nStores.fetch_add(1, std::memory_order_relaxed);
     metricsRegistry().observe(tm.writeUs,
                               telemetryNowUs() - storeStart);
-    memoryPut(key.hex(), result);
     return true;
 }
 
@@ -436,6 +475,16 @@ ResultCache::memoryCapacity() const
 {
     std::lock_guard<std::mutex> lock(memMu);
     return memCap;
+}
+
+std::vector<std::string>
+ResultCache::memoryKeys() const
+{
+    std::lock_guard<std::mutex> lock(memMu);
+    std::vector<std::string> keys;
+    for (const auto &entry : memList)
+        keys.push_back(entry.first);
+    return keys;
 }
 
 bool

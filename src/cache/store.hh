@@ -117,6 +117,19 @@ std::optional<SimResult> decodeSimResult(const std::string &bytes,
                                          const std::string &simVersion);
 
 /**
+ * The disk half of a ResultCache::load(), read ahead of it
+ * (ResultCache::readAhead), so that the reads of many keys can run in
+ * parallel while the loads that commit them run in order.
+ */
+struct CacheRecordRead
+{
+    bool read = false;  //!< false: not read yet (load() reads it)
+    bool found = false; //!< a record file was there
+    std::optional<SimResult> result; //!< its decode, when valid
+    std::uint64_t us = 0; //!< time the read took
+};
+
+/**
  * A cache rooted at one directory, bound to one sim-version tag.
  * Copyable handles are not needed — share via std::shared_ptr (see
  * activeResultCache()).
@@ -144,14 +157,46 @@ class ResultCache
      *  the disk record. Thread-safe. */
     std::optional<SimResult> load(const CacheKey &key);
 
+    /**
+     * Read and decode @p key's disk record, touching neither the
+     * memory layer nor any counter. Thread-safe.
+     */
+    CacheRecordRead readAhead(const CacheKey &key) const;
+
+    /**
+     * load(@p key), taking the disk record from @p ahead, a
+     * readAhead() of the same key, instead of reading it: a key the
+     * memory layer holds now is served from it, anything else commits
+     * the read-ahead record. The counters, telemetry counters and the
+     * memory layer's contents and recency end up as a load() of each
+     * key in the same order would leave them, so a caller that reads
+     * ahead in parallel and loads in task order sees no difference
+     * (only the cache.decode_us samples also count the decodes of
+     * keys the memory layer then serves).
+     */
+    std::optional<SimResult> load(const CacheKey &key,
+                                  CacheRecordRead ahead);
+
     /** Publish a result under @p key (atomic rename; last writer
      *  wins). Returns false when nothing was published (read-only or
      *  full cache dir) — a failed store never aborts a campaign, it
      *  only costs a future recomputation, but it is counted
      *  (stats().storeFailures) and reported so a cache that has
      *  silently degraded to a permanent 0% hit rate is visible.
-     *  Thread-safe. */
+     *  Thread-safe. storeRecord() then remember() on success. */
     bool store(const CacheKey &key, const SimResult &result);
+
+    /** The disk half of store(): publish and count the record, leave
+     *  the memory layer alone. Thread-safe. */
+    bool storeRecord(const CacheKey &key, const SimResult &result);
+
+    /** The memory half of store(): put @p result in the memory layer
+     *  as the most recently used entry (no-op while it is off). A
+     *  caller that stores from several threads can remember the
+     *  stored results afterwards in an order of its choosing, so the
+     *  layer's contents do not depend on which store finished first.
+     *  Thread-safe. */
+    void remember(const CacheKey &key, const SimResult &result);
 
     /** Whether this process can publish entries under the root: probes
      *  by writing and removing a throwaway file. A maintenance check
@@ -181,6 +226,10 @@ class ResultCache
     void setMemoryCapacity(std::size_t maxEntries);
     std::size_t memoryCapacity() const;
 
+    /** The keys (hex) the memory layer holds, most recently used
+     *  first. */
+    std::vector<std::string> memoryKeys() const;
+
     /** Scan every entry under the root. */
     std::vector<CacheEntryInfo> scan() const;
 
@@ -204,6 +253,8 @@ class ResultCache
   private:
     /** Insert/refresh @p key in the LRU layer (no-op when off). */
     void memoryPut(const std::string &keyHex, const SimResult &result);
+    /** A memory-layer hit, refreshed and counted, or nothing. */
+    std::optional<SimResult> memoryGet(const std::string &keyHex);
 
     std::string rootDir;
     std::string version;

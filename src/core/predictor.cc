@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "telemetry/telemetry.hh"
+#include "util/simd.hh"
 #include "wavelet/haar.hh"
 
 namespace wavedyn
@@ -21,6 +22,7 @@ struct SweepCounters
     MetricId rbfTerms; //!< RBF unit terms added
     MetricId rbfRows;  //!< lattice rows evaluated
     MetricId clamped;  //!< trace values clamped to the range
+    std::size_t scoreAvx2; //!< gauge: 1 when the score kernels run AVX2
 
     static const SweepCounters &
     get()
@@ -31,6 +33,7 @@ struct SweepCounters
             s.rbfTerms = reg.counter("predict.rbf_terms");
             s.rbfRows = reg.counter("predict.rbf_rows");
             s.clamped = reg.counter("predict.clamped_values");
+            s.scoreAvx2 = reg.gauge("sweep.score_avx2");
             return s;
         }();
         return c;
@@ -185,10 +188,12 @@ normalisedLevels(const DesignSpace &space)
 
 TraceEvaluator::TraceEvaluator(
     std::vector<const WaveletNeuralPredictor *> predictors)
-    : preds(std::move(predictors)),
+    : preds(std::move(predictors)), variant(bestSimdVariant()),
       levels(normalisedLevels(preds.front()->space)),
       pool(rbfModels(preds), levels)
 {
+    metricsRegistry().setGauge(SweepCounters::get().scoreAvx2,
+                               variant == SimdVariant::Avx2 ? 1.0 : 0.0);
     std::size_t pooled = 0;
     for (const WaveletNeuralPredictor *p : preds) {
         assert(p->trained());
@@ -262,32 +267,6 @@ TraceEvaluator::Workspace::predict(const std::size_t *levelIdx,
 }
 
 void
-TraceEvaluator::Workspace::clamp(std::size_t p, double *values,
-                                 std::size_t n, std::uint64_t weight)
-{
-    const WaveletNeuralPredictor &pred = *ev.preds[p];
-    const double margin = 0.1 * (pred.trainHi - pred.trainLo);
-    const double lo = pred.trainLo - margin;
-    const double hi = pred.trainHi + margin;
-    // Counted in doubles, exact below 2^53, so the loop vectorises;
-    // four partial counts keep it off one serial chain of adds.
-    double outside[4] = {0.0, 0.0, 0.0, 0.0};
-    auto clampOne = [&](double &v, double &count) {
-        count += v < lo || v > hi ? 1.0 : 0.0;
-        v = std::min(std::max(v, lo), hi);
-    };
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4)
-        for (std::size_t k = 0; k < 4; ++k)
-            clampOne(values[i + k], outside[k]);
-    for (; i < n; ++i)
-        clampOne(values[i], outside[0]);
-    clamped += weight * static_cast<std::uint64_t>(
-                            outside[0] + outside[1] + outside[2] +
-                            outside[3]);
-}
-
-void
 TraceEvaluator::Workspace::inverseRows(std::size_t p, double *out)
 {
     const WaveletNeuralPredictor &pred = *ev.preds[p];
@@ -305,23 +284,49 @@ TraceEvaluator::Workspace::inverseRows(std::size_t p, double *out)
     }
 }
 
-const std::vector<TraceSegment> &
-TraceEvaluator::Workspace::segments(std::size_t p)
+namespace
 {
-    const WaveletNeuralPredictor &pred = *ev.preds[p];
-    const SegmentPlan &plan = ev.plans[p];
-    double *reg = registers.data() + plan.firstRegister * kBlock;
-    if (pred.opts.paperHaar) {
-        const std::size_t *column = ev.columnOf.data() + ev.firstModel[p];
+
+/** One call of Workspace::segments' kernel on a block's registers. */
+struct SegmentJob
+{
+    /** The paper-Haar plan to run, or null when the registers already
+     *  hold a full inverse. */
+    const HaarSegmentPlan *haar = nullptr;
+    const std::size_t *column = nullptr; //!< coefficient slot -> column
+    const double *columns = nullptr;     //!< [column][kBlock]
+    /** (register, samples) to clamp to [lo, hi], or null: no clamp. */
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> *covered =
+        nullptr;
+    double lo = 0.0;
+    double hi = 0.0;
+    double *reg = nullptr; //!< [register][kBlock]
+    std::size_t rows = 0;
+};
+
+/**
+ * The kernel's one body: the root register and every op of the Haar
+ * plan, across the rows, then the clamp of every covered register.
+ * Returns how many sample values the clamp moved, a register counting
+ * once per sample it covers.
+ */
+inline std::uint64_t
+runSegmentJob(const SegmentJob &job)
+{
+    constexpr std::size_t kBlock = TraceEvaluator::kBlock;
+    const std::size_t rows = job.rows;
+    double *reg = job.reg;
+    if (job.haar) {
         auto coeff = [&](std::uint32_t slot) {
-            return columns.data() + column[slot] * kBlock;
+            return job.columns + job.column[slot] * kBlock;
         };
-        if (plan.haar.rootSlot == HaarSegmentPlan::kNoSlot)
+        const HaarSegmentPlan &plan = *job.haar;
+        if (plan.rootSlot == HaarSegmentPlan::kNoSlot)
             std::fill(reg, reg + rows, 0.0);
         else
-            std::copy(coeff(plan.haar.rootSlot),
-                      coeff(plan.haar.rootSlot) + rows, reg);
-        for (const HaarSegmentPlan::Op &op : plan.haar.ops) {
+            std::copy(coeff(plan.rootSlot), coeff(plan.rootSlot) + rows,
+                      reg);
+        for (const HaarSegmentPlan::Op &op : plan.ops) {
             const double *a = reg + op.src * kBlock;
             const double *d = coeff(op.slot);
             double *o = reg + op.dst * kBlock;
@@ -332,14 +337,84 @@ TraceEvaluator::Workspace::segments(std::size_t p)
                 for (std::size_t r = 0; r < rows; ++r)
                     o[r] = a[r] - d[r];
         }
-    } else {
-        inverseRows(p, reg);
     }
+    if (!job.covered)
+        return 0;
     // After every op: a register can be both a segment and the source
     // of a deeper split.
-    if (pred.opts.clampToTrainingRange)
-        for (const auto &[r, samples] : plan.covered)
-            clamp(p, reg + r * kBlock, rows, samples);
+    const double lo = job.lo;
+    const double hi = job.hi;
+    std::uint64_t clamped = 0;
+    for (const auto &[r, samples] : *job.covered) {
+        double *values = reg + r * kBlock;
+        // Counted in doubles, exact below 2^53, so the loop vectorises;
+        // four partial counts keep it off one serial chain of adds.
+        double outside[4] = {0.0, 0.0, 0.0, 0.0};
+        auto clampOne = [&](double &v, double &count) {
+            count += v < lo || v > hi ? 1.0 : 0.0;
+            v = std::min(std::max(v, lo), hi);
+        };
+        std::size_t i = 0;
+        for (; i + 4 <= rows; i += 4)
+            for (std::size_t k = 0; k < 4; ++k)
+                clampOne(values[i + k], outside[k]);
+        for (; i < rows; ++i)
+            clampOne(values[i], outside[0]);
+        clamped += samples * static_cast<std::uint64_t>(
+                                 outside[0] + outside[1] + outside[2] +
+                                 outside[3]);
+    }
+    return clamped;
+}
+
+// The body's two entry points (util/simd.hh): the vector lanes run
+// across rows, so both give the same bits.
+
+std::uint64_t
+runSegmentJobBaseline(const SegmentJob &job)
+{
+    return runSegmentJob(job);
+}
+
+#if WAVEDYN_HAVE_AVX2_VARIANT
+WAVEDYN_AVX2_VARIANT std::uint64_t
+runSegmentJobAvx2(const SegmentJob &job)
+{
+    return runSegmentJob(job);
+}
+#endif
+
+} // anonymous namespace
+
+const std::vector<TraceSegment> &
+TraceEvaluator::Workspace::segments(std::size_t p,
+                                    [[maybe_unused]] SimdVariant variant)
+{
+    assert(simdVariantSupported(variant));
+    const WaveletNeuralPredictor &pred = *ev.preds[p];
+    const SegmentPlan &plan = ev.plans[p];
+    SegmentJob job;
+    job.reg = registers.data() + plan.firstRegister * kBlock;
+    job.rows = rows;
+    if (pred.opts.paperHaar) {
+        job.haar = &plan.haar;
+        job.column = ev.columnOf.data() + ev.firstModel[p];
+        job.columns = columns.data();
+    } else {
+        inverseRows(p, job.reg);
+    }
+    if (pred.opts.clampToTrainingRange) {
+        const double margin = 0.1 * (pred.trainHi - pred.trainLo);
+        job.covered = &plan.covered;
+        job.lo = pred.trainLo - margin;
+        job.hi = pred.trainHi + margin;
+    }
+#if WAVEDYN_HAVE_AVX2_VARIANT
+    if (variant == SimdVariant::Avx2)
+        clamped += runSegmentJobAvx2(job);
+    else
+#endif
+        clamped += runSegmentJobBaseline(job);
     return segs[p];
 }
 

@@ -31,6 +31,7 @@
 #include "sim/design_space.hh"
 #include "mlmodel/linear_model.hh"
 #include "mlmodel/rbf_network.hh"
+#include "util/simd.hh"
 #include "wavelet/dwt.hh"
 #include "wavelet/haar.hh"
 #include "wavelet/selection.hh"
@@ -224,6 +225,14 @@ class TraceEvaluator
     /** Predictors evaluated, in constructor order. */
     std::size_t size() const { return preds.size(); }
 
+    /**
+     * The variant the score kernels run (Workspace::segments, and
+     * scoreSegments in the sweep): bestSimdVariant(). The constructor
+     * sets the sweep.score_avx2 gauge to 1 for avx2 and 0 for
+     * baseline, which the telemetry summary names.
+     */
+    SimdVariant scoreVariant() const { return variant; }
+
     /** One thread's buffers and counters for an evaluation. */
     class Workspace
     {
@@ -245,8 +254,19 @@ class TraceEvaluator
          * clamped once and counted once per sample it covers, so the
          * predict.clamped_values count is that of the expanded traces.
          * The segments stay valid until the next predict().
+         *
+         * The Haar ops and the clamp are dual-compiled kernels
+         * (util/simd.hh) run as @p variant, by default the
+         * evaluator's scoreVariant(); every supported variant gives
+         * the same bits and the same clamp count.
          */
-        const std::vector<TraceSegment> &segments(std::size_t p);
+        const std::vector<TraceSegment> &segments(std::size_t p)
+        {
+            return segments(p, ev.variant);
+        }
+        /** @pre simdVariantSupported(@p variant). */
+        const std::vector<TraceSegment> &segments(std::size_t p,
+                                                  SimdVariant variant);
 
         /**
          * Add the counts so far to the predict.rbf_terms,
@@ -260,9 +280,6 @@ class TraceEvaluator
          *  for non-paper-Haar predictor @p p: sample t of row r at
          *  out[t * kBlock + r]. */
         void inverseRows(std::size_t p, double *out);
-        /** Clamp @p n values of predictor @p p in place; count them. */
-        void clamp(std::size_t p, double *values, std::size_t n,
-                   std::uint64_t weight);
 
         const TraceEvaluator &ev;
         RbfUnitPool::Scratch scratch;
@@ -289,6 +306,7 @@ class TraceEvaluator
     };
 
     std::vector<const WaveletNeuralPredictor *> preds;
+    SimdVariant variant;
     std::vector<SegmentPlan> plans;
     std::size_t registerCount = 0; //!< over every plan
     std::vector<std::vector<double>> levels; //!< [dim][level] normalised

@@ -99,7 +99,8 @@ scoreRows(const TraceEvaluator &ev, std::size_t scenarios,
                 view.set(domains[j], ws.segments(s * domains.size() + j));
             for (std::size_t k = 0; k < nobj; ++k)
                 scoreSegments(objectives[k], view,
-                              out.val.data() + (s * nobj + k) * n + b0);
+                              out.val.data() + (s * nobj + k) * n + b0,
+                              ev.scoreVariant());
         }
         predictUs += predicted - start;
         scoreUs += telemetryNowUs() - predicted;
@@ -122,30 +123,26 @@ scoreRows(const TraceEvaluator &ev, std::size_t scenarios,
     return out;
 }
 
+/** Chunk fronts per group of the sweep's parallel pre-merge. */
+constexpr std::size_t kMergeGroup = 16;
+
 /**
- * FrontPoints of the chunk points @p which (points[j] is which[j]'s
- * design point): score = scenario mean, value = the raw (un-negated)
- * figure, uncertainty = cross-scenario disagreement (relative spread
- * averaged over objectives). Fixed iteration order keeps every number
- * independent of worker count.
+ * The survivors of one chunk's non-dominated filter as flat rows: id =
+ * the point's flat train index (chunk row i is index (begin + i) *
+ * stride), scores = the scenario means, uncertainty = cross-scenario
+ * disagreement (relative spread averaged over objectives). Fixed
+ * iteration order keeps every number independent of worker count.
  */
-std::vector<FrontPoint>
-aggregatePoints(const std::vector<Objective> &objectives,
-                const ChunkScores &scores,
-                const std::vector<std::size_t> &which,
-                std::vector<DesignPoint> points)
+FlatFront
+chunkFront(const ChunkScores &scores, std::size_t begin, std::size_t stride)
 {
-    assert(which.size() == points.size());
-    std::vector<FrontPoint> out;
-    out.reserve(which.size());
-    for (std::size_t j = 0; j < which.size(); ++j) {
-        const std::size_t i = which[j];
-        FrontPoint fp;
-        fp.point = std::move(points[j]);
-        fp.scores.reserve(objectives.size());
-        fp.values.reserve(objectives.size());
+    const std::size_t nobj = scores.objectives;
+    FlatFront out;
+    out.k = nobj;
+    for (std::size_t i :
+         nonDominated(scores.means.data(), scores.points, nobj)) {
         double disagree = 0.0;
-        for (std::size_t k = 0; k < objectives.size(); ++k) {
+        for (std::size_t k = 0; k < nobj; ++k) {
             double lo = scores.score(0, k, i);
             double hi = lo;
             for (std::size_t s = 0; s < scores.scenarios; ++s) {
@@ -153,14 +150,10 @@ aggregatePoints(const std::vector<Objective> &objectives,
                 lo = std::min(lo, v);
                 hi = std::max(hi, v);
             }
-            double mean = scores.mean(i, k);
-            fp.scores.push_back(mean);
-            fp.values.push_back(maximised(objectives[k]) ? -mean : mean);
-            disagree += (hi - lo) / (std::fabs(mean) + 1e-12);
+            disagree += (hi - lo) / (std::fabs(scores.mean(i, k)) + 1e-12);
         }
-        fp.uncertainty =
-            disagree / static_cast<double>(objectives.size());
-        out.push_back(std::move(fp));
+        out.push((begin + i) * stride, scores.means.data() + i * nobj,
+                 disagree / static_cast<double>(nobj));
     }
     return out;
 }
@@ -170,10 +163,13 @@ aggregatePoints(const std::vector<Objective> &objectives,
  * the bank in chunks, reduce each chunk to its local front on the
  * worker, merge the shards. O(space) work, O(front + chunk) memory.
  * One TraceEvaluator serves every chunk; a chunk decodes its level
- * indices once for every predictor, and only the survivors of its
- * non-dominated filter become FrontPoints; mergeFronts puts the union
- * in canonical order. Records one sweep.filter_us sample (filter and
- * FrontPoints) per chunk.
+ * indices once for every predictor and keeps the survivors of its
+ * non-dominated filter as flat rows (chunkFront). The merge filters
+ * groups of kMergeGroup chunk fronts on the pool, then the groups'
+ * survivors together, and builds FrontPoints, with their design points
+ * and raw values, only for the merged front (mergeFlatFronts). Records
+ * one sweep.filter_us sample (the chunk's filter and flat rows) per
+ * chunk.
  */
 std::vector<FrontPoint>
 sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
@@ -183,7 +179,7 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
 {
     std::size_t chunk = spec.chunk ? spec.chunk : 1024;
     std::size_t shardCount = (sweepPoints + chunk - 1) / chunk;
-    std::vector<std::vector<FrontPoint>> shards(shardCount);
+    std::vector<FlatFront> shards(shardCount);
     const std::size_t dims = space.dimensions();
     {
         ScopedPhase phase("sweep");
@@ -200,15 +196,7 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
                     scoreRows(ev, bank.size(), domains, spec.objectives,
                               levelIdx.data(), dims, n);
                 const std::uint64_t filterStart = telemetryNowUs();
-                std::vector<std::size_t> survivors = nonDominated(
-                    scores.means.data(), n, spec.objectives.size());
-                std::vector<DesignPoint> pts;
-                pts.reserve(survivors.size());
-                for (std::size_t i : survivors)
-                    pts.push_back(
-                        space.pointFromFlatTrainIndex((begin + i) * stride));
-                shards[c] = aggregatePoints(spec.objectives, scores,
-                                            survivors, std::move(pts));
+                shards[c] = chunkFront(scores, begin, stride);
                 static const MetricId filterTimer =
                     metricsRegistry().histogram("sweep.filter_us");
                 metricsRegistry().observe(filterTimer,
@@ -216,7 +204,29 @@ sweepFrontier(const ExploreSpec &spec, const DesignSpace &space,
             });
     }
     ScopedPhase phase("pareto");
-    return mergeFronts(std::move(shards));
+    // Groups of chunk fronts are filtered on the pool first, so the one
+    // serial filter sees only their survivors; dominance is transitive,
+    // so the merged front is the same rows.
+    const std::size_t groups = (shardCount + kMergeGroup - 1) / kMergeGroup;
+    std::vector<FlatFront> grouped(groups);
+    parallelFor(ThreadPool::global(), groups, [&](std::size_t g) {
+        const std::size_t first = g * kMergeGroup;
+        grouped[g] = nonDominatedRows(
+            shards.data() + first,
+            std::min(kMergeGroup, shardCount - first));
+    });
+    const std::vector<Objective> &objectives = spec.objectives;
+    return mergeFlatFronts(
+        grouped, [&](std::size_t id, const double *scores, double uncert) {
+            FrontPoint fp;
+            fp.point = space.pointFromFlatTrainIndex(id);
+            fp.scores.assign(scores, scores + objectives.size());
+            for (std::size_t k = 0; k < objectives.size(); ++k)
+                fp.values.push_back(maximised(objectives[k]) ? -scores[k]
+                                                             : scores[k]);
+            fp.uncertainty = uncert;
+            return fp;
+        });
 }
 
 /**

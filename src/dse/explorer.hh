@@ -10,8 +10,9 @@
  *     trained per-scenario predictors in chunks (never materialising
  *     the space), batch-predicting every objective per design point.
  *  2. Frontier: reduce each chunk to its local Pareto front on the
- *     worker, then merge the shards into the global multi-objective
- *     frontier (dse/pareto.hh) — deterministic for any worker count.
+ *     worker, kept as flat rows, then merge the shards into the global
+ *     multi-objective frontier (dse/pareto.hh) — deterministic for any
+ *     worker count.
  *  3. Refine: rank frontier points by predictor uncertainty
  *     (cross-scenario disagreement plus distance to the nearest
  *     training point), spend the real-simulation budget on the top-k,

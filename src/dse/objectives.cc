@@ -230,7 +230,7 @@ meanProducts(const std::vector<TraceSegment> &power,
 }
 
 /** objectiveValue of every row of @p view, out[r] for row r. */
-void
+inline void
 segmentValues(Objective o, const SegmentView &view, double *out)
 {
     const std::size_t rows = view.rows;
@@ -278,15 +278,53 @@ mapValue(Objective o, const std::map<Domain, std::vector<double>> &traces)
     return v;
 }
 
-} // anonymous namespace
-
-void
-scoreSegments(Objective o, const SegmentView &view, double *out)
+/** scoreSegments' one body. */
+inline void
+segmentScores(Objective o, const SegmentView &view, double *out)
 {
     segmentValues(o, view, out);
     if (maximised(o))
         for (std::size_t r = 0; r < view.rows; ++r)
             out[r] = -out[r];
+}
+
+// The body's two entry points (util/simd.hh): every sum runs across
+// rows, each row's adds in sample order, so both give the same bits.
+
+void
+segmentScoresBaseline(Objective o, const SegmentView &view, double *out)
+{
+    segmentScores(o, view, out);
+}
+
+#if WAVEDYN_HAVE_AVX2_VARIANT
+WAVEDYN_AVX2_VARIANT void
+segmentScoresAvx2(Objective o, const SegmentView &view, double *out)
+{
+    segmentScores(o, view, out);
+}
+#endif
+
+} // anonymous namespace
+
+void
+scoreSegments(Objective o, const SegmentView &view, double *out)
+{
+    scoreSegments(o, view, out, bestSimdVariant());
+}
+
+void
+scoreSegments(Objective o, const SegmentView &view, double *out,
+              [[maybe_unused]] SimdVariant variant)
+{
+    assert(simdVariantSupported(variant));
+#if WAVEDYN_HAVE_AVX2_VARIANT
+    if (variant == SimdVariant::Avx2) {
+        segmentScoresAvx2(o, view, out);
+        return;
+    }
+#endif
+    segmentScoresBaseline(o, view, out);
 }
 
 double

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "sim/simulator.hh"
+#include "util/simd.hh"
 #include "wavelet/haar.hh"
 
 namespace wavedyn
@@ -102,6 +103,16 @@ struct SegmentView
  *      the same nonzero number of samples.
  */
 void scoreSegments(Objective o, const SegmentView &view, double *out);
+
+/**
+ * scoreSegments run as @p variant, a dual-compiled kernel
+ * (util/simd.hh): its vector lanes run across rows, so every
+ * supported variant gives the same bits. The overload above runs
+ * bestSimdVariant().
+ * @pre simdVariantSupported(@p variant).
+ */
+void scoreSegments(Objective o, const SegmentView &view, double *out,
+                   SimdVariant variant);
 
 /**
  * Raw figure of merit from one run's traces keyed by domain. CPI,

@@ -117,4 +117,52 @@ mergeFronts(std::vector<std::vector<FrontPoint>> shards)
     return paretoFront(std::move(all));
 }
 
+FlatFront
+nonDominatedRows(const FlatFront *shards, std::size_t count)
+{
+    FlatFront all;
+    std::size_t rows = 0;
+    for (std::size_t s = 0; s < count; ++s) {
+        rows += shards[s].size();
+        if (shards[s].size() != 0) {
+            assert(all.k == 0 || shards[s].k == all.k);
+            all.k = shards[s].k;
+        }
+    }
+    all.ids.reserve(rows);
+    all.scores.reserve(rows * all.k);
+    all.uncertainty.reserve(rows);
+    for (std::size_t s = 0; s < count; ++s) {
+        const FlatFront &f = shards[s];
+        all.ids.insert(all.ids.end(), f.ids.begin(), f.ids.end());
+        all.scores.insert(all.scores.end(), f.scores.begin(),
+                          f.scores.end());
+        all.uncertainty.insert(all.uncertainty.end(),
+                               f.uncertainty.begin(), f.uncertainty.end());
+    }
+    FlatFront front;
+    front.k = all.k;
+    if (rows == 0)
+        return front;
+    for (std::size_t i : nonDominated(all.scores.data(), rows, all.k))
+        front.push(all.ids[i], all.scores.data() + i * all.k,
+                   all.uncertainty[i]);
+    return front;
+}
+
+std::vector<FrontPoint>
+mergeFlatFronts(const std::vector<FlatFront> &shards,
+                const FrontPointBuilder &build)
+{
+    const FlatFront merged = nonDominatedRows(shards.data(), shards.size());
+    std::vector<FrontPoint> front;
+    front.reserve(merged.size());
+    for (std::size_t i = 0; i < merged.size(); ++i)
+        front.push_back(build(merged.ids[i],
+                              merged.scores.data() + i * merged.k,
+                              merged.uncertainty[i]));
+    std::sort(front.begin(), front.end(), canonicalLess);
+    return front;
+}
+
 } // namespace wavedyn

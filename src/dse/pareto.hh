@@ -16,12 +16,21 @@
  * *set* — input order, sharding, and worker count cannot change it.
  * Output is always in canonical order (lexicographic by score vector,
  * then by design point), so rendered frontiers are byte-stable.
+ *
+ * Flat fronts: a sweep keeps each chunk's survivors as flat rows
+ * (FlatFront: an id, the scores, an uncertainty) rather than as
+ * FrontPoints, which hold three heap vectors each. Rows of many chunks
+ * are filtered together (nonDominatedRows), and FrontPoints are built
+ * and put in canonical order only for the merged front
+ * (mergeFlatFronts), so tens of thousands of chunk survivors per sweep
+ * are never allocated, moved and freed as objects.
  */
 
 #ifndef WAVEDYN_DSE_PARETO_HH
 #define WAVEDYN_DSE_PARETO_HH
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "sim/design_space.hh"
@@ -79,6 +88,56 @@ std::vector<FrontPoint> paretoFront(std::vector<FrontPoint> points);
  */
 std::vector<FrontPoint>
 mergeFronts(std::vector<std::vector<FrontPoint>> shards);
+
+/**
+ * Scored rows kept flat, so that a sweep builds no FrontPoint until
+ * the merged front: row i is the caller's id ids[i] (the sweep's flat
+ * design-space index), its k minimised scores scores[i*k .. i*k+k)
+ * and its uncertainty.
+ */
+struct FlatFront
+{
+    std::size_t k = 0; //!< scores per row
+    std::vector<std::size_t> ids;
+    std::vector<double> scores;
+    std::vector<double> uncertainty;
+
+    std::size_t size() const { return ids.size(); }
+
+    /** Append one row of k scores. */
+    void
+    push(std::size_t id, const double *rowScores, double uncert)
+    {
+        ids.push_back(id);
+        scores.insert(scores.end(), rowScores, rowScores + k);
+        uncertainty.push_back(uncert);
+    }
+};
+
+/**
+ * The non-dominated rows among those of @p count shards at @p shards,
+ * concatenated in shard order: one nonDominated call, survivors kept
+ * in that order. Dominance is transitive, so filtering groups of
+ * shards first and then the union of their survivors gives the same
+ * rows as one filter over everything.
+ * @pre every non-empty shard has the same k >= 1.
+ */
+FlatFront nonDominatedRows(const FlatFront *shards, std::size_t count);
+
+/** The FrontPoint of one flat row: (id, its k scores, uncertainty). */
+using FrontPointBuilder =
+    std::function<FrontPoint(std::size_t, const double *, double)>;
+
+/**
+ * mergeFronts over flat shards: nonDominatedRows over every shard,
+ * then @p build for the survivors only, put in canonical order. Equals paretoFront of
+ * every row's FrontPoint, whatever the shard order, as long as
+ * @p build maps distinct rows to distinct design points (rows that
+ * are equal in id, scores and uncertainty may repeat).
+ * @pre every non-empty shard has the same k >= 1.
+ */
+std::vector<FrontPoint> mergeFlatFronts(const std::vector<FlatFront> &shards,
+                                        const FrontPointBuilder &build);
 
 } // namespace wavedyn
 

@@ -97,23 +97,37 @@ RunScheduler::run(ThreadPool &pool)
     auto &reg = metricsRegistry();
     SpanTracer &tracer = spanTracer();
 
-    // Probe phase: resolve every unresolved task against the cache
-    // before any worker dispatch. Hits complete here, serially and in
-    // task order; only the misses are handed to the pool.
     std::vector<std::size_t> pending;
+    for (std::size_t i = first; i < tasks.size(); ++i)
+        if (!resolved[i])
+            pending.push_back(i);
+
+    // Probe phase: resolve every unresolved task against the cache
+    // before any simulation. The pool works out each key and reads
+    // its record ahead; then one serial pass commits every probe in
+    // task order (ResultCache::load over the read-ahead), so hits,
+    // misses, their events, progress, trace instants, counters and the
+    // memory layer's contents are those of a serial probe, whatever
+    // --jobs is. Only the misses stay pending.
     std::vector<CacheKey> pendingKeys;
     if (cache) {
         std::uint64_t probeStart = telemetryNowUs();
         ScopedSpan probeSpan = tracer.span("cache-probe", "cache");
-        for (std::size_t i = first; i < tasks.size(); ++i) {
-            if (resolved[i])
-                continue;
-            const RunTask &t = tasks[i];
-            CacheKey key =
-                resultCacheKey(*t.benchmark, t.config, t.samples,
-                               t.intervalInstrs, t.dvm,
-                               cache->simVersion());
-            std::optional<SimResult> stored = cache->load(key);
+        std::vector<CacheKey> keys(pending.size());
+        std::vector<CacheRecordRead> reads(pending.size());
+        parallelFor(pool, pending.size(), [&](std::size_t k) {
+            const RunTask &t = tasks[pending[k]];
+            keys[k] = resultCacheKey(*t.benchmark, t.config, t.samples,
+                                     t.intervalInstrs, t.dvm,
+                                     cache->simVersion());
+            reads[k] = cache->readAhead(keys[k]);
+        });
+        std::vector<std::size_t> missed;
+        for (std::size_t k = 0; k < pending.size(); ++k) {
+            const std::size_t i = pending[k];
+            const CacheKey &key = keys[k];
+            std::optional<SimResult> stored =
+                cache->load(key, std::move(reads[k]));
             if (stored) {
                 results[i] = std::move(*stored);
                 resolved[i] = 1;
@@ -132,15 +146,12 @@ RunScheduler::run(ThreadPool &pool)
                 tracer.instant("cache-miss", "cache", "key", key.hex());
                 if (events.miss)
                     events.miss(key.hex());
-                pending.push_back(i);
+                missed.push_back(i);
                 pendingKeys.push_back(key);
             }
         }
+        pending = std::move(missed);
         reg.observe(tm.probeUs, telemetryNowUs() - probeStart);
-    } else {
-        for (std::size_t i = first; i < tasks.size(); ++i)
-            if (!resolved[i])
-                pending.push_back(i);
     }
 
     // Run shapes: missing tasks that share (benchmark, samples,
@@ -177,6 +188,7 @@ RunScheduler::run(ThreadPool &pool)
     // telemetry and progress. One "run" span and one sim.run_us sample
     // per computed run, timed over its own simulation: the trace's
     // span multiset is pinned jobs-invariant by tests.
+    std::vector<char> stored(pending.size(), 0);
     auto publish = [&](std::size_t k, std::uint64_t runStart,
                        std::uint64_t runUs) {
         std::size_t i = pending[k];
@@ -186,7 +198,8 @@ RunScheduler::run(ThreadPool &pool)
                         std::to_string(i));
         if (cache) {
             std::uint64_t storeStart = telemetryNowUs();
-            bool storedOk = cache->store(pendingKeys[k], results[i]);
+            bool storedOk = cache->storeRecord(pendingKeys[k], results[i]);
+            stored[k] = storedOk;
             reg.observe(tm.storeUs, telemetryNowUs() - storeStart);
             if (storedOk) {
                 reg.add(tm.stores, 1);
@@ -268,6 +281,11 @@ RunScheduler::run(ThreadPool &pool)
         for (std::size_t s = s0; s < s1; ++s)
             shapes[s].ops = std::vector<MicroOp>();
     }
+    // The memory layer learns the stored runs in task order, as the
+    // probe above, so its contents do not depend on --jobs.
+    for (std::size_t k = 0; k < pending.size(); ++k)
+        if (stored[k])
+            cache->remember(pendingKeys[k], results[pending[k]]);
     for (const std::exception_ptr &e : errors)
         if (e)
             std::rethrow_exception(e);

@@ -19,11 +19,23 @@
  *
  * That purity also admits a content-addressed result cache
  * (cache/store.hh): run() probes the attached cache for every fresh
- * task before touching the thread pool, fills hits directly into the
- * result slots, and only the missing tasks enter parallelFor. A warm
- * batch therefore costs zero worker dispatches, and because hits are
+ * task before simulating anything, fills hits directly into the result
+ * slots, and only the missing tasks are simulated. Because hits are
  * byte-exact stored results, a campaign's output is identical whether
  * any given run was computed or replayed.
+ *
+ * Probe contract: the reads are parallel, the commits are in task
+ * order. The pool works out each fresh task's key and reads and
+ * decodes its record (ResultCache::readAhead), which touches no
+ * counter and not the memory layer; then the calling thread commits
+ * every probe in task order (ResultCache::load over the read-ahead),
+ * firing the hit/miss event, progress, trace instant and counters as a
+ * serial probe would and updating the memory layer in that order. The
+ * runs computed afterwards are stored from the workers
+ * (ResultCache::storeRecord) and enter the memory layer in task order
+ * once the batch is done (ResultCache::remember). So events, progress,
+ * trace instants, counters, the memory layer's contents and
+ * cache.mem_hits do not depend on --jobs.
  *
  * Every missing task is its own pool task. Tasks that share a run
  * shape — same benchmark, samples and intervalInstrs, differing only
@@ -66,7 +78,7 @@ namespace wavedyn
  * so the callback must be thread-safe. jobs == 1 degenerates to
  * in-order calls from the calling thread. Cache hits also advance the
  * count (a hit IS the run's completion), fired in task order from the
- * calling thread during the pre-pool probe phase.
+ * calling thread when the probe phase commits.
  */
 using RunProgress = std::function<void(std::size_t, std::size_t)>;
 

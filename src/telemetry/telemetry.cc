@@ -9,6 +9,7 @@
 
 #include "util/atomic_file.hh"
 #include "util/json.hh"
+#include "util/simd.hh"
 
 namespace wavedyn
 {
@@ -183,13 +184,22 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
     if (predictUs + scoreUs + filterUs > 0) {
         const double total =
             static_cast<double>(predictUs + scoreUs + filterUs);
+        // The score kernels' variant, when a sweep's evaluator set it.
+        std::string variant;
+        for (const auto &g : snap.gauges)
+            if (g.first == "sweep.score_avx2")
+                variant = std::string(", ") +
+                          simdVariantName(g.second != 0.0
+                                              ? SimdVariant::Avx2
+                                              : SimdVariant::Baseline);
         std::snprintf(line, sizeof(line),
                       "-- telemetry: sweep worker time: predict %s "
-                      "(%.0f%%), score %s (%.0f%%)",
+                      "(%.0f%%), score %s (%.0f%%%s)",
                       formatSeconds(predictUs).c_str(),
                       100.0 * static_cast<double>(predictUs) / total,
                       formatSeconds(scoreUs).c_str(),
-                      100.0 * static_cast<double>(scoreUs) / total);
+                      100.0 * static_cast<double>(scoreUs) / total,
+                      variant.c_str());
         out += line;
         if (filters > 0) {
             std::snprintf(line, sizeof(line), ", filter %s (%.0f%%)",
@@ -215,7 +225,7 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
     if (hits + misses > 0) {
         std::snprintf(line, sizeof(line),
                       "-- telemetry: cache: %llu hits / %llu misses "
-                      "(%.1f%% hit rate), %llu stores\n",
+                      "(%.1f%% hit rate), %llu stores",
                       static_cast<unsigned long long>(hits),
                       static_cast<unsigned long long>(misses),
                       100.0 * static_cast<double>(hits) /
@@ -223,6 +233,11 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
                       static_cast<unsigned long long>(
                           snap.counterOr("cache.stores")));
         out += line;
+        // The scheduler's probe phases (cache.probe_us), summed.
+        for (const auto &h : snap.histograms)
+            if (h.name == "cache.probe_us" && h.count > 0)
+                out += ", probe " + formatSeconds(h.sumUs);
+        out += '\n';
     }
     return out;
 }

@@ -75,12 +75,20 @@ void writeMetricsFile(const std::string &path);
 
 /**
  * Render the `-- telemetry:` stderr summary from a snapshot: top
- * phases by wall-clock, cache hit rate, pool utilization (the
- * pool.task_us busy time over wall * jobs, clamped to 100%) and the
- * sweep's split of worker time between prediction (sweep.predict_us),
- * scoring (sweep.score_us) and, when a sweep recorded it, the chunk
- * filter (sweep.filter_us: one sample per sweep chunk, covering its
- * non-dominated filter and the FrontPoints built for the survivors).
+ * phases by wall-clock, pool utilization (the pool.task_us busy time
+ * over wall * jobs, clamped to 100%), the sweep's split of worker time
+ * between prediction (sweep.predict_us), scoring (sweep.score_us) and,
+ * when a sweep recorded it, the chunk filter (sweep.filter_us: one
+ * sample per sweep chunk, covering its non-dominated filter and the
+ * flat rows kept for the survivors), and the cache's hits, misses,
+ * stores and probe time.
+ *
+ * The score share names the variant of the score kernels (util/simd.hh)
+ * when the sweep.score_avx2 gauge is set — "avx2" for 1, "baseline"
+ * for 0; every sweep's evaluator sets it (core/predictor.hh). The
+ * cache line ends with the summed cache.probe_us, the scheduler's
+ * probe phases (keys and record reads on the pool, commits in task
+ * order), when any probe ran.
  * Returns complete lines, each starting with "-- ".
  */
 std::string renderTelemetrySummary(const MetricsSnapshot &snap,

@@ -9,12 +9,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "core/predictor.hh"
 #include "core/sampling.hh"
 #include "telemetry/telemetry.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 #include "util/stats.hh"
 #include "wavelet/haar.hh"
 
@@ -556,6 +558,136 @@ TEST(Predictor, SegmentsMatchOracleAndCountClampsAlike)
     }
     // The walk reaches design-space corners the training set does not.
     EXPECT_GT(clampedSomewhere, 0u);
+}
+
+/** Bit patterns of @p v. */
+std::vector<std::uint64_t>
+bitsOf(const std::vector<double> &v)
+{
+    std::vector<std::uint64_t> bits(v.size());
+    std::memcpy(bits.data(), v.data(), v.size() * sizeof(double));
+    return bits;
+}
+
+/** Every shape of predictor whose segments a kernel variant computes:
+ *  sparse and full paper Haar with the clamp on and off, and an
+ *  orthonormal transform, whose segments are one sample each. */
+std::vector<PredictorOptions>
+kernelShapes()
+{
+    std::vector<PredictorOptions> shapes(5);
+    shapes[0].coefficients = 8;
+    shapes[1].coefficients = 8;
+    shapes[1].clampToTrainingRange = false;
+    shapes[2].coefficients = 64;
+    shapes[3].coefficients = 64;
+    shapes[3].clampToTrainingRange = false;
+    shapes[4].coefficients = 8;
+    shapes[4].paperHaar = false;
+    shapes[4].mother = MotherWavelet::Daubechies4;
+    return shapes;
+}
+
+/** Blocks of 1, 15, 17, 63 and 64 rows: below, around and at the
+ *  vector widths and the 16-row groups, and a full block. */
+const std::vector<std::size_t> kKernelBlocks = {1, 15, 17, 63, 64};
+
+/** Level indices of random lattice rows, one per row of kKernelBlocks. */
+std::vector<std::size_t>
+randomLatticeRows(const DesignSpace &space)
+{
+    std::size_t rows = 0;
+    for (std::size_t n : kKernelBlocks)
+        rows += n;
+    Rng rng(0x5eed);
+    std::vector<std::size_t> idx(rows * space.dimensions());
+    for (std::size_t r = 0; r < rows; ++r)
+        space.trainIndicesFromFlat(rng.below(space.trainSpaceSize()),
+                                   idx.data() + r * space.dimensions());
+    return idx;
+}
+
+/** Workspace::segments run as one variant over kKernelBlocks. */
+struct SegmentKernelRun
+{
+    std::vector<std::vector<double>> rows; //!< each row, expanded
+    std::uint64_t clamped = 0;             //!< samples clamped
+};
+
+SegmentKernelRun
+runSegmentKernel(const WaveletNeuralPredictor &pred,
+                 const std::vector<std::size_t> &idx, SimdVariant variant)
+{
+    const std::size_t dims = pred.designSpace().dimensions();
+    TraceEvaluator ev({&pred});
+    TraceEvaluator::Workspace ws(ev);
+    SegmentKernelRun run;
+    const std::uint64_t before = counter("predict.clamped_values");
+    std::size_t row = 0;
+    for (std::size_t n : kKernelBlocks) {
+        ws.predict(idx.data() + row * dims, n);
+        const std::vector<TraceSegment> &segs = ws.segments(0, variant);
+        for (std::size_t r = 0; r < n; ++r)
+            run.rows.push_back(expandRow(segs, r));
+        row += n;
+    }
+    ws.publish();
+    run.clamped = counter("predict.clamped_values") - before;
+    return run;
+}
+
+TEST(Predictor, SegmentKernelBaselineMatchesOracle)
+{
+    // Twelve training points: random rows leave their range under every
+    // shape with the clamp on, sparse segments included.
+    auto d = makeData(12, 4, 64, 11);
+    const std::vector<std::size_t> idx = randomLatticeRows(d.space);
+    const std::size_t dims = d.space.dimensions();
+    for (const PredictorOptions &opts : kernelShapes()) {
+        WaveletNeuralPredictor pred(opts);
+        pred.train(d.space, d.train, d.trainTraces);
+        SegmentKernelRun run =
+            runSegmentKernel(pred, idx, SimdVariant::Baseline);
+        std::uint64_t oracleCount = 0;
+        for (std::size_t r = 0; r < run.rows.size(); ++r) {
+            std::vector<std::size_t> levels(idx.begin() + r * dims,
+                                            idx.begin() + (r + 1) * dims);
+            ASSERT_EQ(run.rows[r],
+                      naiveTrace(pred,
+                                 d.space.pointFromTrainIndices(levels),
+                                 &oracleCount))
+                << "row " << r;
+        }
+        EXPECT_EQ(run.clamped, oracleCount);
+        if (!opts.clampToTrainingRange) {
+            EXPECT_EQ(oracleCount, 0u);
+        } else {
+            // Random rows reach corners the training set does not.
+            EXPECT_GT(oracleCount, 0u);
+        }
+    }
+}
+
+TEST(Predictor, SegmentKernelAvx2MatchesBaselineBitForBit)
+{
+    if (!simdVariantSupported(SimdVariant::Avx2))
+        GTEST_SKIP() << "this CPU has no AVX2";
+    // Twelve training points: random rows leave their range under every
+    // shape with the clamp on, sparse segments included.
+    auto d = makeData(12, 4, 64, 11);
+    const std::vector<std::size_t> idx = randomLatticeRows(d.space);
+    for (const PredictorOptions &opts : kernelShapes()) {
+        WaveletNeuralPredictor pred(opts);
+        pred.train(d.space, d.train, d.trainTraces);
+        SegmentKernelRun base =
+            runSegmentKernel(pred, idx, SimdVariant::Baseline);
+        SegmentKernelRun avx2 = runSegmentKernel(pred, idx, SimdVariant::Avx2);
+        ASSERT_EQ(avx2.rows.size(), base.rows.size());
+        for (std::size_t r = 0; r < base.rows.size(); ++r)
+            ASSERT_EQ(bitsOf(avx2.rows[r]), bitsOf(base.rows[r]))
+                << "row " << r;
+        EXPECT_EQ(avx2.clamped, base.clamped);
+    }
 }
 
 TEST(Predictor, RetrainWarmKeepsSelectionFrozen)

@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <stdexcept>
 #include <vector>
 
 #include "dse/objectives.hh"
 #include "util/rng.hh"
+#include "util/simd.hh"
 
 namespace wavedyn
 {
@@ -190,6 +193,104 @@ TEST(Objectives, SegmentViewScoresLikeTheMap)
             }
         }
     }
+}
+
+/** A random block of @p rows rows per domain: samples split into runs
+ *  of 1 to 9 samples (a sparse-Haar shape), or @p oneSample segments
+ *  (an orthonormal transform's shape); a different split per domain.
+ *  Some values are negative, so BIPS meets its zero branch. */
+struct RandomBlock
+{
+    std::vector<std::vector<double>> values[3];
+    std::vector<TraceSegment> segs[3];
+    SegmentView view;
+
+    RandomBlock(Rng &rng, std::size_t rows, bool oneSample)
+    {
+        const Domain domains[] = {Domain::Cpi, Domain::Power, Domain::Avf};
+        const std::size_t n = 64;
+        view.rows = rows;
+        for (std::size_t j = 0; j < 3; ++j) {
+            for (std::size_t t = 0; t < n;) {
+                const std::size_t run =
+                    oneSample ? 1
+                              : std::min<std::size_t>(1 + rng.below(9),
+                                                      n - t);
+                values[j].emplace_back();
+                for (std::size_t r = 0; r < rows; ++r)
+                    values[j].back().push_back(rng.uniform(-5.0, 40.0));
+                segs[j].push_back({nullptr, run});
+                t += run;
+            }
+            for (std::size_t i = 0; i < segs[j].size(); ++i)
+                segs[j][i].values = values[j][i].data();
+            view.set(domains[j], segs[j]);
+        }
+    }
+
+    RandomBlock(const RandomBlock &) = delete;
+    RandomBlock &operator=(const RandomBlock &) = delete;
+};
+
+/** Bit patterns of @p v. */
+std::vector<std::uint64_t>
+bitsOf(const std::vector<double> &v)
+{
+    std::vector<std::uint64_t> bits(v.size());
+    std::memcpy(bits.data(), v.data(), v.size() * sizeof(double));
+    return bits;
+}
+
+/** Blocks of 1, 15, 17, 63 and 64 rows: below, around and at the
+ *  vector widths and the 16-row groups, and a full block. */
+const std::size_t kKernelRows[] = {1, 15, 17, 63, 64};
+
+TEST(Objectives, ScoreKernelBaselineScoresLikeTheMap)
+{
+    Rng rng(11);
+    for (bool oneSample : {false, true})
+        for (std::size_t rows : kKernelRows) {
+            RandomBlock block(rng, rows, oneSample);
+            for (Objective o : allObjectives()) {
+                std::vector<double> scores(rows);
+                scoreSegments(o, block.view, scores.data(),
+                              SimdVariant::Baseline);
+                std::vector<double> expected(rows);
+                for (std::size_t r = 0; r < rows; ++r) {
+                    std::map<Domain, std::vector<double>> traces;
+                    for (Domain d : domainsOf(o))
+                        for (const TraceSegment &seg : *block.view.of(d))
+                            traces[d].insert(traces[d].end(), seg.samples,
+                                             seg.values[r]);
+                    expected[r] = objectiveScore(o, traces);
+                }
+                EXPECT_EQ(bitsOf(scores), bitsOf(expected))
+                    << objectiveName(o) << " rows " << rows;
+            }
+        }
+}
+
+TEST(Objectives, ScoreKernelAvx2MatchesBaselineBitForBit)
+{
+    if (!simdVariantSupported(SimdVariant::Avx2))
+        GTEST_SKIP() << "this CPU has no AVX2";
+    Rng rng(13);
+    for (bool oneSample : {false, true})
+        for (std::size_t rows : kKernelRows)
+            for (int trial = 0; trial < 4; ++trial) {
+                RandomBlock block(rng, rows, oneSample);
+                for (Objective o : allObjectives()) {
+                    std::vector<double> base(rows);
+                    std::vector<double> avx2(rows);
+                    scoreSegments(o, block.view, base.data(),
+                                  SimdVariant::Baseline);
+                    scoreSegments(o, block.view, avx2.data(),
+                                  SimdVariant::Avx2);
+                    EXPECT_EQ(bitsOf(avx2), bitsOf(base))
+                        << objectiveName(o) << " rows " << rows
+                        << (oneSample ? " one-sample" : " runs");
+                }
+            }
 }
 
 } // anonymous namespace

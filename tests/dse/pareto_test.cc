@@ -4,13 +4,15 @@
  * one-objective ties, single-point and all-dominated sets; a
  * brute-force cross-check on random point clouds; the shard-merge
  * identity (front of per-shard fronts == front of everything) the
- * explorer's chunked sweep relies on; and the flat-array prefilter the
- * sweep runs before it builds any FrontPoint.
+ * explorer's chunked sweep relies on; the flat-array prefilter the
+ * sweep runs before it builds any FrontPoint; and the flat chunk
+ * fronts it merges.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "dse/pareto.hh"
@@ -196,6 +198,90 @@ TEST(ParetoFront, ShardMergeEqualsSingleShot)
             EXPECT_EQ(merged[i].point, single[i].point);
         }
     }
+}
+
+/** The FrontPoint a flat row stands for, as the tests build it. */
+FrontPoint
+flatPoint(std::size_t id, const double *scores, std::size_t k, double uncert)
+{
+    FrontPoint p = fp(std::vector<double>(scores, scores + k),
+                      static_cast<double>(id));
+    p.uncertainty = uncert;
+    return p;
+}
+
+void
+expectSameFront(const std::vector<FrontPoint> &got,
+                const std::vector<FrontPoint> &want, const std::string &what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].point, want[i].point) << what << " at " << i;
+        EXPECT_EQ(got[i].scores, want[i].scores) << what << " at " << i;
+        EXPECT_EQ(got[i].values, want[i].values) << what << " at " << i;
+        EXPECT_EQ(got[i].uncertainty, want[i].uncertainty)
+            << what << " at " << i;
+    }
+}
+
+TEST(FlatFronts, MergeEqualsParetoFrontUnderTiesDuplicatesAndShardOrder)
+{
+    // Scores from a few levels tie heavily; some rows are copied
+    // exactly (id, scores, uncertainty) into a second shard. Merging
+    // the shards in any order, directly or after a grouped pre-filter,
+    // must give paretoFront of every row's FrontPoint.
+    Rng rng(0xf1a7);
+    for (std::size_t k : {1u, 2u, 3u}) {
+        for (int round = 0; round < 10; ++round) {
+            const std::size_t shardCount = 2 + rng.below(6);
+            std::vector<FlatFront> shards(shardCount);
+            std::vector<FrontPoint> everything;
+            for (FlatFront &sh : shards)
+                sh.k = k;
+            auto add = [&](FlatFront &sh, std::size_t id,
+                           const std::vector<double> &sc, double u) {
+                sh.push(id, sc.data(), u);
+                everything.push_back(flatPoint(id, sc.data(), k, u));
+            };
+            for (std::size_t id = 0; id < 150; ++id) {
+                std::vector<double> sc(k);
+                for (double &v : sc)
+                    v = static_cast<double>(rng.below(4));
+                const double u = static_cast<double>(rng.below(3));
+                add(shards[rng.below(shardCount)], id, sc, u);
+                if (rng.below(5) == 0) // an exact duplicate elsewhere
+                    add(shards[rng.below(shardCount)], id, sc, u);
+            }
+            const std::vector<FrontPoint> want = paretoFront(everything);
+            auto build = [k](std::size_t id, const double *sc, double u) {
+                return flatPoint(id, sc, k, u);
+            };
+            for (int perm = 0; perm < 3; ++perm) {
+                for (std::size_t i = shards.size(); i > 1; --i)
+                    std::swap(shards[i - 1], shards[rng.below(i)]);
+                const std::string what = "k " + std::to_string(k) +
+                                         " round " +
+                                         std::to_string(round);
+                expectSameFront(mergeFlatFronts(shards, build), want, what);
+                std::vector<FlatFront> grouped;
+                for (std::size_t g = 0; g < shards.size(); g += 2)
+                    grouped.push_back(nonDominatedRows(
+                        shards.data() + g,
+                        std::min<std::size_t>(2, shards.size() - g)));
+                expectSameFront(mergeFlatFronts(grouped, build), want,
+                                what + " grouped");
+            }
+        }
+    }
+}
+
+TEST(FlatFronts, EmptyShardsMergeToAnEmptyFront)
+{
+    auto build = [](std::size_t id, const double *sc, double u) {
+        return flatPoint(id, sc, 1, u);
+    };
+    EXPECT_TRUE(mergeFlatFronts({}, build).empty());
+    EXPECT_TRUE(mergeFlatFronts(std::vector<FlatFront>(3), build).empty());
 }
 
 TEST(ParetoFront, CanonicalOrderIsSorted)

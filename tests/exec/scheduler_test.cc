@@ -4,7 +4,9 @@
  * is its own pool task over its run shape's one decode, and must be
  * byte-equal to simulate() of the same task at any worker count. Its
  * telemetry holds one sim.run_us sample and one "run" span per
- * computed run and one sim.decode_us sample per distinct shape.
+ * computed run and one sim.decode_us sample per distinct shape. The
+ * cache probe reads records on the pool and commits them in task
+ * order, so what a caller sees of it does not depend on the workers.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +14,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -149,6 +154,169 @@ TEST(RunSchedulerShapes, TelemetryCountsRunsAndDecodedShapes)
     }
     tracer.clear();
     EXPECT_EQ(runSpans[0], runSpans[1]);
+}
+
+/** What one probing run() showed: everything a caller can observe
+ *  of the cache probe, in the order it could observe it. */
+struct ProbeRecord
+{
+    std::vector<std::string> results; //!< encoded, task order
+    std::vector<std::string> events;  //!< "hit key" / "miss key", in order
+    std::vector<std::size_t> progress; //!< completion counts, sorted
+    std::vector<std::string> instants; //!< cache-hit/-miss, sorted
+    std::vector<std::string> memory;   //!< memory-layer keys, MRU first
+    ResultCacheStats stats;
+};
+
+/** Indices into shapedTasks(), each one after the second followed by
+ *  a repeat of the index two before it: a repeat is probed close
+ *  enough after its first probe to find it in a five-entry memory
+ *  layer. */
+std::vector<std::size_t>
+probeOrder()
+{
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < shapedTasks().size(); ++i) {
+        order.push_back(i);
+        if (i >= 2)
+            order.push_back(i - 2);
+    }
+    return order;
+}
+
+/** The tasks of probeOrder(), at eight times the samples: records
+ *  large enough that the pool's reads overlap. */
+std::vector<RunTask>
+probedTasks()
+{
+    std::vector<RunTask> shaped = shapedTasks();
+    for (RunTask &t : shaped)
+        t.samples *= 8;
+    std::vector<RunTask> tasks;
+    for (std::size_t i : probeOrder())
+        tasks.push_back(shaped[i]);
+    return tasks;
+}
+
+/** Probing run()s per ProbeRecord: the later ones hit every task. */
+constexpr int kProbePasses = 20;
+
+/**
+ * Probe @p dir's cache kProbePasses times with probedTasks() on @p jobs
+ * workers, through a memory layer of five entries: fewer than the
+ * tasks, so keys are evicted within one run(), and every later run()
+ * starts with keys in memory that its own commits evict before their
+ * turn.
+ */
+ProbeRecord
+probeRepeatedly(const std::string &dir, std::size_t jobs)
+{
+    const std::vector<RunTask> tasks = probedTasks();
+    auto cache = std::make_shared<ResultCache>(dir);
+    cache->setMemoryCapacity(5);
+    ThreadPool pool(jobs);
+    RunScheduler sched;
+    sched.setCache(cache);
+    ProbeRecord rec;
+    std::mutex mu;
+    sched.onProgress([&](std::size_t done, std::size_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        rec.progress.push_back(done);
+    });
+    CacheRunEvents events;
+    events.hit = [&](const std::string &k) {
+        rec.events.push_back("hit " + k);
+    };
+    events.miss = [&](const std::string &k) {
+        rec.events.push_back("miss " + k);
+    };
+    sched.onCacheEvents(events);
+    SpanTracer &tracer = spanTracer();
+    tracer.clear();
+    tracer.setEnabled(true);
+    for (int pass = 0; pass < kProbePasses; ++pass) {
+        for (const RunTask &t : tasks)
+            sched.enqueue(t);
+        sched.run(pool);
+    }
+    tracer.setEnabled(false);
+    for (const TraceEvent &e : tracer.events())
+        if (e.ph == 'i' && (e.name == "cache-hit" || e.name == "cache-miss"))
+            rec.instants.push_back(e.name + " " + e.argVal);
+    tracer.clear();
+    for (std::size_t i = 0; i < sched.size(); ++i)
+        rec.results.push_back(encodeSimResult(sched.result(i), "x"));
+    std::sort(rec.progress.begin(), rec.progress.end());
+    std::sort(rec.instants.begin(), rec.instants.end());
+    rec.memory = cache->memoryKeys();
+    rec.stats = cache->stats();
+    return rec;
+}
+
+TEST(RunSchedulerProbe, WarmAndHalfWarmProbesDoNotDependOnWorkers)
+{
+    namespace fs = std::filesystem;
+    const fs::path root =
+        fs::temp_directory_path() /
+        ("wavedyn-probe-" +
+         std::to_string(reinterpret_cast<std::uintptr_t>(&root)));
+    fs::remove_all(root);
+    // Seed caches: every task stored (warm), or those of even
+    // shapedTasks() index (half).
+    const std::vector<RunTask> tasks = probedTasks();
+    for (const std::string warmth : {"warm", "half"}) {
+        RunScheduler fill;
+        fill.setCache(std::make_shared<ResultCache>((root / warmth).string()));
+        const std::vector<std::size_t> order = probeOrder();
+        for (std::size_t k = 0; k < tasks.size(); ++k)
+            if (warmth == "warm" || order[k] % 2 == 0)
+                fill.enqueue(tasks[k]);
+        ThreadPool pool(2);
+        fill.run(pool);
+    }
+    std::vector<std::string> onePass;
+    for (const RunTask &t : tasks)
+        onePass.push_back(encodeSimResult(
+            simulate(*t.benchmark, t.config, t.samples, t.intervalInstrs,
+                     t.dvm),
+            "x"));
+    std::vector<std::string> expected;
+    for (int pass = 0; pass < kProbePasses; ++pass)
+        expected.insert(expected.end(), onePass.begin(), onePass.end());
+    for (const std::string warmth : {"warm", "half"}) {
+        SCOPED_TRACE(warmth);
+        std::vector<ProbeRecord> records;
+        for (std::size_t jobs : {std::size_t(1), std::size_t(4)}) {
+            const fs::path dir = root / (warmth + "-j" + std::to_string(jobs));
+            fs::copy(root / warmth, dir, fs::copy_options::recursive);
+            records.push_back(probeRepeatedly(dir.string(), jobs));
+        }
+        const ProbeRecord &one = records[0];
+        const ProbeRecord &four = records[1];
+        EXPECT_TRUE(one.results == expected);
+        EXPECT_TRUE(four.results == expected);
+        EXPECT_EQ(four.events, one.events);
+        EXPECT_EQ(four.progress, one.progress);
+        EXPECT_EQ(four.instants, one.instants);
+        EXPECT_EQ(four.memory, one.memory);
+        EXPECT_EQ(four.stats.hits, one.stats.hits);
+        EXPECT_EQ(four.stats.memHits, one.stats.memHits);
+        EXPECT_EQ(four.stats.misses, one.stats.misses);
+
+        // Every task of every pass is probed once; only the first
+        // pass can miss, on the tasks the seed left out (a repeat
+        // misses with its first probe, both still pending).
+        EXPECT_EQ(one.events.size(), kProbePasses * tasks.size());
+        EXPECT_EQ(one.instants.size(), kProbePasses * tasks.size());
+        EXPECT_EQ(one.progress.size(), kProbePasses * tasks.size());
+        std::uint64_t misses = 0;
+        for (std::size_t i : probeOrder())
+            misses += warmth == "half" && i % 2 == 1;
+        EXPECT_EQ(one.stats.misses, misses);
+        EXPECT_GT(one.stats.memHits, 0u);
+        EXPECT_EQ(one.memory.size(), 5u);
+    }
+    fs::remove_all(root);
 }
 
 } // namespace

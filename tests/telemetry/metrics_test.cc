@@ -244,6 +244,40 @@ TEST(TelemetrySummary, SweepSplitsPredictFromScore)
                         "3.000 s (38%), score 1.000 s (12%), filter "
                         "4.000 s (50%); kernel 846.5 terms/row\n"),
               std::string::npos);
+    // With the score kernels' variant gauge: named in the score share.
+    snap.gauges = {{"sweep.score_avx2", 1.0}};
+    EXPECT_NE(renderTelemetrySummary(snap, 1000000, 1)
+                  .find("-- telemetry: sweep worker time: predict "
+                        "3.000 s (38%), score 1.000 s (12%, avx2), "
+                        "filter 4.000 s (50%); kernel 846.5 terms/row\n"),
+              std::string::npos);
+    snap.gauges = {{"sweep.score_avx2", 0.0}};
+    EXPECT_NE(renderTelemetrySummary(snap, 1000000, 1)
+                  .find("score 1.000 s (12%, baseline), filter"),
+              std::string::npos);
+}
+
+TEST(TelemetrySummary, CacheLineEndsWithProbeTime)
+{
+    MetricsSnapshot snap;
+    EXPECT_EQ(renderTelemetrySummary(snap, 1000000, 1).find("cache"),
+              std::string::npos);
+    snap.counters = {{"cache.hits", 3}, {"cache.misses", 1},
+                     {"cache.stores", 1}};
+    EXPECT_NE(renderTelemetrySummary(snap, 1000000, 1)
+                  .find("-- telemetry: cache: 3 hits / 1 misses (75.0% "
+                        "hit rate), 1 stores\n"),
+              std::string::npos);
+    // Probe phases: their summed time ends the line.
+    MetricsSnapshot::Histogram probe;
+    probe.name = "cache.probe_us";
+    probe.count = 2;
+    probe.sumUs = 12000;
+    snap.histograms = {probe};
+    EXPECT_NE(renderTelemetrySummary(snap, 1000000, 1)
+                  .find("-- telemetry: cache: 3 hits / 1 misses (75.0% "
+                        "hit rate), 1 stores, probe 0.012 s\n"),
+              std::string::npos);
 }
 
 } // namespace
