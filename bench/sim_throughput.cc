@@ -4,10 +4,10 @@
  * the end-to-end simulate() loop across the six workload families
  * (profile 0 of seed 1) plus a paper profile, simulateBatch() — N
  * distinct lattice configs sharing one decode, simulated one after
- * another — at N = 1/4/16/64 on the same workloads, and raw
- * instruction-decode
- * throughput with the
- * random-access reference path (at(i)) versus the streaming Cursor.
+ * another — at N = 1/4/16/64 on the same workloads, the same 64
+ * configs each simulate()d alone (decoding per run), and raw
+ * instruction-decode throughput with the random-access reference path
+ * (at(i)) versus the streaming Cursor.
  *
  * This is the perf trajectory anchor for the cycle loop: `--json
  * BENCH_sim.json` records every row so regressions in the hot path
@@ -20,6 +20,7 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <utility>
 
 #include <unistd.h>
 
@@ -59,8 +60,9 @@ bestSeconds(Fn &&fn)
 struct Row
 {
     std::string workload;
-    std::string kind; //!< "simulate", "simulate-batched", "decode-*"
-    unsigned batchWidth = 0; //!< configs per simulateBatch() decode, or 0
+    //! "simulate", "simulate-batched", "simulate-each", "decode-*", ...
+    std::string kind;
+    unsigned batchWidth = 0; //!< lattice configs per row, or 0
     std::uint64_t instructions = 0;
     double seconds = 0.0;
 
@@ -124,10 +126,9 @@ latticeConfigs(unsigned width)
 /**
  * Shared-decode throughput of one profile: the aggregate
  * simulated-instruction rate of a simulateBatch() call over @p width
- * distinct lattice configs (latticeConfigs) sharing one decode. Every
- * run simulates the one-run "simulate" row's instruction count, so
- * against that row this is the per-run gain of decoding once, over a
- * mix of machines rather than the baseline alone.
+ * distinct lattice configs (latticeConfigs) sharing one decode.
+ * Against eachRow() over the same configs, this is the gain of
+ * decoding once.
  */
 Row
 batchedRow(const BenchmarkProfile &profile, const std::string &label,
@@ -146,6 +147,32 @@ batchedRow(const BenchmarkProfile &profile, const std::string &label,
     for (const SimResult &r : warm)
         row.instructions += r.totalInstructions;
     row.seconds = bestSeconds([&] { runBatch(); });
+    return row;
+}
+
+/**
+ * The configs of batchedRow(), each simulate()d alone: one decode per
+ * run. The reference for batchedRow()'s shared decode, over the same
+ * machines.
+ */
+Row
+eachRow(const BenchmarkProfile &profile, const std::string &label,
+        unsigned width, const BenchContext &ctx)
+{
+    const std::vector<SimConfig> cfgs = latticeConfigs(width);
+    Row row;
+    row.workload = label;
+    row.kind = "simulate-each";
+    row.batchWidth = width;
+    for (const SimConfig &cfg : cfgs)
+        row.instructions += simulate(profile, cfg, ctx.sizes.samplesPerTrace,
+                                     ctx.sizes.intervalInstrs)
+                                .totalInstructions;
+    row.seconds = bestSeconds([&] {
+        for (const SimConfig &cfg : cfgs)
+            simulate(profile, cfg, ctx.sizes.samplesPerTrace,
+                     ctx.sizes.intervalInstrs);
+    });
     return row;
 }
 
@@ -170,32 +197,34 @@ main(int argc, char **argv)
     }
     rows.push_back(simulateRow(benchmarkByName("gcc"), "gcc", ctx));
 
-    // ---- N configs sharing one decode (sim/batch.hh): per-run
-    // speedup over the one-run rows above, from decoding once.
+    // ---- N configs sharing one decode (sim/batch.hh), and the
+    // widest set again with one decode per run.
     {
         const unsigned widths[] = {1, 4, 16, 64};
-        for (WorkloadFamily f : allFamilies()) {
-            ScenarioGenerator gen(f, 1);
-            BenchmarkProfile profile = gen.generate(0);
+        std::vector<std::pair<std::string, BenchmarkProfile>> profiles;
+        for (WorkloadFamily f : allFamilies())
+            profiles.emplace_back(familyName(f),
+                                  ScenarioGenerator(f, 1).generate(0));
+        profiles.emplace_back("gcc", benchmarkByName("gcc"));
+        for (const auto &[label, profile] : profiles) {
             for (unsigned w : widths)
-                rows.push_back(batchedRow(profile, familyName(f), w, ctx));
+                rows.push_back(batchedRow(profile, label, w, ctx));
+            rows.push_back(eachRow(profile, label, widths[3], ctx));
         }
-        BenchmarkProfile gcc = benchmarkByName("gcc");
-        for (unsigned w : widths)
-            rows.push_back(batchedRow(gcc, "gcc", w, ctx));
 
-        // Per-workload speedup summary: shared-decode aggregate rate
-        // over the one-run rate, at the most configs per decode.
-        for (const Row &s : rows) {
-            if (s.kind != "simulate")
+        // Per-workload speedup of the shared decode: the widest
+        // batch's aggregate rate over the same configs run one at a
+        // time.
+        for (const Row &e : rows) {
+            if (e.kind != "simulate-each" || e.perSec() <= 0.0)
                 continue;
             for (const Row &b : rows)
                 if (b.kind == "simulate-batched" &&
-                    b.workload == s.workload &&
-                    b.batchWidth == widths[3] && s.perSec() > 0.0)
-                    std::cout << "batched speedup " << s.workload
+                    b.workload == e.workload &&
+                    b.batchWidth == e.batchWidth)
+                    std::cout << "batched speedup " << e.workload
                               << " (w" << b.batchWidth
-                              << "): " << fmt(b.perSec() / s.perSec(), 2)
+                              << "): " << fmt(b.perSec() / e.perSec(), 2)
                               << "x\n";
         }
     }

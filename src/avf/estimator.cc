@@ -5,76 +5,6 @@
 namespace wavedyn
 {
 
-double
-AceWeights::iqWaiting(InstrClass c) const
-{
-    // Waiting entries hold live source tags, opcode and immediate data.
-    switch (c) {
-      case InstrClass::Load:
-        return 0.80;
-      case InstrClass::Store:
-        return 0.90;
-      case InstrClass::IntMul:
-      case InstrClass::FpMul:
-        return 0.85;
-      case InstrClass::FpAlu:
-        return 0.80;
-      case InstrClass::Branch:
-      case InstrClass::Call:
-      case InstrClass::Return:
-        return 0.45; // mispredict-recovery state is partially un-ACE
-      case InstrClass::IntAlu:
-        return 0.70;
-    }
-    return 0.70;
-}
-
-double
-AceWeights::robInFlight(InstrClass c) const
-{
-    switch (c) {
-      case InstrClass::Store:
-        return 0.75;
-      case InstrClass::Load:
-        return 0.65;
-      case InstrClass::Branch:
-      case InstrClass::Call:
-      case InstrClass::Return:
-        return 0.35;
-      default:
-        return 0.55;
-    }
-}
-
-double
-AceWeights::robCompleted(InstrClass c) const
-{
-    // Result bits await commit; control results are consumed already.
-    switch (c) {
-      case InstrClass::Branch:
-      case InstrClass::Call:
-      case InstrClass::Return:
-        return 0.10;
-      case InstrClass::Store:
-        return 0.45;
-      default:
-        return 0.30;
-    }
-}
-
-double
-AceWeights::lsq(InstrClass c) const
-{
-    switch (c) {
-      case InstrClass::Store:
-        return 0.90; // address + data reach memory
-      case InstrClass::Load:
-        return 0.55; // address ACE; data slot ACE once filled
-      default:
-        return 0.0;
-    }
-}
-
 AvfAccumulator::AvfAccumulator(unsigned entries) : entries(entries)
 {
     assert(entries > 0);

@@ -18,6 +18,7 @@
 #ifndef WAVEDYN_AVF_ESTIMATOR_HH
 #define WAVEDYN_AVF_ESTIMATOR_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "workload/instruction.hh"
@@ -25,20 +26,56 @@
 namespace wavedyn
 {
 
-/** Per-class ACE fractions for the tracked structures. */
+/**
+ * Per-class ACE fractions for the tracked structures: table reads,
+ * inlined into the pipeline's per-event accounting. Tables are in
+ * InstrClass order: IntAlu, IntMul, FpAlu, FpMul, Load, Store,
+ * Branch, Call, Return.
+ */
 struct AceWeights
 {
     /** IQ entry, operands outstanding. */
-    double iqWaiting(InstrClass c) const;
+    double
+    iqWaiting(InstrClass c) const
+    {
+        // Waiting entries hold live source tags, opcode and immediate
+        // data; mispredict-recovery state of control ops is partially
+        // un-ACE.
+        static constexpr double w[instrClassCount] = {
+            0.70, 0.85, 0.80, 0.85, 0.80, 0.90, 0.45, 0.45, 0.45};
+        return w[static_cast<std::size_t>(c)];
+    }
 
     /** ROB entry, result not yet written back. */
-    double robInFlight(InstrClass c) const;
+    double
+    robInFlight(InstrClass c) const
+    {
+        static constexpr double w[instrClassCount] = {
+            0.55, 0.55, 0.55, 0.55, 0.65, 0.75, 0.35, 0.35, 0.35};
+        return w[static_cast<std::size_t>(c)];
+    }
 
     /** ROB entry, completed but not committed. */
-    double robCompleted(InstrClass c) const;
+    double
+    robCompleted(InstrClass c) const
+    {
+        // Result bits await commit; control results are consumed
+        // already.
+        static constexpr double w[instrClassCount] = {
+            0.30, 0.30, 0.30, 0.30, 0.30, 0.45, 0.10, 0.10, 0.10};
+        return w[static_cast<std::size_t>(c)];
+    }
 
     /** LSQ entry (loads until completion, stores until commit). */
-    double lsq(InstrClass c) const;
+    double
+    lsq(InstrClass c) const
+    {
+        // Stores: address + data reach memory. Loads: address ACE,
+        // data slot ACE once filled.
+        static constexpr double w[instrClassCount] = {
+            0.0, 0.0, 0.0, 0.0, 0.55, 0.90, 0.0, 0.0, 0.0};
+        return w[static_cast<std::size_t>(c)];
+    }
 };
 
 /**

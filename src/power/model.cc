@@ -1,6 +1,7 @@
 #include "power/model.hh"
 
 #include <cmath>
+#include <iterator>
 
 namespace wavedyn
 {
@@ -95,50 +96,74 @@ PowerModel::PowerModel(const SimConfig &cfg) : cfg(cfg)
     leakage = 4.0 * capacity_proxy;
 }
 
+namespace
+{
+
+/** breakdown()'s keys in the map's (alphabetical) order. */
+constexpr const char *kTermNames[] = {
+    "bpred", "clock", "dcache", "fetch_dispatch", "fu",
+    "icache", "issue_queue", "l2", "leakage", "lsq",
+    "memory", "regfile", "rob"};
+static_assert(std::size(kTermNames) == PowerModel::kTerms,
+              "one name per term");
+
+} // anonymous namespace
+
+void
+PowerModel::terms(const ActivityCounts &a, double out[kTerms]) const
+{
+    double cyc = static_cast<double>(a.cycles);
+    auto put = [&](double energy) {
+        return energy / cyc * wattsPerUnitPerCycle;
+    };
+    double issued_total =
+        static_cast<double>(a.issuedIntAlu + a.issuedIntMul +
+                            a.issuedFpAlu + a.issuedFpMul + a.issuedMem +
+                            a.issuedControl);
+    out[0] = put(a.bpredLookups * eBpred + a.btbLookups * eBtb);
+    out[1] = clockTreeWatts;
+    out[2] = put(a.dl1Accesses * eDl1 + a.dtlbAccesses * eDtlb);
+    out[3] = put(a.fetched * eFetch + a.dispatched * eDispatch +
+                 a.committed * eCommit);
+    out[4] = put(a.issuedIntAlu * eIntAlu + a.issuedIntMul * eIntMul +
+                 a.issuedFpAlu * eFpAlu + a.issuedFpMul * eFpMul +
+                 a.issuedMem * eMemPort + a.issuedControl * eIntAlu);
+    out[5] = put(a.il1Accesses * eIl1 + a.itlbAccesses * eItlb);
+    out[6] = put(a.iqOccupancySum * eIqPerEntryCycle +
+                 issued_total * eIqSelect);
+    out[7] = put(a.l2Accesses * eL2);
+    out[8] = leakage;
+    out[9] = put(a.lsqOccupancySum * eLsqPerEntryCycle +
+                 a.issuedMem * eLsqSearch);
+    out[10] = put(a.memAccesses * eMem);
+    out[11] = put(a.regReads * eRegRead + a.regWrites * eRegWrite);
+    out[12] = put(a.robOccupancySum * eRobPerEntryCycle);
+}
+
 PowerBreakdown
 PowerModel::breakdown(const ActivityCounts &a) const
 {
     PowerBreakdown b;
     if (a.cycles == 0)
         return b;
-    double cyc = static_cast<double>(a.cycles);
-    auto put = [&](const char *key, double energy) {
-        b[key] = energy / cyc * wattsPerUnitPerCycle;
-    };
-
-    put("icache", a.il1Accesses * eIl1 + a.itlbAccesses * eItlb);
-    put("dcache", a.dl1Accesses * eDl1 + a.dtlbAccesses * eDtlb);
-    put("l2", a.l2Accesses * eL2);
-    put("memory", a.memAccesses * eMem);
-    put("bpred", a.bpredLookups * eBpred + a.btbLookups * eBtb);
-    put("fetch_dispatch",
-        a.fetched * eFetch + a.dispatched * eDispatch +
-        a.committed * eCommit);
-    double issued_total =
-        static_cast<double>(a.issuedIntAlu + a.issuedIntMul +
-                            a.issuedFpAlu + a.issuedFpMul + a.issuedMem +
-                            a.issuedControl);
-    put("issue_queue",
-        a.iqOccupancySum * eIqPerEntryCycle + issued_total * eIqSelect);
-    put("rob", a.robOccupancySum * eRobPerEntryCycle);
-    put("lsq",
-        a.lsqOccupancySum * eLsqPerEntryCycle +
-        a.issuedMem * eLsqSearch);
-    put("regfile", a.regReads * eRegRead + a.regWrites * eRegWrite);
-    put("fu",
-        a.issuedIntAlu * eIntAlu + a.issuedIntMul * eIntMul +
-        a.issuedFpAlu * eFpAlu + a.issuedFpMul * eFpMul +
-        a.issuedMem * eMemPort + a.issuedControl * eIntAlu);
-    b["clock"] = clockTreeWatts;
-    b["leakage"] = leakage;
+    double t[kTerms];
+    terms(a, t);
+    for (std::size_t i = 0; i < kTerms; ++i)
+        b[kTermNames[i]] = t[i];
     return b;
 }
 
 double
 PowerModel::watts(const ActivityCounts &a) const
 {
+    // The terms summed in breakdown()'s key order, so the bits match
+    // a sum over the map.
     double total = 0.0;
-    for (const auto &[k, v] : breakdown(a))
+    if (a.cycles == 0)
+        return total;
+    double t[kTerms];
+    terms(a, t);
+    for (double v : t)
         total += v;
     return total;
 }

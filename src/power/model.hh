@@ -13,6 +13,7 @@
 #ifndef WAVEDYN_POWER_MODEL_HH
 #define WAVEDYN_POWER_MODEL_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -88,7 +89,13 @@ class PowerModel
     /** Peak dynamic power if every unit fired every cycle, watts. */
     double peakDynamicWatts() const;
 
+    /** Terms of breakdown(). */
+    static constexpr std::size_t kTerms = 13;
+
   private:
+    /** breakdown()'s terms in key order. @pre a.cycles > 0. */
+    void terms(const ActivityCounts &a, double out[kTerms]) const;
+
     SimConfig cfg;
 
     // Cached per-access energies (abstract nanojoule-like units).

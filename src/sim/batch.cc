@@ -16,7 +16,7 @@ struct SimCounters
 {
     wavedyn::MetricId cycles;            //!< run cycles, warmup included
     wavedyn::MetricId idleSkippedCycles; //!< of which fast-forwarded
-    wavedyn::MetricId issueScans;        //!< issue stages that scanned
+    wavedyn::MetricId issueScans;        //!< walks of the ready bits
     wavedyn::MetricId idleIssueScans;    //!< of which found none ready
 
     static const SimCounters &

@@ -61,7 +61,10 @@ std::vector<MicroOp> decodeRunShape(const BenchmarkProfile &bench,
  * Publishes the run's cycles, idle-skipped cycles, issue scans and
  * idle issue scans to the `sim.cycles`, `sim.idle_skipped_cycles`,
  * `sim.issue_scans` and `sim.issue_idle_scans` counters
- * (observe-only).
+ * (observe-only). An issue scan is one walk of the ready bits, made
+ * by every issue stage that is not idle; an idle scan is a walk that
+ * found nothing ready inside the scan cap, which leaves the stage
+ * idle until a ready bit is set (sim/pipeline.hh).
  */
 SimResult simulateDecoded(const std::vector<MicroOp> &ops,
                           const SimConfig &cfg, std::size_t numIntervals,

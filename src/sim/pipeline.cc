@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 
 namespace wavedyn
 {
@@ -39,12 +38,11 @@ Pipeline::Pipeline(const std::vector<MicroOp> &ops, const SimConfig &cfg,
       // demand should a configuration ever exceed the bound.
       completions(cfg.dl1Lat + cfg.tlbMissLat + cfg.l2Lat + cfg.memLat +
                   16),
-      ops(&ops)
+      ops(&ops), unissuedBits(window.capacity()),
+      readyBits(window.capacity())
 {
-    scanSlotMask = window.capacity() - 1;
-    readyAtA.assign(scanSlotMask + 1, 0);
-    waitA.assign(scanSlotMask + 1, Waiter{});
-    iqSeqA.reserve(256 + cfg.iqSize);
+    slotMask = window.capacity() - 1;
+    waitA.assign(slotMask + 1, Waiter{});
     auto shift_of = [](unsigned v, unsigned &shift, bool &pow2) {
         if (v == 0 || (v & (v - 1)) != 0)
             return;
@@ -69,13 +67,11 @@ Pipeline::entryFor(std::uint64_t seq)
 }
 
 void
-Pipeline::iqListAppend(InFlight &e)
+Pipeline::enterIq(const InFlight &e)
 {
-    // Resolve the producers once: committed means ready, issued means
-    // ready at its completeCycle, unissued means pending until it
-    // issues (and then wakeConsumers() folds its completeCycle in).
-    const std::size_t slot = e.seq & scanSlotMask;
-    Waiter &w = waitA[slot];
+    // Resolve the producers once: committed or completed means ready,
+    // otherwise the entry waits on that producer's completion.
+    Waiter &w = waitA[e.seq & slotMask];
     w = Waiter{};
     const std::uint32_t deps[2] = {e.op.dep1, e.op.dep2};
     for (unsigned k = 0; k < 2; ++k) {
@@ -84,41 +80,16 @@ Pipeline::iqListAppend(InFlight &e)
         std::uint64_t pseq = e.seq - deps[k];
         if (pseq < frontSeq || pseq - frontSeq >= window.size())
             continue; // committed, or before the first instruction
-        const InFlight &p = liveEntry(pseq);
-        if (p.issued) {
-            w.operandsAt = std::max(w.operandsAt, p.completeCycle);
+        if (liveEntry(pseq).aceCompleted)
             continue;
-        }
         ++w.pending;
-        Waiter &pw = waitA[pseq & scanSlotMask];
+        Waiter &pw = waitA[pseq & slotMask];
         w.next[k] = pw.consumers;
         pw.consumers = (e.seq << 1) | k;
     }
-    readyAtA[slot] = w.pending > 0 ? kNever : w.operandsAt;
-
-    // Reclaim the dead prefix before the vector grows past a couple
-    // of cache lines of garbage; the live span is at most iqSize.
-    if (iqStart >= 256) {
-        iqSeqA.erase(iqSeqA.begin(),
-                     iqSeqA.begin() +
-                         static_cast<std::ptrdiff_t>(iqStart));
-        iqStart = 0;
-    }
-    iqSeqA.push_back(e.seq);
-}
-
-void
-Pipeline::wakeConsumers(const InFlight &e)
-{
-    for (std::uint64_t l = waitA[e.seq & scanSlotMask].consumers;
-         l != kNoLink;) {
-        const std::size_t cslot = (l >> 1) & scanSlotMask;
-        Waiter &c = waitA[cslot];
-        l = c.next[l & 1];
-        c.operandsAt = std::max(c.operandsAt, e.completeCycle);
-        if (--c.pending == 0)
-            readyAtA[cslot] = c.operandsAt;
-    }
+    unissuedBits.set(e.seq);
+    if (w.pending == 0)
+        markReady(e.seq);
 }
 
 unsigned
@@ -156,6 +127,15 @@ Pipeline::doCompletions()
         if (!e || e->aceCompleted)
             return;
         e->aceCompleted = true;
+        // The last pending producer readies its consumer.
+        for (std::uint64_t l = waitA[seq & slotMask].consumers;
+             l != kNoLink;) {
+            const std::uint64_t cseq = l >> 1;
+            Waiter &c = waitA[cseq & slotMask];
+            l = c.next[l & 1];
+            if (--c.pending == 0)
+                markReady(cseq);
+        }
         // ROB entry: in-flight ACE state shrinks to the pending result.
         robAvfAcc.release(ace.robInFlight(e->op.cls));
         robAvfAcc.occupy(ace.robCompleted(e->op.cls));
@@ -176,7 +156,7 @@ Pipeline::doCommit()
     while (done < cfg.fetchWidth && !window.empty() &&
            totalCommitted < committedTarget) {
         InFlight &e = window.front();
-        if (!e.issued || e.completeCycle > cycle)
+        if (e.completeCycle > cycle)
             break;
 
         // Stores write the data cache at commit (no stall; write
@@ -213,215 +193,169 @@ Pipeline::doIssue()
 {
     const unsigned issue_width = cfg.fetchWidth;
     const unsigned scan_cap = std::max(32u, 3 * issue_width);
+    const std::uint64_t in_iq = iqOcc; // unissued residents at scan start
 
-    if (cycle < issueSleepUntil) {
-        // Asleep: every IQ resident is provably unready, so the scan
-        // would issue nothing and observe ready=0 and — visiting
-        // min(len, cap) entries as waiting, charging the rest to the
-        // beyond-cap remainder — a waiting count of len (len <= cap)
-        // or len - 1 (len > cap). len is frozen while asleep.
+    if (issueIdle) {
+        // Nothing is ready inside the cap, so the scan would issue
+        // nothing and observe ready = 0 and a waiting count of len, or
+        // len - 1 after a cap break (see below).
         lastReadyCount = 0;
-        lastWaitingCount = iqOcc <= scan_cap
-                               ? iqOcc
-                               : static_cast<std::uint64_t>(iqOcc) - 1;
+        lastWaitingCount = in_iq <= scan_cap ? in_iq : in_iq - 1;
         return;
     }
 
     unsigned fu_int_alu = 0, fu_int_mul = 0;
     unsigned fu_fp_alu = 0, fu_fp_mul = 0;
     unsigned fu_mem = 0;
-    unsigned issued = 0, scanned = 0;
-    std::uint64_t ready_seen = 0, waiting_seen = 0;
-    std::uint64_t wake = kNever; //!< earliest memo among the unready
+    unsigned issued = 0;
+    std::uint64_t ready_seen = 0;
 
-    // Walk the unissued IQ residents oldest first. The dense array
-    // holds exactly the entries the historical full-window walk
-    // considered (inIq && !issued), in the same seq order, so the
-    // scan cap, FU arbitration and DVM observations are unchanged.
-    // An entry is ready exactly when its wakeup memo has passed.
-    // Issued entries are removed by compacting in place: survivors
-    // are written back through `wr`, and the unvisited tail (early
-    // break on the cap or the issue width) is shifted down after the
-    // loop.
-    std::size_t rd = iqStart, wr = iqStart, len = iqSeqA.size();
-    for (; rd < len && issued < issue_width; ++rd) {
-        // Fast-forward over runs of waiting entries — the bulk of
-        // every scan — four at a time with a single branch. Each quad
-        // contributes exactly what four scalar iterations would: four
-        // scan slots, four waiting observations, and its earliest
-        // memo into the wakeup.
-        while (rd + 4 <= len && scanned + 4 <= scan_cap) {
-            std::uint64_t n0 = readyAtA[iqSeqA[rd] & scanSlotMask];
-            std::uint64_t n1 = readyAtA[iqSeqA[rd + 1] & scanSlotMask];
-            std::uint64_t n2 = readyAtA[iqSeqA[rd + 2] & scanSlotMask];
-            std::uint64_t n3 = readyAtA[iqSeqA[rd + 3] & scanSlotMask];
-            if (!((n0 > cycle) & (n1 > cycle) & (n2 > cycle) &
-                  (n3 > cycle)))
+    // Visit the ready residents oldest first, 64 ROB slots at a time
+    // from the head (slots past the ROB tail hold no bits). A resident
+    // is inside the scan cap while its rank among the unissued
+    // residents at scan start is below the cap; each window's bits are
+    // read before any of its entries issue, so ranks are those of the
+    // scan start. Ranks matter only when some resident lies past the
+    // cap, and only in the window that crosses it.
+    const bool capped = in_iq > scan_cap;
+    const std::uint64_t end = frontSeq + window.size();
+    std::uint64_t older = 0; // residents older than the window
+    for (std::uint64_t base = frontSeq;
+         base < end && issued < issue_width && older < scan_cap;
+         base += 64) {
+        std::uint64_t ready = readyBits.window(base);
+        std::uint64_t crossing = 0; // residents, if the cap falls here
+        unsigned here = 0;
+        if (capped) {
+            const std::uint64_t resident = unissuedBits.window(base);
+            here = popcount64(resident);
+            if (older + here > scan_cap)
+                crossing = resident;
+        }
+        for (; ready != 0 && issued < issue_width; ready &= ready - 1) {
+            const unsigned bit = __builtin_ctzll(ready);
+            if (crossing != 0 &&
+                older + popcount64(crossing &
+                                   ((std::uint64_t{1} << bit) - 1)) >=
+                    scan_cap)
                 break;
-            scanned += 4;
-            waiting_seen += 4;
-            std::uint64_t m01 = n0 < n1 ? n0 : n1;
-            std::uint64_t m23 = n2 < n3 ? n2 : n3;
-            std::uint64_t m = m01 < m23 ? m01 : m23;
-            if (m < wake)
-                wake = m;
-            if (wr != rd)
-                for (int i = 0; i < 4; ++i)
-                    iqSeqA[wr + i] = iqSeqA[rd + i];
-            wr += 4;
-            rd += 4;
+            const std::uint64_t cur = base + bit;
+            InFlight &e = liveEntry(cur);
+            ++ready_seen;
+
+            // Per-class functional unit limits.
+            bool fu_ok = true;
+            switch (e.op.cls) {
+              case InstrClass::IntAlu:
+              case InstrClass::Branch:
+              case InstrClass::Call:
+              case InstrClass::Return:
+                fu_ok = fu_int_alu < cfg.intAluCount;
+                if (fu_ok)
+                    ++fu_int_alu;
+                break;
+              case InstrClass::IntMul:
+                fu_ok = fu_int_mul < cfg.intMulCount;
+                if (fu_ok)
+                    ++fu_int_mul;
+                break;
+              case InstrClass::FpAlu:
+                fu_ok = fu_fp_alu < cfg.fpAluCount;
+                if (fu_ok)
+                    ++fu_fp_alu;
+                break;
+              case InstrClass::FpMul:
+                fu_ok = fu_fp_mul < cfg.fpMulCount;
+                if (fu_ok)
+                    ++fu_fp_mul;
+                break;
+              case InstrClass::Load:
+              case InstrClass::Store:
+                fu_ok = fu_mem < cfg.memPortCount;
+                if (fu_ok)
+                    ++fu_mem;
+                break;
+            }
+            if (!fu_ok)
+                continue;
+
+            // Issue.
+            unsigned lat;
+            switch (e.op.cls) {
+              case InstrClass::Load:
+                lat = loadLatency(e.op.effAddr);
+                ++activity.issuedMem;
+                break;
+              case InstrClass::Store:
+                lat = 1; // address generation; data written at commit
+                ++activity.issuedMem;
+                break;
+              case InstrClass::IntMul:
+                lat = executionLatency(e.op.cls);
+                ++activity.issuedIntMul;
+                break;
+              case InstrClass::FpAlu:
+                lat = executionLatency(e.op.cls);
+                ++activity.issuedFpAlu;
+                break;
+              case InstrClass::FpMul:
+                lat = executionLatency(e.op.cls);
+                ++activity.issuedFpMul;
+                break;
+              case InstrClass::Branch:
+              case InstrClass::Call:
+              case InstrClass::Return:
+                lat = executionLatency(e.op.cls);
+                ++activity.issuedControl;
+                break;
+              default:
+                lat = executionLatency(e.op.cls);
+                ++activity.issuedIntAlu;
+                break;
+            }
+            if (lat < 1)
+                lat = 1;
+            e.completeCycle = cycle + lat;
+            completions.schedule(cycle, e.completeCycle, e.seq);
+
+            // Operand reads / result write accounting.
+            if (e.op.dep1)
+                ++activity.regReads;
+            if (e.op.dep2)
+                ++activity.regReads;
+            if (e.op.cls != InstrClass::Store && !isControl(e.op.cls))
+                ++activity.regWrites;
+
+            // Free the IQ slot.
+            unissuedBits.reset(cur);
+            readyBits.reset(cur);
+            assert(iqOcc > 0);
+            --iqOcc;
+            iqAvfAcc.release(ace.iqWaiting(e.op.cls));
+
+            // A mispredicted branch un-blocks fetch when it resolves.
+            if (e.mispredicted) {
+                fetchWaitingResolve = false;
+                fetchBlockedUntil = std::max(
+                    fetchBlockedUntil,
+                    e.completeCycle + cfg.frontEndDepth);
+            }
+            ++issued;
         }
-        if (rd >= len)
-            break;
-
-        std::uint64_t cur = iqSeqA[rd];
-        if (++scanned > scan_cap)
-            break;
-
-        std::uint64_t ready_at = readyAtA[cur & scanSlotMask];
-        if (ready_at > cycle) {
-            ++waiting_seen;
-            if (ready_at < wake)
-                wake = ready_at;
-            iqSeqA[wr++] = cur;
-            continue;
-        }
-        InFlight &e = liveEntry(cur);
-        ++ready_seen;
-
-        // Per-class functional unit limits.
-        bool fu_ok = true;
-        switch (e.op.cls) {
-          case InstrClass::IntAlu:
-          case InstrClass::Branch:
-          case InstrClass::Call:
-          case InstrClass::Return:
-            fu_ok = fu_int_alu < cfg.intAluCount;
-            if (fu_ok)
-                ++fu_int_alu;
-            break;
-          case InstrClass::IntMul:
-            fu_ok = fu_int_mul < cfg.intMulCount;
-            if (fu_ok)
-                ++fu_int_mul;
-            break;
-          case InstrClass::FpAlu:
-            fu_ok = fu_fp_alu < cfg.fpAluCount;
-            if (fu_ok)
-                ++fu_fp_alu;
-            break;
-          case InstrClass::FpMul:
-            fu_ok = fu_fp_mul < cfg.fpMulCount;
-            if (fu_ok)
-                ++fu_fp_mul;
-            break;
-          case InstrClass::Load:
-          case InstrClass::Store:
-            fu_ok = fu_mem < cfg.memPortCount;
-            if (fu_ok)
-                ++fu_mem;
-            break;
-        }
-        if (!fu_ok) {
-            iqSeqA[wr++] = cur;
-            continue;
-        }
-
-        // Issue.
-        unsigned lat;
-        switch (e.op.cls) {
-          case InstrClass::Load:
-            lat = loadLatency(e.op.effAddr);
-            ++activity.issuedMem;
-            break;
-          case InstrClass::Store:
-            lat = 1; // address generation; data written at commit
-            ++activity.issuedMem;
-            break;
-          case InstrClass::IntMul:
-            lat = executionLatency(e.op.cls);
-            ++activity.issuedIntMul;
-            break;
-          case InstrClass::FpAlu:
-            lat = executionLatency(e.op.cls);
-            ++activity.issuedFpAlu;
-            break;
-          case InstrClass::FpMul:
-            lat = executionLatency(e.op.cls);
-            ++activity.issuedFpMul;
-            break;
-          case InstrClass::Branch:
-          case InstrClass::Call:
-          case InstrClass::Return:
-            lat = executionLatency(e.op.cls);
-            ++activity.issuedControl;
-            break;
-          default:
-            lat = executionLatency(e.op.cls);
-            ++activity.issuedIntAlu;
-            break;
-        }
-        if (lat < 1)
-            lat = 1;
-        e.issued = true;
-        e.completeCycle = cycle + lat;
-        completions.schedule(cycle, e.completeCycle, e.seq);
-        wakeConsumers(e);
-
-        // Operand reads / result write accounting.
-        if (e.op.dep1)
-            ++activity.regReads;
-        if (e.op.dep2)
-            ++activity.regReads;
-        if (e.op.cls != InstrClass::Store && !isControl(e.op.cls))
-            ++activity.regWrites;
-
-        // Free the IQ slot (not writing `cur` back removes it).
-        e.inIq = false;
-        assert(iqOcc > 0);
-        --iqOcc;
-        iqAvfAcc.release(ace.iqWaiting(e.op.cls));
-
-        // A mispredicted branch un-blocks fetch when it resolves.
-        if (e.mispredicted) {
-            fetchWaitingResolve = false;
-            fetchBlockedUntil = std::max(
-                fetchBlockedUntil,
-                e.completeCycle + cfg.frontEndDepth);
-        }
-        ++issued;
-    }
-
-    // Reattach the unvisited tail behind the survivors.
-    if (wr != rd) {
-        if (wr == iqStart)
-            iqStart = rd; // every visited entry issued: just advance
-        else {
-            // data() + rd, not &v[rd]: rd == len when nothing is
-            // left to move, and operator[] may not index there.
-            std::memmove(iqSeqA.data() + wr, iqSeqA.data() + rd,
-                         (len - rd) * sizeof(iqSeqA[0]));
-            iqSeqA.resize(len - (rd - wr));
-        }
+        older += here;
     }
 
     lastReadyCount = ready_seen;
-    ++issueScans;
-    idleIssueScans += ready_seen == 0;
-    // Entries beyond the scan cap are assumed waiting.
-    std::uint64_t in_iq = iqOcc + issued; // occupancy at scan start
+    // Residents past the cap count as waiting, except that a scan
+    // which stops at the cap rather than at the issue width counted
+    // the first of them as scanned, as the resident walk did.
     lastWaitingCount =
-        waiting_seen + (in_iq > scanned ? in_iq - scanned : 0);
-
-    // Nothing ready anywhere in the scan: sleep until the earliest
-    // memo, the first cycle a scanned entry can issue. An entry with
-    // a pending producer wakes only when that producer issues, and
-    // the oldest resident's producers have all issued, so its memo is
-    // finite. Entries past the scan cap are not visited while the
-    // population is frozen, so they cannot issue or change the
-    // observations before then.
-    if (issued == 0 && ready_seen == 0 && wake != kNever)
-        issueSleepUntil = wake;
+        in_iq - ready_seen - (capped && issued < issue_width ? 1 : 0);
+    ++issueScans;
+    if (ready_seen == 0) {
+        ++idleIssueScans;
+        issueIdle = true;
+    }
 }
 
 void
@@ -445,7 +379,6 @@ Pipeline::doDispatch()
             break;
 
         e.seq = frontSeq + window.size();
-        e.inIq = true;
         ++iqOcc;
         iqAvfAcc.occupy(ace.iqWaiting(e.op.cls));
         robAvfAcc.occupy(ace.robInFlight(e.op.cls));
@@ -456,13 +389,10 @@ Pipeline::doDispatch()
         }
         ++activity.dispatched;
         window.push_back(e);
-        iqListAppend(window.back());
+        enterIq(e);
         fetchQueue.pop_front();
         ++done;
     }
-    // New residents have unknown readiness: wake the issue scan.
-    if (done > 0)
-        issueSleepUntil = 0;
 }
 
 void
@@ -604,15 +534,12 @@ Pipeline::idleCycles()
     // runs (setIdleSkip), so dispatch gating never observes a cycle.
 
     // Commit: the head must be absent, unissued, or incomplete.
-    if (!window.empty()) {
-        const InFlight &h = window.front();
-        if (h.issued && h.completeCycle <= cycle)
-            return 0;
-    }
+    if (!window.empty() && window.front().completeCycle <= cycle)
+        return 0;
 
-    // Issue: the scan only provably does nothing while asleep (or
-    // with an empty IQ); its wakeup is an explicit bound below.
-    if (iqOcc > 0 && cycle >= issueSleepUntil)
+    // Issue: idle (or an empty IQ) until a ready bit is set, which
+    // only a completion (bounded below) or a dispatch does.
+    if (iqOcc > 0 && !issueIdle)
         return 0;
 
     // Dispatch: the in-order front must be blocked by a full
@@ -625,7 +552,7 @@ Pipeline::idleCycles()
     }
 
     // Fetch: blocked on a mispredict resolution (cleared only by
-    // issue, asleep above), a full fetch queue (drained only by
+    // issue, idle above), a full fetch queue (drained only by
     // dispatch, blocked above), or a time bound.
     bool fetch_time_blocked = false;
     if (!fetchWaitingResolve &&
@@ -636,13 +563,11 @@ Pipeline::idleCycles()
     }
 
     // Everything is inert. The machine state cannot change before the
-    // earliest of: the next completion event, the issue-sleep wakeup,
-    // the fetch unblock. (Completions at the current cycle have not
-    // drained yet — cycleOnce does that — so the event scan starts at
-    // `cycle` itself and a due event forces a normal cycle.)
+    // earliest of: the next completion event, the fetch unblock.
+    // (Completions at the current cycle have not drained yet —
+    // cycleOnce does that — so the event scan starts at `cycle` itself
+    // and a due event forces a normal cycle.)
     std::uint64_t target = ~0ull;
-    if (iqOcc > 0 && issueSleepUntil < target)
-        target = issueSleepUntil;
     if (fetch_time_blocked && fetchBlockedUntil < target)
         target = fetchBlockedUntil;
     std::uint64_t ev = completions.nextEventCycle(cycle, target);
@@ -682,7 +607,7 @@ Pipeline::runInstructions(std::uint64_t count)
             // active and the full check would just re-derive that.
             // Skipping the check never changes results — a normal
             // cycle is always the ground truth.
-            if (iqOcc == 0 || cycle < issueSleepUntil) {
+            if (iqOcc == 0 || issueIdle) {
                 std::uint64_t k = idleCycles();
                 if (k > 0) {
                     skipCycles(k);

@@ -24,29 +24,34 @@
  * Every campaign, exploration round and figure bench bottoms out in
  * this cycle loop, so its data structures are chosen for the per-cycle
  * walks rather than for generality. All of the following preserve
- * simulated results bit for bit (pinned by the golden report tests):
+ * simulated results bit for bit (pinned by the golden report tests
+ * and the simulate() digests in tests/data/golden_sim_digests.txt):
  *
  *  - The ROB and the fetch queue are fixed-capacity power-of-two
  *    RingBuffers (ring_buffer.hh) sized from SimConfig at
  *    construction: no per-push allocation, and the commit walk
  *    touches contiguous memory.
- *  - Unissued IQ residents are additionally tracked in a dense
- *    seq-ordered array (iqSeqA, compacted in place by the scan
- *    itself), so the issue scan visits exactly the candidates the
- *    historical whole-window walk would have considered — in the
- *    same oldest-first order, with the same scan cap — as a
- *    sequential read whose common waiting-entry case never touches
- *    the window entries and fast-forwards over waiting runs four
- *    entries per branch.
- *  - Operand wakeup is exact and event driven. Dispatch resolves an
- *    entry's producers once and links it into each unissued
- *    producer's consumer list; issuing a producer folds its
- *    completeCycle into those consumers. Each resident's wakeup memo
- *    (readyAtA) is therefore the exact cycle its operands are ready,
- *    or kNever while a producer is unissued, and the scan tests
- *    memo <= cycle with no producer walk. A scan that finds nothing
- *    ready puts the issue stage to sleep until the earliest memo,
- *    which is exactly the first cycle a scanned entry can issue.
+ *  - Wakeup and select are event driven. Dispatch resolves an entry's
+ *    producers once and links it into each producer whose completion
+ *    has not drained yet; draining a completion walks that producer's
+ *    consumers, and the last pending producer sets the consumer's
+ *    ready bit. An entry is ready exactly when its operands'
+ *    completeCycles are <= cycle, since each completion drains at the
+ *    start of its cycle, before issue.
+ *  - Two BitRings (ring_buffer.hh) over ROB slots (seq modulo at
+ *    least 64 slots) hold the unissued IQ residents and which of them
+ *    are ready. The issue stage reads them 64 slots at a time from
+ *    the ROB head and visits only ready bits, oldest first; an
+ *    entry's place in the scan cap is its rank among the unissued
+ *    bits at scan start, so the cap, FU arbitration and the DVM
+ *    observations are those of a walk over every resident.
+ *  - A scan that finds nothing ready inside the cap makes the issue
+ *    stage idle until some ready bit is set (only a completion or a
+ *    dispatch sets one, and only issue changes ranks), and its DVM
+ *    observations are reproduced in closed form meanwhile.
+ *  - Per-class properties (isMem, isControl, executionLatency and the
+ *    AceWeights fractions) are table reads inlined from their headers:
+ *    the stages look them up for every op and every event.
  *  - Completion events live in a CalendarQueue (calendar_queue.hh):
  *    execution latencies are bounded by l2Lat + memLat + tlbMissLat,
  *    so per-cycle buckets replace the former std::priority_queue and
@@ -58,10 +63,10 @@
  *    every run of that shape, on any thread, reads the same array, so
  *    a pipeline never decodes and the array needs no lock.
  *  - Idle-cycle fast-forward: runInstructions() jumps over provably
- *    inert cycles — every stage blocked, with the earliest possible
- *    state change bounded by the next completion event / issue-sleep
- *    wakeup / fetch unblock — in one step, with exact integer
- *    occupancy accounting (occ * k) and bitwise-exact AVF
+ *    inert cycles — every stage blocked (issue idle or the IQ empty),
+ *    with the earliest possible state change bounded by the next
+ *    completion event or the fetch unblock — in one step, with exact
+ *    integer occupancy accounting (occ * k) and bitwise-exact AVF
  *    accumulation (AvfAccumulator::tickMany replays the FP adds with
  *    a fixed-point early exit). The constructor arms it whenever the
  *    DVM controller is disabled: an enabled controller observes and
@@ -162,10 +167,10 @@ class Pipeline
     /** Cycles covered by the idle fast-forward. */
     std::uint64_t idleSkippedCycles() const { return idleSkipped; }
 
-    /** Issue stages that ran their scan: awake, IQ empty or not. */
+    /** Walks of the ready bits: issue stages that were not idle. */
     std::uint64_t issueScanCount() const { return issueScans; }
 
-    /** Of those, the scans that found no entry ready. */
+    /** Of those, the walks that found no entry ready inside the cap. */
     std::uint64_t idleIssueScanCount() const { return idleIssueScans; }
 
     /** Instructions committed since construction. */
@@ -181,8 +186,6 @@ class Pipeline
     const BpredStats &bpredStats() const { return bpStats; }
 
   private:
-    /** Wakeup memo of an entry with a producer still unissued. */
-    static constexpr std::uint64_t kNever = ~0ull;
     /** End of a producer's consumer list. */
     static constexpr std::uint64_t kNoLink = ~0ull;
 
@@ -190,11 +193,9 @@ class Pipeline
     {
         MicroOp op;
         std::uint64_t seq = 0;
-        std::uint64_t completeCycle = ~0ull;
-        bool issued = false;
-        bool inIq = false;
+        std::uint64_t completeCycle = ~0ull; //!< set at issue
         bool inLsq = false;
-        bool aceCompleted = false; //!< ROB ACE transition applied
+        bool aceCompleted = false; //!< completion drained
         bool mispredicted = false; //!< direction mispredict at fetch
     };
 
@@ -218,7 +219,7 @@ class Pipeline
     /** Window entry for a sequence number, or nullptr if committed. */
     InFlight *entryFor(std::uint64_t seq);
 
-    /** Entry known to be live (IQ-list members). No bounds checks. */
+    /** Entry known to be live. No bounds checks. */
     InFlight &
     liveEntry(std::uint64_t seq)
     {
@@ -226,13 +227,18 @@ class Pipeline
     }
 
     /**
-     * Append a dispatched entry to the unissued-IQ scan array and
-     * resolve its producers into its wakeup memo and consumer links.
+     * Enter a dispatched entry into the unissued ring and link it to
+     * its producers whose completions have not drained.
      */
-    void iqListAppend(InFlight &e);
+    void enterIq(const InFlight &e);
 
-    /** Fold a just-issued entry's completeCycle into its consumers. */
-    void wakeConsumers(const InFlight &e);
+    /** Set @p seq's ready bit; the issue stage is no longer idle. */
+    void
+    markReady(std::uint64_t seq)
+    {
+        readyBits.set(seq);
+        issueIdle = false;
+    }
 
     /** Load latency through DTLB/DL1/L2/memory; updates stats. */
     unsigned loadLatency(std::uint64_t addr);
@@ -261,51 +267,30 @@ class Pipeline
     std::uint64_t issueScans = 0;     //!< see issueScanCount()
     std::uint64_t idleIssueScans = 0; //!< see idleIssueScanCount()
 
+    /** Unissued IQ residents, and which of them are ready, by seq. */
+    BitRing unissuedBits, readyBits;
     /**
-     * Unissued IQ residents in dispatch (= seq) order: the live span
-     * is [iqStart, iqSeqA.size()). Dispatch appends at the back; the
-     * issue scan removes by compacting in place as it walks (it
-     * touches every live element anyway), so iteration is a dense
-     * sequential read, and runs of waiting entries — the bulk of
-     * every scan — fast-forward four at a time.
+     * The issue stage found nothing ready inside the scan cap and no
+     * ready bit has been set since: the next scan would find nothing
+     * either (only issue changes ranks).
      */
-    std::vector<std::uint64_t> iqSeqA;
-    std::size_t iqStart = 0;
+    bool issueIdle = false;
 
     /**
-     * Exact operand wakeup, keyed by seq & scanSlotMask (live seqs
-     * span less than the window capacity, so slots are unique among
-     * residents). readyAtA holds each resident's wakeup memo: the
-     * cycle its last operand completes, or kNever while a producer
-     * has not issued; the entry is ready exactly when memo <= cycle.
-     * Dispatch resolves the producers once: committed ones are
-     * ready, issued ones contribute their completeCycle, and the
-     * entry links itself into each unissued producer's consumer list
-     * (a head per producer, a link per operand slot: nothing is
-     * allocated). When a producer issues, wakeConsumers() folds its
-     * completeCycle in and, on the last pending producer, writes the
-     * memo.
+     * Consumer links, keyed by seq & slotMask (live seqs span at most
+     * the window capacity, so slots are unique among residents): a
+     * head per producer, a link per operand slot, so nothing is
+     * allocated. pending counts the producers whose completions have
+     * not drained.
      */
-    std::vector<std::uint64_t> readyAtA;
     struct Waiter
     {
-        std::uint64_t operandsAt = 0; //!< latest known completeCycle
         std::uint64_t consumers = kNoLink; //!< (seq << 1) | operand
         std::uint64_t next[2] = {kNoLink, kNoLink}; //!< per operand
-        unsigned pending = 0; //!< producers not yet issued
+        unsigned pending = 0;
     };
     std::vector<Waiter> waitA;
-    std::uint64_t scanSlotMask = 0;
-
-    /**
-     * Issue-stage sleep: when a scan finds every candidate unready,
-     * the earliest memo is the first cycle a scanned entry can issue,
-     * and the scan until then is pure overhead — its DVM observations
-     * are reproduced in closed form (the IQ population is frozen
-     * while asleep: only issue removes list entries and any dispatch
-     * cancels the sleep).
-     */
-    std::uint64_t issueSleepUntil = 0;
+    std::uint64_t slotMask = 0;
 
     std::uint64_t cycle = 0;
     std::uint64_t totalCommitted = 0;

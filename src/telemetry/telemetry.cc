@@ -220,6 +220,33 @@ renderTelemetrySummary(const MetricsSnapshot &snap, std::uint64_t wallUs,
         out += '\n';
     }
 
+    // The simulator's cycle loop, summed over the computed runs.
+    const std::uint64_t simCycles = snap.counterOr("sim.cycles");
+    if (simCycles > 0) {
+        const std::uint64_t scans = snap.counterOr("sim.issue_scans");
+        std::uint64_t runUs = 0;
+        for (const auto &h : snap.histograms)
+            if (h.name == "sim.run_us")
+                runUs = h.sumUs;
+        std::snprintf(
+            line, sizeof(line),
+            "-- telemetry: sim: %llu cycles, %.1f%% idle-skipped, %llu "
+            "issue scans (%.1f%% idle), run time %s\n",
+            static_cast<unsigned long long>(simCycles),
+            100.0 *
+                static_cast<double>(
+                    snap.counterOr("sim.idle_skipped_cycles")) /
+                static_cast<double>(simCycles),
+            static_cast<unsigned long long>(scans),
+            scans > 0 ? 100.0 *
+                            static_cast<double>(
+                                snap.counterOr("sim.issue_idle_scans")) /
+                            static_cast<double>(scans)
+                      : 0.0,
+            formatSeconds(runUs).c_str());
+        out += line;
+    }
+
     std::uint64_t hits = snap.counterOr("cache.hits");
     std::uint64_t misses = snap.counterOr("cache.misses");
     if (hits + misses > 0) {

@@ -80,8 +80,11 @@ void writeMetricsFile(const std::string &path);
  * between prediction (sweep.predict_us), scoring (sweep.score_us) and,
  * when a sweep recorded it, the chunk filter (sweep.filter_us: one
  * sample per sweep chunk, covering its non-dominated filter and the
- * flat rows kept for the survivors), and the cache's hits, misses,
- * stores and probe time.
+ * flat rows kept for the survivors), the simulator's cycle loop
+ * when any run was simulated (sim.cycles, the idle-skipped share,
+ * sim.issue_scans with the share of idle scans, and the summed
+ * sim.run_us; sim/batch.hh), and the cache's hits, misses, stores and
+ * probe time.
  *
  * The score share names the variant of the score kernels (util/simd.hh)
  * when the sweep.score_avx2 gauge is set — "avx2" for 1, "baseline"

@@ -29,47 +29,4 @@ instrClassName(InstrClass c)
     return "?";
 }
 
-bool
-isFp(InstrClass c)
-{
-    return c == InstrClass::FpAlu || c == InstrClass::FpMul;
-}
-
-bool
-isMem(InstrClass c)
-{
-    return c == InstrClass::Load || c == InstrClass::Store;
-}
-
-bool
-isControl(InstrClass c)
-{
-    return c == InstrClass::Branch || c == InstrClass::Call ||
-           c == InstrClass::Return;
-}
-
-unsigned
-executionLatency(InstrClass c)
-{
-    switch (c) {
-      case InstrClass::IntAlu:
-        return 1;
-      case InstrClass::IntMul:
-        return 7;
-      case InstrClass::FpAlu:
-        return 4;
-      case InstrClass::FpMul:
-        return 12;
-      case InstrClass::Load:
-        return 0; // memory latency added by the cache model
-      case InstrClass::Store:
-        return 1; // address generation; data written at commit
-      case InstrClass::Branch:
-      case InstrClass::Call:
-      case InstrClass::Return:
-        return 1;
-    }
-    return 1;
-}
-
 } // namespace wavedyn

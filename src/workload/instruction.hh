@@ -14,6 +14,7 @@
 #ifndef WAVEDYN_WORKLOAD_INSTRUCTION_HH
 #define WAVEDYN_WORKLOAD_INSTRUCTION_HH
 
+#include <cstddef>
 #include <cstdint>
 
 namespace wavedyn
@@ -39,14 +40,35 @@ constexpr std::size_t instrClassCount = 9;
 /** Short mnemonic for an instruction class. */
 const char *instrClassName(InstrClass c);
 
+// Per-class properties are table reads in InstrClass order, inlined
+// into the pipeline's per-op paths.
+
 /** True for classes executed by the floating-point pools. */
-bool isFp(InstrClass c);
+inline bool
+isFp(InstrClass c)
+{
+    static constexpr bool t[instrClassCount] = {
+        false, false, true, true, false, false, false, false, false};
+    return t[static_cast<std::size_t>(c)];
+}
 
 /** True for memory classes (Load/Store). */
-bool isMem(InstrClass c);
+inline bool
+isMem(InstrClass c)
+{
+    static constexpr bool t[instrClassCount] = {
+        false, false, false, false, true, true, false, false, false};
+    return t[static_cast<std::size_t>(c)];
+}
 
 /** True for control classes (Branch/Call/Return). */
-bool isControl(InstrClass c);
+inline bool
+isControl(InstrClass c)
+{
+    static constexpr bool t[instrClassCount] = {
+        false, false, false, false, false, false, true, true, true};
+    return t[static_cast<std::size_t>(c)];
+}
 
 /**
  * One micro-op of the committed stream.
@@ -67,7 +89,15 @@ struct MicroOp
 };
 
 /** Fixed execution latency of a class; loads add memory latency. */
-unsigned executionLatency(InstrClass c);
+inline unsigned
+executionLatency(InstrClass c)
+{
+    // Loads add the cache model's latency; stores generate an address
+    // and write their data at commit.
+    static constexpr unsigned char t[instrClassCount] = {
+        1, 7, 4, 12, 0, 1, 1, 1, 1};
+    return t[static_cast<std::size_t>(c)];
+}
 
 } // namespace wavedyn
 

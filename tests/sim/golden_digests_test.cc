@@ -11,8 +11,8 @@
  * medians. This file pins the simulator's own bits across commits.
  * The matrix covers every generated workload family plus gcc, fetch
  * widths 2/4/8/16 (issue scan caps 32 and 48), IQ sizes on both sides
- * of the scan cap with a ROB large enough to fill them, and the DVM
- * controller off and on.
+ * of the scan cap with a ROB large enough to fill them, small ROBs of
+ * non-power-of-two sizes, and the DVM controller off and on.
  *
  * Regenerate with: WAVEDYN_UPDATE_GOLDEN=1 ctest -R golden_digests
  * (same toolchain caveat as tests/integration/golden_report_test.cc:
@@ -61,7 +61,27 @@ benchmarks()
     return out;
 }
 
-/** One line per run: "<bench> fw=W iq=N dvm=on|off <digest>". */
+/** FNV-1a-64 of one run's cache record, as 16 hex digits. */
+std::string
+digestOf(const BenchmarkProfile &bench, const SimConfig &cfg, bool dvmOn)
+{
+    DvmConfig dvm;
+    dvm.enabled = dvmOn;
+    SimResult r = simulate(bench, cfg, kSamples, kPerInterval, dvm);
+    char hex[17];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(fnv1a64(
+                      encodeSimResult(r, "golden"), kFnvBasis)));
+    return hex;
+}
+
+/**
+ * One line per run: "<bench> fw=W iq=N dvm=on|off <digest>" over a
+ * 160-entry ROB, then "<bench> rob=R fw=W iq=N dvm=on|off <digest>"
+ * over small ROBs whose sizes are not powers of two (24 and 40 round
+ * to 32- and 64-slot windows, 100 to 128), so the per-slot state is
+ * exercised at its smallest ring and across ring wrap-around.
+ */
 std::string
 renderDigests()
 {
@@ -75,19 +95,25 @@ renderDigests()
                     cfg.iqSize = iq;
                     cfg.robSize = 160;
                     cfg.lsqSize = 64;
-                    DvmConfig dvm;
-                    dvm.enabled = dvmOn;
-                    SimResult r =
-                        simulate(bench, cfg, kSamples, kPerInterval, dvm);
-                    char hex[17];
-                    std::snprintf(
-                        hex, sizeof hex, "%016llx",
-                        static_cast<unsigned long long>(fnv1a64(
-                            encodeSimResult(r, "golden"), kFnvBasis)));
                     os << bench.name << " fw=" << fw << " iq=" << iq
                        << " dvm=" << (dvmOn ? "on" : "off") << ' '
-                       << hex << '\n';
+                       << digestOf(bench, cfg, dvmOn) << '\n';
                 }
+    for (const BenchmarkProfile &bench : benchmarks())
+        for (unsigned rob : {24u, 40u, 100u})
+            for (unsigned fw : {2u, 8u})
+                for (unsigned iq : {16u, 32u})
+                    for (bool dvmOn : {false, true}) {
+                        SimConfig cfg = SimConfig::baseline();
+                        cfg.fetchWidth = fw;
+                        cfg.iqSize = iq;
+                        cfg.robSize = rob;
+                        cfg.lsqSize = 64;
+                        os << bench.name << " rob=" << rob << " fw=" << fw
+                           << " iq=" << iq
+                           << " dvm=" << (dvmOn ? "on" : "off") << ' '
+                           << digestOf(bench, cfg, dvmOn) << '\n';
+                    }
     return os.str();
 }
 

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "avf/estimator.hh"
 #include "power/model.hh"
+#include "util/rng.hh"
 
 namespace wavedyn
 {
@@ -119,6 +123,53 @@ TEST(PowerModel, ZeroCyclesSafe)
     ActivityCounts a;
     EXPECT_DOUBLE_EQ(pm.watts(a), 0.0);
     EXPECT_TRUE(pm.breakdown(a).empty());
+}
+
+TEST(PowerModel, WattsIsTheKeyOrderSumOfTheBreakdownBitForBit)
+{
+    // watts() sums the terms without building the map; its bits must
+    // equal a sum over breakdown() in key order, for any activity.
+    auto bitsOf = [](double v) {
+        std::uint64_t u;
+        std::memcpy(&u, &v, sizeof u);
+        return u;
+    };
+    SimConfig narrow = SimConfig::baseline();
+    narrow.fetchWidth = 2;
+    narrow.iqSize = 32;
+    narrow.l2SizeKb = 256;
+    SimConfig wide = SimConfig::baseline();
+    wide.fetchWidth = 16;
+    wide.robSize = 160;
+    wide.dl1SizeKb = 8;
+    Rng rng(2024);
+    for (const SimConfig &cfg : {SimConfig::baseline(), narrow, wide}) {
+        PowerModel pm(cfg);
+        for (int trial = 0; trial < 200; ++trial) {
+            ActivityCounts a;
+            if (trial > 0) {
+                // Cycles from 1 upwards, counters from 0 to far above
+                // one event per cycle.
+                a = typicalActivity(1 + rng.below(1u << (trial % 20)));
+                a.cycles = 1 + rng.below(1u << (trial % 24));
+                a.issuedIntMul = rng.below(a.cycles + 1);
+                a.issuedFpAlu = rng.below(3 * a.cycles + 1);
+                a.issuedFpMul = rng.below(a.cycles + 1);
+                a.issuedControl = rng.below(2 * a.cycles + 1);
+                a.il1Accesses = rng.below(4 * a.cycles + 1);
+                a.memAccesses = rng.below(a.cycles + 1);
+                a.regWrites = rng.below(8 * a.cycles + 1);
+                a.lsqOccupancySum = rng.below(64 * a.cycles + 1);
+            }
+            const PowerBreakdown b = pm.breakdown(a);
+            EXPECT_EQ(b.size(), a.cycles == 0 ? 0u : PowerModel::kTerms);
+            double total = 0.0;
+            for (const auto &[k, v] : b)
+                total += v;
+            EXPECT_EQ(bitsOf(pm.watts(a)), bitsOf(total))
+                << "trial " << trial << " cycles " << a.cycles;
+        }
+    }
 }
 
 TEST(ActivityCounts, AddAccumulates)

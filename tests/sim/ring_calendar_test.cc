@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the pipeline's hot-path containers: the fixed-
- * capacity RingBuffer behind the ROB/fetch queue and the CalendarQueue
- * behind completion events. The calendar queue's drain order is
+ * capacity RingBuffer behind the ROB/fetch queue, the BitRing behind
+ * the issue select's per-slot flags, and the CalendarQueue behind
+ * completion events. The calendar queue's drain order is
  * checked against the std::priority_queue it replaced — within-cycle
  * order is bit-significant for the simulation (FP AVF accumulation).
  */
@@ -95,6 +96,50 @@ TEST(RingBuffer, ClearEmpties)
     EXPECT_TRUE(rb.empty());
     rb.push_back(7);
     EXPECT_EQ(rb.front(), 7);
+}
+
+TEST(BitRing, SizeRoundsUpToAPowerOfTwoOfAtLeast64)
+{
+    EXPECT_EQ(BitRing(0).size(), 64u);
+    EXPECT_EQ(BitRing(24).size(), 64u);
+    EXPECT_EQ(BitRing(64).size(), 64u);
+    EXPECT_EQ(BitRing(65).size(), 128u);
+    EXPECT_EQ(BitRing(160).size(), 256u);
+}
+
+TEST(BitRing, WindowMatchesBitByBitReferenceAtEveryStart)
+{
+    // Every start offset (and starts one lap further on, as running
+    // sequence numbers are) against a plain bool reference, over
+    // random fills, an empty ring, a full ring and single bits.
+    Rng rng(0xb17);
+    for (std::size_t n : {64u, 128u, 256u}) {
+        for (int fill = 0; fill < 6; ++fill) {
+            BitRing ring(n);
+            std::vector<bool> ref(n, false);
+            for (std::size_t i = 0; i < n; ++i) {
+                bool on = fill == 0   ? false
+                          : fill == 1 ? true
+                          : fill == 2 ? i == n - 1
+                          : fill == 3 ? i == 0
+                                      : rng.below(fill) == 0;
+                // Set then reset every bit once, so reset is exercised.
+                ring.set(i + n);
+                if (!on)
+                    ring.reset(i);
+                ref[i] = on;
+            }
+            for (std::uint64_t start = 0; start < 2 * n; ++start) {
+                std::uint64_t want = 0;
+                for (unsigned b = 0; b < 64; ++b)
+                    if (ref[(start + b) % n])
+                        want |= std::uint64_t{1} << b;
+                ASSERT_EQ(ring.window(start), want)
+                    << "size " << n << " fill " << fill << " start "
+                    << start;
+            }
+        }
+    }
 }
 
 TEST(CalendarQueue, DrainsAtExactCycle)

@@ -257,6 +257,35 @@ TEST(TelemetrySummary, SweepSplitsPredictFromScore)
               std::string::npos);
 }
 
+TEST(TelemetrySummary, SimLineReadsCyclesSkipsScansAndRunTime)
+{
+    MetricsSnapshot snap;
+    EXPECT_EQ(renderTelemetrySummary(snap, 1000000, 1).find("sim:"),
+              std::string::npos);
+    snap.counters = {{"sim.cycles", 4000},
+                     {"sim.idle_skipped_cycles", 3000},
+                     {"sim.issue_idle_scans", 50},
+                     {"sim.issue_scans", 200}};
+    MetricsSnapshot::Histogram run;
+    run.name = "sim.run_us";
+    run.count = 3;
+    run.sumUs = 2500000;
+    snap.histograms = {run};
+    EXPECT_NE(renderTelemetrySummary(snap, 1000000, 1)
+                  .find("-- telemetry: sim: 4000 cycles, 75.0% "
+                        "idle-skipped, 200 issue scans (25.0% idle), run "
+                        "time 2.500 s\n"),
+              std::string::npos);
+    // No scans (every cycle skipped) and no run-time samples.
+    snap.counters = {{"sim.cycles", 8}, {"sim.idle_skipped_cycles", 8}};
+    snap.histograms.clear();
+    EXPECT_NE(renderTelemetrySummary(snap, 1000000, 1)
+                  .find("-- telemetry: sim: 8 cycles, 100.0% "
+                        "idle-skipped, 0 issue scans (0.0% idle), run "
+                        "time 0.000 s\n"),
+              std::string::npos);
+}
+
 TEST(TelemetrySummary, CacheLineEndsWithProbeTime)
 {
     MetricsSnapshot snap;
