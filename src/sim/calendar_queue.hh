@@ -3,10 +3,11 @@
  * Cycle-bucketed calendar queue for completion events.
  *
  * The pipeline schedules every event a bounded number of cycles ahead
- * (execution latencies top out at dl1Lat + tlbMissLat + l2Lat +
- * memLat) and visits every cycle exactly once, so a ring of per-cycle
- * buckets replaces a binary heap: O(1) amortised schedule/drain
- * instead of O(log n), no per-event allocation in steady state.
+ * (its longest load latency plus its largest fixed execution latency,
+ * the queue's fixed horizon) and visits every cycle exactly once, so
+ * a ring of per-cycle buckets replaces a binary heap: O(1) amortised
+ * schedule/drain instead of O(log n), no per-event allocation in
+ * steady state.
  *
  * Storage is a node pool with per-bucket intrusive lists; freed nodes
  * are recycled, so the pool grows (on demand, by doubling) only to
@@ -48,9 +49,8 @@ class CalendarQueue
     static constexpr std::uint64_t kNoEvent = ~0ull;
 
     /**
-     * @param horizon minimum schedulable distance in cycles; the
-     *        bucket ring rounds up to a power of two and grows on
-     *        demand if an event ever lands further out.
+     * @param horizon longest schedulable distance in cycles; the
+     *        bucket ring rounds up to a power of two and never grows.
      */
     explicit CalendarQueue(std::uint64_t horizon)
     {
@@ -63,15 +63,15 @@ class CalendarQueue
 
     /**
      * Schedule @p seq to fire at @p eventCycle.
-     * @pre eventCycle > now (events in the past would never drain).
+     * @pre eventCycle > now (events in the past would never drain)
+     *      and eventCycle - now is within the constructor's horizon.
      */
     void
-    schedule(std::uint64_t now, std::uint64_t eventCycle,
+    schedule([[maybe_unused]] std::uint64_t now, std::uint64_t eventCycle,
              std::uint64_t seq)
     {
         assert(eventCycle > now);
-        if (eventCycle - now > mask)
-            growHorizon(eventCycle - now);
+        assert(eventCycle - now <= mask);
         std::uint32_t idx = allocNode();
         std::uint64_t b = eventCycle & mask;
         nodes[idx].cycle = eventCycle;
@@ -176,26 +176,6 @@ class CalendarQueue
         if (fresh == nodes.size())
             nodes.resize(std::max<std::size_t>(64, nodes.size() * 2));
         return static_cast<std::uint32_t>(fresh++);
-    }
-
-    /** Re-bucket every pending event into a ring spanning @p dist. */
-    void
-    growHorizon(std::uint64_t dist)
-    {
-        std::uint64_t cap = std::max((mask + 1) * 2, ceilPow2(dist + 1));
-        std::vector<std::uint32_t> bigger(cap, kNil);
-        for (std::uint64_t b = 0; b <= mask; ++b) {
-            std::uint32_t idx = heads[b];
-            while (idx != kNil) {
-                std::uint32_t nxt = nodes[idx].next;
-                std::uint64_t nb = nodes[idx].cycle & (cap - 1);
-                nodes[idx].next = bigger[nb];
-                bigger[nb] = idx;
-                idx = nxt;
-            }
-        }
-        heads = std::move(bigger);
-        mask = cap - 1;
     }
 
     std::vector<std::uint32_t> heads; //!< bucket list heads

@@ -3,8 +3,31 @@
 #include <algorithm>
 #include <cassert>
 
+#include "util/bits.hh"
+
 namespace wavedyn
 {
+
+namespace
+{
+
+/**
+ * Longest completion latency a pipeline schedules: a load missing the
+ * DTLB, DL1 and L2, plus the largest fixed execution latency (a bound
+ * on any other class's). The completion queue's fixed horizon.
+ */
+std::uint64_t
+maxLatency(const SimConfig &cfg)
+{
+    unsigned fixed = 0;
+    for (std::size_t c = 0; c < instrClassCount; ++c)
+        fixed = std::max(fixed,
+                         executionLatency(static_cast<InstrClass>(c)));
+    return std::uint64_t{cfg.dl1Lat} + cfg.tlbMissLat + cfg.l2Lat +
+           cfg.memLat + fixed;
+}
+
+} // namespace
 
 double
 AvfSample::combined(const SimConfig &cfg) const
@@ -31,17 +54,11 @@ Pipeline::Pipeline(const std::vector<MicroOp> &ops, const SimConfig &cfg,
       iqAvfAcc(cfg.iqSize), robAvfAcc(cfg.robSize),
       lsqAvfAcc(cfg.lsqSize),
       dvmCtl(dvm, cfg.iqSize),
-      window(cfg.robSize),
-      fetchQueue(2 * cfg.fetchWidth),
-      // Longest schedulable latency: a load missing DTLB, DL1 and L2.
-      // Fixed execution latencies are far shorter; the queue grows on
-      // demand should a configuration ever exceed the bound.
-      completions(cfg.dl1Lat + cfg.tlbMissLat + cfg.l2Lat + cfg.memLat +
-                  16),
-      ops(&ops), unissuedBits(window.capacity()),
-      readyBits(window.capacity())
+      completions(maxLatency(cfg)), ops(&ops),
+      unissuedBits(cfg.robSize), readyBits(cfg.robSize)
 {
-    slotMask = window.capacity() - 1;
+    slotMask = ceilPow2(cfg.robSize) - 1;
+    completeA.assign(slotMask + 1, ~0ull);
     waitA.assign(slotMask + 1, Waiter{});
     auto shift_of = [](unsigned v, unsigned &shift, bool &pow2) {
         if (v == 0 || (v & (v - 1)) != 0)
@@ -55,41 +72,32 @@ Pipeline::Pipeline(const std::vector<MicroOp> &ops, const SimConfig &cfg,
     setIdleSkip(true);
 }
 
-Pipeline::InFlight *
-Pipeline::entryFor(std::uint64_t seq)
-{
-    if (seq < frontSeq)
-        return nullptr;
-    std::uint64_t idx = seq - frontSeq;
-    if (idx >= window.size())
-        return nullptr;
-    return &window[idx];
-}
-
 void
-Pipeline::enterIq(const InFlight &e)
+Pipeline::enterIq(std::uint64_t seq, const MicroOp &op)
 {
     // Resolve the producers once: committed or completed means ready,
-    // otherwise the entry waits on that producer's completion.
-    Waiter &w = waitA[e.seq & slotMask];
+    // otherwise the entry waits on that producer's completion. A
+    // completion at or before `cycle` has drained (doCompletions runs
+    // first), so completed means completeCycle <= cycle.
+    Waiter &w = waitA[seq & slotMask];
     w = Waiter{};
-    const std::uint32_t deps[2] = {e.op.dep1, e.op.dep2};
+    const std::uint32_t deps[2] = {op.dep1, op.dep2};
     for (unsigned k = 0; k < 2; ++k) {
         if (deps[k] == 0)
             continue;
-        std::uint64_t pseq = e.seq - deps[k];
-        if (pseq < frontSeq || pseq - frontSeq >= window.size())
+        std::uint64_t pseq = seq - deps[k];
+        if (pseq < frontSeq || pseq >= seq)
             continue; // committed, or before the first instruction
-        if (liveEntry(pseq).aceCompleted)
+        if (completeCycle(pseq) <= cycle)
             continue;
         ++w.pending;
         Waiter &pw = waitA[pseq & slotMask];
         w.next[k] = pw.consumers;
-        pw.consumers = (e.seq << 1) | k;
+        pw.consumers = (seq << 1) | k;
     }
-    unissuedBits.set(e.seq);
+    unissuedBits.set(seq);
     if (w.pending == 0)
-        markReady(e.seq);
+        markReady(seq);
 }
 
 unsigned
@@ -123,10 +131,10 @@ void
 Pipeline::doCompletions()
 {
     completions.drain(cycle, [&](std::uint64_t seq) {
-        InFlight *e = entryFor(seq);
-        if (!e || e->aceCompleted)
-            return;
-        e->aceCompleted = true;
+        // Each op completes once, and commits only after its
+        // completion has drained.
+        assert(completeCycle(seq) == cycle);
+        const InstrClass cls = (*ops)[seq].cls;
         // The last pending producer readies its consumer.
         for (std::uint64_t l = waitA[seq & slotMask].consumers;
              l != kNoLink;) {
@@ -137,11 +145,10 @@ Pipeline::doCompletions()
                 markReady(cseq);
         }
         // ROB entry: in-flight ACE state shrinks to the pending result.
-        robAvfAcc.release(ace.robInFlight(e->op.cls));
-        robAvfAcc.occupy(ace.robCompleted(e->op.cls));
+        robAvfAcc.release(ace.robInFlight(cls));
+        robAvfAcc.occupy(ace.robCompleted(cls));
         // Loads free their LSQ slot at writeback.
-        if (e->op.cls == InstrClass::Load && e->inLsq) {
-            e->inLsq = false;
+        if (cls == InstrClass::Load) {
             assert(lsqOcc > 0);
             --lsqOcc;
             lsqAvfAcc.release(ace.lsq(InstrClass::Load));
@@ -153,37 +160,35 @@ void
 Pipeline::doCommit()
 {
     unsigned done = 0;
-    while (done < cfg.fetchWidth && !window.empty() &&
+    while (done < cfg.fetchWidth && frontSeq < robTail &&
            totalCommitted < committedTarget) {
-        InFlight &e = window.front();
-        if (e.completeCycle > cycle)
+        // A complete head has drained its completion (doCompletions
+        // runs first), so its ROB ACE state is the completed one.
+        if (completeCycle(frontSeq) > cycle)
             break;
+        const MicroOp &op = (*ops)[frontSeq];
 
         // Stores write the data cache at commit (no stall; write
-        // buffering assumed).
-        if (e.op.cls == InstrClass::Store) {
+        // buffering assumed), and free their LSQ slot.
+        if (op.cls == InstrClass::Store) {
             ++activity.dl1Accesses;
-            if (!dl1Cache.access(e.op.effAddr)) {
+            if (!dl1Cache.access(op.effAddr)) {
                 ++activity.dl1Misses;
                 ++activity.l2Accesses;
-                if (!l2Cache.access(e.op.effAddr)) {
+                if (!l2Cache.access(op.effAddr)) {
                     ++activity.l2Misses;
                     ++activity.memAccesses;
                 }
             }
-            if (e.inLsq) {
-                assert(lsqOcc > 0);
-                --lsqOcc;
-                lsqAvfAcc.release(ace.lsq(InstrClass::Store));
-            }
+            assert(lsqOcc > 0);
+            --lsqOcc;
+            lsqAvfAcc.release(ace.lsq(InstrClass::Store));
         }
 
-        robAvfAcc.release(e.aceCompleted ? ace.robCompleted(e.op.cls)
-                                         : ace.robInFlight(e.op.cls));
+        robAvfAcc.release(ace.robCompleted(op.cls));
         ++activity.committed;
         ++totalCommitted;
         ++done;
-        window.pop_front();
         ++frontSeq;
     }
 }
@@ -218,10 +223,9 @@ Pipeline::doIssue()
     // scan start. Ranks matter only when some resident lies past the
     // cap, and only in the window that crosses it.
     const bool capped = in_iq > scan_cap;
-    const std::uint64_t end = frontSeq + window.size();
     std::uint64_t older = 0; // residents older than the window
     for (std::uint64_t base = frontSeq;
-         base < end && issued < issue_width && older < scan_cap;
+         base < robTail && issued < issue_width && older < scan_cap;
          base += 64) {
         std::uint64_t ready = readyBits.window(base);
         std::uint64_t crossing = 0; // residents, if the cap falls here
@@ -240,12 +244,12 @@ Pipeline::doIssue()
                     scan_cap)
                 break;
             const std::uint64_t cur = base + bit;
-            InFlight &e = liveEntry(cur);
+            const MicroOp &op = (*ops)[cur];
             ++ready_seen;
 
             // Per-class functional unit limits.
             bool fu_ok = true;
-            switch (e.op.cls) {
+            switch (op.cls) {
               case InstrClass::IntAlu:
               case InstrClass::Branch:
               case InstrClass::Call:
@@ -281,9 +285,9 @@ Pipeline::doIssue()
 
             // Issue.
             unsigned lat;
-            switch (e.op.cls) {
+            switch (op.cls) {
               case InstrClass::Load:
-                lat = loadLatency(e.op.effAddr);
+                lat = loadLatency(op.effAddr);
                 ++activity.issuedMem;
                 break;
               case InstrClass::Store:
@@ -291,39 +295,40 @@ Pipeline::doIssue()
                 ++activity.issuedMem;
                 break;
               case InstrClass::IntMul:
-                lat = executionLatency(e.op.cls);
+                lat = executionLatency(op.cls);
                 ++activity.issuedIntMul;
                 break;
               case InstrClass::FpAlu:
-                lat = executionLatency(e.op.cls);
+                lat = executionLatency(op.cls);
                 ++activity.issuedFpAlu;
                 break;
               case InstrClass::FpMul:
-                lat = executionLatency(e.op.cls);
+                lat = executionLatency(op.cls);
                 ++activity.issuedFpMul;
                 break;
               case InstrClass::Branch:
               case InstrClass::Call:
               case InstrClass::Return:
-                lat = executionLatency(e.op.cls);
+                lat = executionLatency(op.cls);
                 ++activity.issuedControl;
                 break;
               default:
-                lat = executionLatency(e.op.cls);
+                lat = executionLatency(op.cls);
                 ++activity.issuedIntAlu;
                 break;
             }
             if (lat < 1)
                 lat = 1;
-            e.completeCycle = cycle + lat;
-            completions.schedule(cycle, e.completeCycle, e.seq);
+            const std::uint64_t done_at = cycle + lat;
+            completeCycle(cur) = done_at;
+            completions.schedule(cycle, done_at, cur);
 
             // Operand reads / result write accounting.
-            if (e.op.dep1)
+            if (op.dep1)
                 ++activity.regReads;
-            if (e.op.dep2)
+            if (op.dep2)
                 ++activity.regReads;
-            if (e.op.cls != InstrClass::Store && !isControl(e.op.cls))
+            if (op.cls != InstrClass::Store && !isControl(op.cls))
                 ++activity.regWrites;
 
             // Free the IQ slot.
@@ -331,14 +336,13 @@ Pipeline::doIssue()
             readyBits.reset(cur);
             assert(iqOcc > 0);
             --iqOcc;
-            iqAvfAcc.release(ace.iqWaiting(e.op.cls));
+            iqAvfAcc.release(ace.iqWaiting(op.cls));
 
             // A mispredicted branch un-blocks fetch when it resolves.
-            if (e.mispredicted) {
-                fetchWaitingResolve = false;
+            if (cur == resolveSeq) {
+                resolveSeq = kNoSeq;
                 fetchBlockedUntil = std::max(
-                    fetchBlockedUntil,
-                    e.completeCycle + cfg.frontEndDepth);
+                    fetchBlockedUntil, done_at + cfg.frontEndDepth);
             }
             ++issued;
         }
@@ -368,29 +372,27 @@ Pipeline::doDispatch()
         return;
 
     unsigned done = 0;
-    while (done < cfg.fetchWidth && !fetchQueue.empty()) {
-        InFlight &e = fetchQueue.front();
-        if (window.size() >= cfg.robSize)
+    while (done < cfg.fetchWidth && robTail < fetchPos) {
+        const MicroOp &op = (*ops)[robTail];
+        if (robTail - frontSeq >= cfg.robSize)
             break;
         if (iqOcc >= cfg.iqSize)
             break;
-        bool mem = isMem(e.op.cls);
+        bool mem = isMem(op.cls);
         if (mem && lsqOcc >= cfg.lsqSize)
             break;
 
-        e.seq = frontSeq + window.size();
         ++iqOcc;
-        iqAvfAcc.occupy(ace.iqWaiting(e.op.cls));
-        robAvfAcc.occupy(ace.robInFlight(e.op.cls));
+        iqAvfAcc.occupy(ace.iqWaiting(op.cls));
+        robAvfAcc.occupy(ace.robInFlight(op.cls));
         if (mem) {
-            e.inLsq = true;
             ++lsqOcc;
-            lsqAvfAcc.occupy(ace.lsq(e.op.cls));
+            lsqAvfAcc.occupy(ace.lsq(op.cls));
         }
         ++activity.dispatched;
-        window.push_back(e);
-        enterIq(e);
-        fetchQueue.pop_front();
+        completeA[robTail & slotMask] = ~0ull;
+        enterIq(robTail, op);
+        ++robTail;
         ++done;
     }
 }
@@ -398,41 +400,39 @@ Pipeline::doDispatch()
 void
 Pipeline::doFetch()
 {
-    if (fetchWaitingResolve || cycle < fetchBlockedUntil)
+    if (resolveSeq != kNoSeq || cycle < fetchBlockedUntil)
         return;
 
     const std::size_t fq_cap = 2 * cfg.fetchWidth;
     unsigned fetched = 0;
-    while (fetched < cfg.fetchWidth && fetchQueue.size() < fq_cap) {
-        InFlight e;
+    while (fetched < cfg.fetchWidth && fetchPos - robTail < fq_cap) {
         assert(fetchPos < ops->size());
-        e.op = (*ops)[fetchPos];
-        ++fetchPos;
+        const MicroOp &op = (*ops)[fetchPos];
 
         // Instruction cache: one access per new line.
-        std::uint64_t line = il1LinePow2 ? e.op.pc >> il1LineShift
-                                         : e.op.pc / cfg.il1LineBytes;
+        std::uint64_t line = il1LinePow2 ? op.pc >> il1LineShift
+                                         : op.pc / cfg.il1LineBytes;
         bool stop_after = false;
         if (line != lastFetchLine) {
             lastFetchLine = line;
             ++activity.il1Accesses;
-            std::uint64_t page = pagePow2 ? e.op.pc >> pageShift
-                                          : e.op.pc / cfg.pageBytes;
+            std::uint64_t page = pagePow2 ? op.pc >> pageShift
+                                          : op.pc / cfg.pageBytes;
             if (page != lastFetchPage) {
                 lastFetchPage = page;
                 ++activity.itlbAccesses;
-                if (!itlb.access(e.op.pc)) {
+                if (!itlb.access(op.pc)) {
                     ++activity.itlbMisses;
                     fetchBlockedUntil = std::max(
                         fetchBlockedUntil, cycle + cfg.tlbMissLat);
                     stop_after = true;
                 }
             }
-            if (!il1Cache.access(e.op.pc)) {
+            if (!il1Cache.access(op.pc)) {
                 ++activity.il1Misses;
                 ++activity.l2Accesses;
                 unsigned lat;
-                if (!l2Cache.access(e.op.pc)) {
+                if (!l2Cache.access(op.pc)) {
                     ++activity.l2Misses;
                     ++activity.memAccesses;
                     lat = cfg.l2Lat + cfg.memLat;
@@ -446,23 +446,22 @@ Pipeline::doFetch()
         }
 
         // Control prediction.
-        if (isControl(e.op.cls)) {
-            if (e.op.cls == InstrClass::Branch) {
+        if (isControl(op.cls)) {
+            if (op.cls == InstrClass::Branch) {
                 ++activity.bpredLookups;
                 ++bpStats.lookups;
                 bool predicted =
-                    gshare.predictThenUpdate(e.op.pc, e.op.branchTaken);
-                if (predicted != e.op.branchTaken) {
+                    gshare.predictThenUpdate(op.pc, op.branchTaken);
+                if (predicted != op.branchTaken) {
                     ++bpStats.directionMispredicts;
                     ++activity.bpredMispredicts;
-                    e.mispredicted = true;
-                    fetchWaitingResolve = true;
+                    resolveSeq = fetchPos;
                     stop_after = true;
-                } else if (e.op.branchTaken) {
+                } else if (op.branchTaken) {
                     ++activity.btbLookups;
                     std::uint64_t target = 0;
-                    bool hit = btb.lookup(e.op.pc, target) &&
-                               target == e.op.branchTarget;
+                    bool hit = btb.lookup(op.pc, target) &&
+                               target == op.branchTarget;
                     if (!hit) {
                         ++bpStats.targetMispredicts;
                         fetchBlockedUntil = std::max(
@@ -470,20 +469,20 @@ Pipeline::doFetch()
                             cycle + cfg.btbMissPenalty);
                         stop_after = true;
                     }
-                    btb.update(e.op.pc, e.op.branchTarget);
+                    btb.update(op.pc, op.branchTarget);
                     // A taken branch ends the fetch group.
                     stop_after = true;
                 }
-            } else if (e.op.cls == InstrClass::Call) {
-                ras.push(e.op.pc + 4);
+            } else if (op.cls == InstrClass::Call) {
+                ras.push(op.pc + 4);
                 ++activity.btbLookups;
                 std::uint64_t target = 0;
-                if (!btb.lookup(e.op.pc, target)) {
+                if (!btb.lookup(op.pc, target)) {
                     fetchBlockedUntil = std::max(
                         fetchBlockedUntil, cycle + cfg.btbMissPenalty);
                     stop_after = true;
                 }
-                btb.update(e.op.pc, e.op.branchTarget);
+                btb.update(op.pc, op.branchTarget);
             } else { // Return
                 std::uint64_t target = 0;
                 if (!ras.pop(target)) {
@@ -495,7 +494,7 @@ Pipeline::doFetch()
             }
         }
 
-        fetchQueue.push_back(e);
+        ++fetchPos;
         ++activity.fetched;
         ++fetched;
         if (stop_after)
@@ -514,7 +513,7 @@ Pipeline::cycleOnce()
 
     // End-of-cycle accounting.
     activity.iqOccupancySum += iqOcc;
-    activity.robOccupancySum += window.size();
+    activity.robOccupancySum += robTail - frontSeq;
     activity.lsqOccupancySum += lsqOcc;
     iqAvfAcc.tick();
     robAvfAcc.tick();
@@ -534,7 +533,7 @@ Pipeline::idleCycles()
     // runs (setIdleSkip), so dispatch gating never observes a cycle.
 
     // Commit: the head must be absent, unissued, or incomplete.
-    if (!window.empty() && window.front().completeCycle <= cycle)
+    if (frontSeq < robTail && completeCycle(frontSeq) <= cycle)
         return 0;
 
     // Issue: idle (or an empty IQ) until a ready bit is set, which
@@ -544,10 +543,9 @@ Pipeline::idleCycles()
 
     // Dispatch: the in-order front must be blocked by a full
     // downstream structure (the loop stops at the first such entry).
-    if (!fetchQueue.empty()) {
-        const InFlight &f = fetchQueue.front();
-        if (window.size() < cfg.robSize && iqOcc < cfg.iqSize &&
-            !(isMem(f.op.cls) && lsqOcc >= cfg.lsqSize))
+    if (robTail < fetchPos) {
+        if (robTail - frontSeq < cfg.robSize && iqOcc < cfg.iqSize &&
+            !(isMem((*ops)[robTail].cls) && lsqOcc >= cfg.lsqSize))
             return 0;
     }
 
@@ -555,8 +553,7 @@ Pipeline::idleCycles()
     // issue, idle above), a full fetch queue (drained only by
     // dispatch, blocked above), or a time bound.
     bool fetch_time_blocked = false;
-    if (!fetchWaitingResolve &&
-        fetchQueue.size() < 2 * cfg.fetchWidth) {
+    if (resolveSeq == kNoSeq && fetchPos - robTail < 2 * cfg.fetchWidth) {
         if (cycle >= fetchBlockedUntil)
             return 0;
         fetch_time_blocked = true;
@@ -588,7 +585,7 @@ Pipeline::skipCycles(std::uint64_t k)
     // adds bitwise (AvfAccumulator::tickMany).
     activity.iqOccupancySum += static_cast<std::uint64_t>(iqOcc) * k;
     activity.robOccupancySum +=
-        static_cast<std::uint64_t>(window.size()) * k;
+        (robTail - frontSeq) * k;
     activity.lsqOccupancySum += static_cast<std::uint64_t>(lsqOcc) * k;
     AvfAccumulator::tickMany(iqAvfAcc, robAvfAcc, lsqAvfAcc, k);
     activity.cycles += k;

@@ -27,10 +27,13 @@
  * simulated results bit for bit (pinned by the golden report tests
  * and the simulate() digests in tests/data/golden_sim_digests.txt):
  *
- *  - The ROB and the fetch queue are fixed-capacity power-of-two
- *    RingBuffers (ring_buffer.hh) sized from SimConfig at
- *    construction: no per-push allocation, and the commit walk
- *    touches contiguous memory.
+ *  - An op's seq is its decode index. Fetch, dispatch and commit are
+ *    in order, so every stage reads the op as (*ops)[seq] and the
+ *    pipeline keeps only dynamic state: the fetch queue is the seq
+ *    range [robTail, fetchPos), the ROB is [frontSeq, robTail), and
+ *    per-slot state (completeCycle, consumer links, the issue bits)
+ *    lives in arrays keyed by seq modulo a power-of-two slot count
+ *    of at least robSize, allocated once at construction.
  *  - Wakeup and select are event driven. Dispatch resolves an entry's
  *    producers once and links it into each producer whose completion
  *    has not drained yet; draining a completion walks that producer's
@@ -53,15 +56,17 @@
  *    AceWeights fractions) are table reads inlined from their headers:
  *    the stages look them up for every op and every event.
  *  - Completion events live in a CalendarQueue (calendar_queue.hh):
- *    execution latencies are bounded by l2Lat + memLat + tlbMissLat,
- *    so per-cycle buckets replace the former std::priority_queue and
+ *    execution latencies are bounded by the longest load latency
+ *    (dl1Lat + tlbMissLat + l2Lat + memLat) plus the largest fixed
+ *    executionLatency, the queue's fixed horizon, so per-cycle
+ *    buckets replace the former std::priority_queue and
  *    schedule/drain are O(1) amortised. Buckets are sorted before
  *    draining because within-cycle completion order feeds
  *    floating-point AVF accumulation and is therefore bit-significant.
- *  - Fetch reads decoded ops by dynamic index from an immutable
- *    array decoded once per run shape (decodeOps, workload/stream.hh):
- *    every run of that shape, on any thread, reads the same array, so
- *    a pipeline never decodes and the array needs no lock.
+ *  - The ops come from an immutable array decoded once per run
+ *    shape (decodeOps, workload/stream.hh): every run of that shape,
+ *    on any thread, reads the same array, so a pipeline never decodes
+ *    and the array needs no lock.
  *  - Idle-cycle fast-forward: runInstructions() jumps over provably
  *    inert cycles — every stage blocked (issue idle or the IQ empty),
  *    with the earliest possible state change bounded by the next
@@ -94,6 +99,7 @@
 #ifndef WAVEDYN_SIM_PIPELINE_HH
 #define WAVEDYN_SIM_PIPELINE_HH
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -129,7 +135,7 @@ class Pipeline
 {
   public:
     /**
-     * Fetch reads @p ops by dynamic index; the array must outlive the
+     * Every stage reads @p ops by seq; the array must outlive the
      * pipeline and hold every op fetched: the ops committed plus
      * fetchAhead(cfg) (sim/batch.hh). The idle-cycle fast-forward is
      * armed unless @p dvm is enabled.
@@ -188,16 +194,8 @@ class Pipeline
   private:
     /** End of a producer's consumer list. */
     static constexpr std::uint64_t kNoLink = ~0ull;
-
-    struct InFlight
-    {
-        MicroOp op;
-        std::uint64_t seq = 0;
-        std::uint64_t completeCycle = ~0ull; //!< set at issue
-        bool inLsq = false;
-        bool aceCompleted = false; //!< completion drained
-        bool mispredicted = false; //!< direction mispredict at fetch
-    };
+    /** No mispredicted branch pending. */
+    static constexpr std::uint64_t kNoSeq = ~0ull;
 
     void cycleOnce();
     void doCompletions();
@@ -216,21 +214,19 @@ class Pipeline
     /** Account @p k inert cycles exactly and advance the clock. */
     void skipCycles(std::uint64_t k);
 
-    /** Window entry for a sequence number, or nullptr if committed. */
-    InFlight *entryFor(std::uint64_t seq);
-
-    /** Entry known to be live. No bounds checks. */
-    InFlight &
-    liveEntry(std::uint64_t seq)
+    /** Completion cycle of ROB entry @p seq (~0 until it issues). */
+    std::uint64_t &
+    completeCycle(std::uint64_t seq)
     {
-        return window[seq - frontSeq];
+        assert(seq >= frontSeq && seq < robTail);
+        return completeA[seq & slotMask];
     }
 
     /**
-     * Enter a dispatched entry into the unissued ring and link it to
+     * Enter dispatched op @p seq into the unissued ring and link it to
      * its producers whose completions have not drained.
      */
-    void enterIq(const InFlight &e);
+    void enterIq(std::uint64_t seq, const MicroOp &op);
 
     /** Set @p seq's ready bit; the issue stage is no longer idle. */
     void
@@ -256,12 +252,11 @@ class Pipeline
     AvfAccumulator iqAvfAcc, robAvfAcc, lsqAvfAcc;
     DvmController dvmCtl;
 
-    RingBuffer<InFlight> window; //!< the ROB, oldest first
-    std::uint64_t frontSeq = 0;  //!< seq of window.front()
-    RingBuffer<InFlight> fetchQueue;
     CalendarQueue completions;
-    const std::vector<MicroOp> *ops; //!< the run shape's decode
-    std::uint64_t fetchPos = 0; //!< ops fetched so far
+    const std::vector<MicroOp> *ops; //!< the run shape's decode; by seq
+    std::uint64_t frontSeq = 0; //!< ROB head: oldest uncommitted seq
+    std::uint64_t robTail = 0;  //!< ops dispatched; fetch queue head
+    std::uint64_t fetchPos = 0; //!< ops fetched; fetch queue tail
     bool idleSkip = false;      //!< fast-forward armed
     std::uint64_t idleSkipped = 0; //!< cycles fast-forwarded over
     std::uint64_t issueScans = 0;     //!< see issueScanCount()
@@ -276,9 +271,12 @@ class Pipeline
      */
     bool issueIdle = false;
 
+    /** Per ROB slot (seq & slotMask): completion cycle, set at issue. */
+    std::vector<std::uint64_t> completeA;
+
     /**
      * Consumer links, keyed by seq & slotMask (live seqs span at most
-     * the window capacity, so slots are unique among residents): a
+     * robSize <= slotMask + 1, so slots are unique among residents): a
      * head per producer, a link per operand slot, so nothing is
      * allocated. pending counts the producers whose completions have
      * not drained.
@@ -301,7 +299,8 @@ class Pipeline
 
     // Front-end stall state.
     std::uint64_t fetchBlockedUntil = 0;
-    bool fetchWaitingResolve = false;
+    /** Mispredicted branch that fetch waits on until it issues. */
+    std::uint64_t resolveSeq = kNoSeq;
     std::uint64_t lastFetchLine = ~0ull;
     std::uint64_t lastFetchPage = ~0ull;
     // pc -> line/page number: shift when the size is a power of two

@@ -2,8 +2,8 @@
  * @file
  * Declarative-campaign golden test: the JSON specs checked in under
  * examples/ (and their in-test copies) must reproduce the existing
- * golden suite and explore reports byte-for-byte, at jobs=1 and
- * jobs=8, through the full spec pipeline — parse -> validate ->
+ * golden suite and explore reports byte-for-byte, at jobs=1, 4 and
+ * 8, through the full spec pipeline — parse -> validate ->
  * runCampaign -> ReportSink — i.e. exactly what
  * `wavedyn_cli run <spec.json>` executes. This pins the API redesign
  * to the pre-redesign outputs: re-plumbing the campaign surface must
@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -134,8 +135,10 @@ TEST(CampaignGolden, SuiteSpecReproducesGoldenReportByteForByte)
 
 TEST(CampaignGolden, SuiteSpecJobsInvariant)
 {
-    EXPECT_EQ(renderAllFormats(serialSuiteResult()),
-              renderAllFormats(runSpecText(kSuiteSpecJson, 8)));
+    for (std::size_t jobs : {std::size_t(4), std::size_t(8)})
+        EXPECT_EQ(renderAllFormats(serialSuiteResult()),
+                  renderAllFormats(runSpecText(kSuiteSpecJson, jobs)))
+            << "jobs=" << jobs;
 }
 
 TEST(CampaignGolden, ExploreSpecReproducesGoldenReportByteForByte)
@@ -151,9 +154,11 @@ TEST(CampaignGolden, ExploreSpecReproducesGoldenReportByteForByte)
 
 TEST(CampaignGolden, ExploreSpecJobsInvariant)
 {
-    EXPECT_EQ(renderReport(serialExploreResult(), ReportFormat::Text),
-              renderReport(runSpecText(kExploreSpecJson, 8),
-                           ReportFormat::Text));
+    for (std::size_t jobs : {std::size_t(4), std::size_t(8)})
+        EXPECT_EQ(renderReport(serialExploreResult(), ReportFormat::Text),
+                  renderReport(runSpecText(kExploreSpecJson, jobs),
+                               ReportFormat::Text))
+            << "jobs=" << jobs;
 }
 
 TEST(CampaignGolden, CliTextReportMatchesItsGolden)
