@@ -285,8 +285,8 @@ main(int argc, char **argv)
     // directory, so it computes and stores every run. A warm pass
     // replays that batch several times, each replay on a fresh
     // scheduler, through a fresh cache handle on the last cold pass's
-    // directory, so every lookup reads and verifies a disk record
-    // (the memory layer is off by default). Both are sized to take
+    // directory; every lookup reads and verifies its disk record on
+    // the pool. Both are sized to take
     // well over 100 ms and timed best-of-kRepeats like every other
     // row. The warm hit rate is a correctness signal: anything below
     // 1.0 means cache keys drifted.

@@ -290,8 +290,6 @@ decodeSimResult(const std::string &bytes, const std::string &simVersion)
 ResultCache::ResultCache(std::string root, std::string simVersion)
     : rootDir(std::move(root)), version(std::move(simVersion))
 {
-    std::error_code ec;
-    fs::create_directories(rootDir, ec);
 }
 
 std::string
@@ -311,8 +309,6 @@ struct CacheIoMetrics
 {
     MetricId loadUs;   //!< whole load: read + decode
     MetricId decodeUs; //!< decode alone, to split I/O from codec cost
-    MetricId writeUs;  //!< whole store: encode + atomic publish
-    MetricId memHits;  //!< loads served by the in-memory LRU layer
 
     static const CacheIoMetrics &
     get()
@@ -322,8 +318,6 @@ struct CacheIoMetrics
             CacheIoMetrics c;
             c.loadUs = reg.histogram("cache.load_us");
             c.decodeUs = reg.histogram("cache.decode_us");
-            c.writeUs = reg.histogram("cache.write_us");
-            c.memHits = reg.counter("cache.mem_hits");
             return c;
         }();
         return m;
@@ -333,158 +327,43 @@ struct CacheIoMetrics
 } // namespace
 
 std::optional<SimResult>
-ResultCache::memoryGet(const std::string &keyHex)
-{
-    std::lock_guard<std::mutex> lock(memMu);
-    if (memCap == 0)
-        return std::nullopt;
-    auto it = memIndex.find(keyHex);
-    if (it == memIndex.end())
-        return std::nullopt;
-    memList.splice(memList.begin(), memList, it->second);
-    nHits.fetch_add(1, std::memory_order_relaxed);
-    nMemHits.fetch_add(1, std::memory_order_relaxed);
-    metricsRegistry().add(CacheIoMetrics::get().memHits, 1);
-    return it->second->second;
-}
-
-CacheRecordRead
-ResultCache::readAhead(const CacheKey &key) const
-{
-    const CacheIoMetrics &tm = CacheIoMetrics::get();
-    std::uint64_t start = telemetryNowUs();
-    CacheRecordRead out;
-    out.read = true;
-    std::string bytes;
-    if (readFile(entryPath(key), bytes)) {
-        out.found = true;
-        std::uint64_t decodeStart = telemetryNowUs();
-        out.result = decodeSimResult(bytes, version);
-        metricsRegistry().observe(tm.decodeUs,
-                                  telemetryNowUs() - decodeStart);
-    }
-    out.us = telemetryNowUs() - start;
-    return out;
-}
-
-std::optional<SimResult>
 ResultCache::load(const CacheKey &key)
-{
-    return load(key, CacheRecordRead{});
-}
-
-std::optional<SimResult>
-ResultCache::load(const CacheKey &key, CacheRecordRead ahead)
 {
     const CacheIoMetrics &tm = CacheIoMetrics::get();
     std::uint64_t loadStart = telemetryNowUs();
-    // A read made ahead of this call counts toward the load's time.
-    const std::uint64_t aheadUs = ahead.read ? ahead.us : 0;
-    std::optional<SimResult> result = memoryGet(key.hex());
-    if (!result) {
-        if (!ahead.read)
-            ahead = readAhead(key);
-        if (!ahead.found) {
-            nMisses.fetch_add(1, std::memory_order_relaxed);
-        } else if (!ahead.result) {
+    std::optional<SimResult> result;
+    std::string bytes;
+    if (!readFile(entryPath(key), bytes)) {
+        nMisses.fetch_add(1, std::memory_order_relaxed);
+    } else {
+        std::uint64_t decodeStart = telemetryNowUs();
+        result = decodeSimResult(bytes, version);
+        metricsRegistry().observe(tm.decodeUs,
+                                  telemetryNowUs() - decodeStart);
+        if (!result) {
             nBad.fetch_add(1, std::memory_order_relaxed);
             nMisses.fetch_add(1, std::memory_order_relaxed);
         } else {
             nHits.fetch_add(1, std::memory_order_relaxed);
-            memoryPut(key.hex(), *ahead.result);
-            result = std::move(ahead.result);
         }
     }
-    metricsRegistry().observe(tm.loadUs,
-                              aheadUs + telemetryNowUs() - loadStart);
+    metricsRegistry().observe(tm.loadUs, telemetryNowUs() - loadStart);
     return result;
 }
 
 bool
 ResultCache::store(const CacheKey &key, const SimResult &result)
 {
-    if (!storeRecord(key, result))
-        return false;
-    remember(key, result);
-    return true;
-}
-
-void
-ResultCache::remember(const CacheKey &key, const SimResult &result)
-{
-    memoryPut(key.hex(), result);
-}
-
-bool
-ResultCache::storeRecord(const CacheKey &key, const SimResult &result)
-{
-    const CacheIoMetrics &tm = CacheIoMetrics::get();
-    std::uint64_t storeStart = telemetryNowUs();
     std::string finalPath = entryPath(key);
     std::error_code ec;
     fs::create_directories(fs::path(finalPath).parent_path(), ec);
-    if (ec) {
+    if (ec ||
+        !writeFileAtomic(finalPath, encodeSimResult(result, version))) {
         nStoreFailures.fetch_add(1, std::memory_order_relaxed);
-        return false;
-    }
-    if (!writeFileAtomic(finalPath, encodeSimResult(result, version))) {
-        nStoreFailures.fetch_add(1, std::memory_order_relaxed);
-        metricsRegistry().observe(tm.writeUs,
-                                  telemetryNowUs() - storeStart);
         return false;
     }
     nStores.fetch_add(1, std::memory_order_relaxed);
-    metricsRegistry().observe(tm.writeUs,
-                              telemetryNowUs() - storeStart);
     return true;
-}
-
-void
-ResultCache::memoryPut(const std::string &keyHex, const SimResult &result)
-{
-    std::lock_guard<std::mutex> lock(memMu);
-    if (memCap == 0)
-        return;
-    auto it = memIndex.find(keyHex);
-    if (it != memIndex.end()) {
-        it->second->second = result;
-        memList.splice(memList.begin(), memList, it->second);
-        return;
-    }
-    memList.emplace_front(keyHex, result);
-    memIndex.emplace(keyHex, memList.begin());
-    while (memList.size() > memCap) {
-        memIndex.erase(memList.back().first);
-        memList.pop_back();
-    }
-}
-
-void
-ResultCache::setMemoryCapacity(std::size_t maxEntries)
-{
-    std::lock_guard<std::mutex> lock(memMu);
-    memCap = maxEntries;
-    while (memList.size() > memCap) {
-        memIndex.erase(memList.back().first);
-        memList.pop_back();
-    }
-}
-
-std::size_t
-ResultCache::memoryCapacity() const
-{
-    std::lock_guard<std::mutex> lock(memMu);
-    return memCap;
-}
-
-std::vector<std::string>
-ResultCache::memoryKeys() const
-{
-    std::lock_guard<std::mutex> lock(memMu);
-    std::vector<std::string> keys;
-    for (const auto &entry : memList)
-        keys.push_back(entry.first);
-    return keys;
 }
 
 bool
@@ -509,7 +388,6 @@ ResultCache::stats() const
 {
     ResultCacheStats s;
     s.hits = nHits.load(std::memory_order_relaxed);
-    s.memHits = nMemHits.load(std::memory_order_relaxed);
     s.misses = nMisses.load(std::memory_order_relaxed);
     s.badEntries = nBad.load(std::memory_order_relaxed);
     s.stores = nStores.load(std::memory_order_relaxed);

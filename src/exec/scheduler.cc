@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cassert>
 #include <exception>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -103,33 +104,30 @@ RunScheduler::run(ThreadPool &pool)
             pending.push_back(i);
 
     // Probe phase: resolve every unresolved task against the cache
-    // before any simulation. The pool works out each key and reads
-    // its record ahead; then one serial pass commits every probe in
-    // task order (ResultCache::load over the read-ahead), so hits,
-    // misses, their events, progress, trace instants, counters and the
-    // memory layer's contents are those of a serial probe, whatever
-    // --jobs is. Only the misses stay pending.
+    // before any simulation. The pool works out each key and loads its
+    // record; then one serial pass in task order fires the hit/miss
+    // events, progress, trace instants and counters, so all of them
+    // are those of a serial probe, whatever --jobs is. Only the misses
+    // stay pending.
     std::vector<CacheKey> pendingKeys;
     if (cache) {
         std::uint64_t probeStart = telemetryNowUs();
         ScopedSpan probeSpan = tracer.span("cache-probe", "cache");
         std::vector<CacheKey> keys(pending.size());
-        std::vector<CacheRecordRead> reads(pending.size());
+        std::vector<std::optional<SimResult>> loaded(pending.size());
         parallelFor(pool, pending.size(), [&](std::size_t k) {
             const RunTask &t = tasks[pending[k]];
             keys[k] = resultCacheKey(*t.benchmark, t.config, t.samples,
                                      t.intervalInstrs, t.dvm,
                                      cache->simVersion());
-            reads[k] = cache->readAhead(keys[k]);
+            loaded[k] = cache->load(keys[k]);
         });
         std::vector<std::size_t> missed;
         for (std::size_t k = 0; k < pending.size(); ++k) {
             const std::size_t i = pending[k];
             const CacheKey &key = keys[k];
-            std::optional<SimResult> stored =
-                cache->load(key, std::move(reads[k]));
-            if (stored) {
-                results[i] = std::move(*stored);
+            if (loaded[k]) {
+                results[i] = std::move(*loaded[k]);
                 resolved[i] = 1;
                 reg.add(tm.hits, 1);
                 reg.add(tm.runs, 1);
@@ -188,7 +186,6 @@ RunScheduler::run(ThreadPool &pool)
     // telemetry and progress. One "run" span and one sim.run_us sample
     // per computed run, timed over its own simulation: the trace's
     // span multiset is pinned jobs-invariant by tests.
-    std::vector<char> stored(pending.size(), 0);
     auto publish = [&](std::size_t k, std::uint64_t runStart,
                        std::uint64_t runUs) {
         std::size_t i = pending[k];
@@ -198,8 +195,7 @@ RunScheduler::run(ThreadPool &pool)
                         std::to_string(i));
         if (cache) {
             std::uint64_t storeStart = telemetryNowUs();
-            bool storedOk = cache->storeRecord(pendingKeys[k], results[i]);
-            stored[k] = storedOk;
+            bool storedOk = cache->store(pendingKeys[k], results[i]);
             reg.observe(tm.storeUs, telemetryNowUs() - storeStart);
             if (storedOk) {
                 reg.add(tm.stores, 1);
@@ -281,11 +277,6 @@ RunScheduler::run(ThreadPool &pool)
         for (std::size_t s = s0; s < s1; ++s)
             shapes[s].ops = std::vector<MicroOp>();
     }
-    // The memory layer learns the stored runs in task order, as the
-    // probe above, so its contents do not depend on --jobs.
-    for (std::size_t k = 0; k < pending.size(); ++k)
-        if (stored[k])
-            cache->remember(pendingKeys[k], results[pending[k]]);
     for (const std::exception_ptr &e : errors)
         if (e)
             std::rethrow_exception(e);

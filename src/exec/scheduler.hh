@@ -24,18 +24,14 @@
  * byte-exact stored results, a campaign's output is identical whether
  * any given run was computed or replayed.
  *
- * Probe contract: the reads are parallel, the commits are in task
- * order. The pool works out each fresh task's key and reads and
- * decodes its record (ResultCache::readAhead), which touches no
- * counter and not the memory layer; then the calling thread commits
- * every probe in task order (ResultCache::load over the read-ahead),
- * firing the hit/miss event, progress, trace instant and counters as a
- * serial probe would and updating the memory layer in that order. The
- * runs computed afterwards are stored from the workers
- * (ResultCache::storeRecord) and enter the memory layer in task order
- * once the batch is done (ResultCache::remember). So events, progress,
- * trace instants, counters, the memory layer's contents and
- * cache.mem_hits do not depend on --jobs.
+ * Probe contract: the loads are parallel, the events are in task
+ * order. The pool works out each fresh task's key and loads its
+ * record (ResultCache::load, thread-safe); then one serial pass on the
+ * calling thread, in task order, fires each probe's hit/miss event,
+ * progress, trace instant and cache.hits/cache.misses counter. The
+ * runs computed afterwards are published from the workers
+ * (ResultCache::store). So the probe's events, progress, trace
+ * instants and counters do not depend on --jobs.
  *
  * Every missing task is its own pool task. Tasks that share a run
  * shape — same benchmark, samples and intervalInstrs, differing only

@@ -353,117 +353,64 @@ TEST_F(ResultCacheTest, ActiveCacheInstallAndClear)
     EXPECT_EQ(activeResultCache(), nullptr);
 }
 
-// ---- In-memory LRU layer (setMemoryCapacity) -----------------------
-
-TEST_F(ResultCacheTest, MemoryLayerOffByDefault)
+TEST_F(ResultCacheTest, RepeatedLoadRereadsDiskRecord)
 {
+    // Nothing is held in memory between loads: a record corrupted
+    // after a hit reads as a miss on the next load, and a store heals
+    // it.
     ResultCache cache(root);
-    EXPECT_EQ(cache.memoryCapacity(), 0u);
-    CacheKey key{21, 1};
-    cache.store(key, sampleResult());
-    cache.load(key);
-    cache.load(key);
-    EXPECT_EQ(cache.stats().hits, 2u);
-    EXPECT_EQ(cache.stats().memHits, 0u); // every hit re-read the disk
-}
-
-TEST_F(ResultCacheTest, MemoryLayerServesRepeatLoadsWithoutDisk)
-{
-    ResultCache cache(root);
-    cache.setMemoryCapacity(4);
-    CacheKey key{21, 2};
-    SimResult r = sampleResult();
-    cache.store(key, r); // a successful store populates the layer
-    auto got = cache.load(key);
-    ASSERT_TRUE(got.has_value());
-    EXPECT_TRUE(bitIdentical(*got, r));
-    ResultCacheStats s = cache.stats();
-    EXPECT_EQ(s.hits, 1u);
-    EXPECT_EQ(s.memHits, 1u); // served from memory, not the record
-
-    // Proof it never touched the file: delete the record, load again.
-    fs::remove(cache.entryPath(key));
-    auto again = cache.load(key);
-    ASSERT_TRUE(again.has_value());
-    EXPECT_TRUE(bitIdentical(*again, r));
-    EXPECT_EQ(cache.stats().memHits, 2u);
-}
-
-TEST_F(ResultCacheTest, DiskHitPopulatesMemoryLayer)
-{
-    ResultCache writer(root);
-    CacheKey key{21, 3};
-    SimResult r = sampleResult();
-    writer.store(key, r);
-
-    ResultCache reader(root); // fresh object: empty memory layer
-    reader.setMemoryCapacity(4);
-    reader.load(key); // disk hit, inserted into the layer
-    EXPECT_EQ(reader.stats().memHits, 0u);
-    reader.load(key);
-    ResultCacheStats s = reader.stats();
-    EXPECT_EQ(s.hits, 2u);
-    EXPECT_EQ(s.memHits, 1u);
-}
-
-TEST_F(ResultCacheTest, MemoryLayerEvictsLeastRecentlyUsed)
-{
-    ResultCache cache(root);
-    cache.setMemoryCapacity(2);
-    CacheKey a{22, 1}, b{22, 2}, c{22, 3};
-    cache.store(a, sampleResult(1));
-    cache.store(b, sampleResult(2));
-    cache.load(a);                 // a is now most recent: order a, b
-    cache.store(c, sampleResult(3)); // capacity 2: b evicted
-    fs::remove(cache.entryPath(a));
-    fs::remove(cache.entryPath(b));
-    fs::remove(cache.entryPath(c));
-    EXPECT_TRUE(cache.load(a).has_value());  // still resident
-    EXPECT_FALSE(cache.load(b).has_value()); // evicted -> disk miss
-    EXPECT_TRUE(cache.load(c).has_value());
-}
-
-TEST_F(ResultCacheTest, ShrinkingCapacityEvictsImmediately)
-{
-    ResultCache cache(root);
-    cache.setMemoryCapacity(4);
-    CacheKey a{23, 1}, b{23, 2}, c{23, 3};
-    cache.store(a, sampleResult(1));
-    cache.store(b, sampleResult(2));
-    cache.store(c, sampleResult(3));
-    cache.setMemoryCapacity(1); // keep only the most recent (c)
-    fs::remove(cache.entryPath(a));
-    fs::remove(cache.entryPath(b));
-    fs::remove(cache.entryPath(c));
-    EXPECT_FALSE(cache.load(a).has_value());
-    EXPECT_FALSE(cache.load(b).has_value());
-    EXPECT_TRUE(cache.load(c).has_value());
-
-    cache.setMemoryCapacity(0); // off: everything evicted
-    EXPECT_FALSE(cache.load(c).has_value());
-}
-
-TEST_F(ResultCacheTest, MemoryHitIgnoresLaterDiskCorruption)
-{
-    // The layer holds decoded results: a record corrupted AFTER it
-    // was cached in memory is still served exactly. (With the layer
-    // off — the default — the corruption-recovery contract applies
-    // instead and the entry reads as a miss; that path is pinned by
-    // EveryBitFlipIsDetected above.)
-    ResultCache cache(root);
-    cache.setMemoryCapacity(2);
     CacheKey key{24, 1};
     SimResult r = sampleResult();
-    cache.store(key, r);
-    std::ofstream out(cache.entryPath(key),
-                      std::ios::binary | std::ios::trunc);
-    out << "garbage";
-    out.close();
+    ASSERT_TRUE(cache.store(key, r));
     auto got = cache.load(key);
     ASSERT_TRUE(got.has_value());
     EXPECT_TRUE(bitIdentical(*got, r));
-    EXPECT_EQ(cache.stats().memHits, 1u);
-    EXPECT_EQ(cache.stats().badEntries, 0u);
+
+    const std::string path = cache.entryPath(key);
+    std::string bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 40u);
+    bytes[40] = static_cast<char>(bytes[40] ^ 0x55);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out << bytes;
+    }
+    EXPECT_FALSE(cache.load(key).has_value());
+    ResultCacheStats s = cache.stats();
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.badEntries, 1u);
+
+    ASSERT_TRUE(cache.store(key, r));
+    got = cache.load(key);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(bitIdentical(*got, r));
+    EXPECT_EQ(cache.stats().hits, 2u);
+}
+
+TEST_F(ResultCacheTest, ConstructingCreatesNothingAndStoreCreatesRoot)
+{
+    // Opening a cache only names a directory; maintenance commands
+    // rely on a missing root staying missing. The first store makes
+    // the root along with its shard directories.
+    const std::string nested = root + "/a/b";
+    ResultCache cache(nested);
+    EXPECT_FALSE(fs::exists(root));
+    EXPECT_FALSE(cache.load(CacheKey{25, 1}).has_value());
+    EXPECT_TRUE(cache.scan().empty());
+    EXPECT_FALSE(fs::exists(root));
+
+    SimResult r = sampleResult();
+    ASSERT_TRUE(cache.store(CacheKey{25, 1}, r));
+    EXPECT_TRUE(fs::is_directory(nested));
+    auto got = cache.load(CacheKey{25, 1});
+    ASSERT_TRUE(got.has_value());
+    EXPECT_TRUE(bitIdentical(*got, r));
+    EXPECT_EQ(cache.stats().stores, 1u);
 }
 
 } // anonymous namespace

@@ -18,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/store.hh"
@@ -162,16 +163,15 @@ struct ProbeRecord
 {
     std::vector<std::string> results; //!< encoded, task order
     std::vector<std::string> events;  //!< "hit key" / "miss key", in order
-    std::vector<std::size_t> progress; //!< completion counts, sorted
+    /** (completion count, cache events seen when it fired), sorted. */
+    std::vector<std::pair<std::size_t, std::size_t>> progress;
     std::vector<std::string> instants; //!< cache-hit/-miss, sorted
-    std::vector<std::string> memory;   //!< memory-layer keys, MRU first
     ResultCacheStats stats;
 };
 
 /** Indices into shapedTasks(), each one after the second followed by
- *  a repeat of the index two before it: a repeat is probed close
- *  enough after its first probe to find it in a five-entry memory
- *  layer. */
+ *  a repeat of the index two before it: one run() probes the same key
+ *  twice, and on a cold key both probes miss. */
 std::vector<std::size_t>
 probeOrder()
 {
@@ -185,7 +185,7 @@ probeOrder()
 }
 
 /** The tasks of probeOrder(), at eight times the samples: records
- *  large enough that the pool's reads overlap. */
+ *  large enough that the pool's loads overlap. */
 std::vector<RunTask>
 probedTasks()
 {
@@ -201,19 +201,13 @@ probedTasks()
 /** Probing run()s per ProbeRecord: the later ones hit every task. */
 constexpr int kProbePasses = 20;
 
-/**
- * Probe @p dir's cache kProbePasses times with probedTasks() on @p jobs
- * workers, through a memory layer of five entries: fewer than the
- * tasks, so keys are evicted within one run(), and every later run()
- * starts with keys in memory that its own commits evict before their
- * turn.
- */
+/** Probe @p dir's cache kProbePasses times with probedTasks() on
+ *  @p jobs workers. */
 ProbeRecord
 probeRepeatedly(const std::string &dir, std::size_t jobs)
 {
     const std::vector<RunTask> tasks = probedTasks();
     auto cache = std::make_shared<ResultCache>(dir);
-    cache->setMemoryCapacity(5);
     ThreadPool pool(jobs);
     RunScheduler sched;
     sched.setCache(cache);
@@ -221,13 +215,15 @@ probeRepeatedly(const std::string &dir, std::size_t jobs)
     std::mutex mu;
     sched.onProgress([&](std::size_t done, std::size_t) {
         std::lock_guard<std::mutex> lock(mu);
-        rec.progress.push_back(done);
+        rec.progress.emplace_back(done, rec.events.size());
     });
     CacheRunEvents events;
     events.hit = [&](const std::string &k) {
+        std::lock_guard<std::mutex> lock(mu);
         rec.events.push_back("hit " + k);
     };
     events.miss = [&](const std::string &k) {
+        std::lock_guard<std::mutex> lock(mu);
         rec.events.push_back("miss " + k);
     };
     sched.onCacheEvents(events);
@@ -248,7 +244,6 @@ probeRepeatedly(const std::string &dir, std::size_t jobs)
         rec.results.push_back(encodeSimResult(sched.result(i), "x"));
     std::sort(rec.progress.begin(), rec.progress.end());
     std::sort(rec.instants.begin(), rec.instants.end());
-    rec.memory = cache->memoryKeys();
     rec.stats = cache->stats();
     return rec;
 }
@@ -298,10 +293,9 @@ TEST(RunSchedulerProbe, WarmAndHalfWarmProbesDoNotDependOnWorkers)
         EXPECT_EQ(four.events, one.events);
         EXPECT_EQ(four.progress, one.progress);
         EXPECT_EQ(four.instants, one.instants);
-        EXPECT_EQ(four.memory, one.memory);
         EXPECT_EQ(four.stats.hits, one.stats.hits);
-        EXPECT_EQ(four.stats.memHits, one.stats.memHits);
         EXPECT_EQ(four.stats.misses, one.stats.misses);
+        EXPECT_EQ(four.stats.badEntries, one.stats.badEntries);
 
         // Every task of every pass is probed once; only the first
         // pass can miss, on the tasks the seed left out (a repeat
@@ -313,8 +307,14 @@ TEST(RunSchedulerProbe, WarmAndHalfWarmProbesDoNotDependOnWorkers)
         for (std::size_t i : probeOrder())
             misses += warmth == "half" && i % 2 == 1;
         EXPECT_EQ(one.stats.misses, misses);
-        EXPECT_GT(one.stats.memHits, 0u);
-        EXPECT_EQ(one.memory.size(), 5u);
+        EXPECT_EQ(one.stats.hits, kProbePasses * tasks.size() - misses);
+
+        // A run completes only after its probe's event: a hit's
+        // progress fires right after its hit event, a computed run's
+        // after every probe of its batch.
+        for (const ProbeRecord *rec : {&one, &four})
+            for (const auto &[done, seen] : rec->progress)
+                EXPECT_LE(done, seen);
     }
     fs::remove_all(root);
 }

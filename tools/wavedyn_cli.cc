@@ -97,6 +97,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <initializer_list>
 #include <iostream>
@@ -107,6 +108,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "cache/store.hh"
@@ -502,15 +504,9 @@ configureResultCache(const Options &o)
         setActiveResultCache(nullptr);
         return;
     }
-    auto cache = std::make_shared<ResultCache>(dir);
-    // Campaign commands re-probe keys within one process (explore
-    // rounds): front the disk store with a small
-    // in-memory LRU so those repeats skip file I/O and decode. ~256
-    // quick-scale results is a few MB. Maintenance commands (cache
-    // stats/gc/verify) build their own ResultCache and keep the
-    // layer off — they must see the disk truth.
-    cache->setMemoryCapacity(256);
-    setActiveResultCache(std::move(cache));
+    // Every key of a campaign is distinct, so each lookup reads its
+    // disk record once; the directory appears with the first store.
+    setActiveResultCache(std::make_shared<ResultCache>(dir));
 }
 
 /** Resolve the trace output: --trace-out beats WAVEDYN_TRACE; empty =
@@ -1080,6 +1076,12 @@ cmdCache(int argc, char **argv)
         throw std::invalid_argument(
             "cache " + action + " needs --cache-dir DIR or "
             "WAVEDYN_CACHE_DIR");
+    // Maintenance reads an existing cache; it must not create one, or
+    // a mistyped path would verify as an empty, valid cache.
+    std::error_code ec;
+    if (!std::filesystem::is_directory(dir, ec))
+        throw std::runtime_error("cache " + action +
+                                 ": no cache directory at '" + dir + "'");
 
     ResultCache cache(dir);
     if (action == "stats") {
